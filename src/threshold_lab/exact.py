@@ -20,9 +20,20 @@ Rat = Fraction
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Miller-Rabin with the prime bases 2..41 decides primality for every n below
+# this bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", 2017); above it the test is no longer a proof.
+_MR_BASES = _SMALL_PRIMES + (41,)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (intended scale: n <= 10^4)."""
+    """Deterministic primality test for n < 3317044064679887385961981 (~3.3e24).
+
+    Trial division by the primes up to 37 settles small n and any n with a
+    small factor; the rest go through Miller-Rabin with the bases 2..41.
+    Raises ValueError for a larger n that trial division cannot settle.
+    """
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -30,11 +41,26 @@ def is_prime(n: int) -> bool:
             return True
         if n % q == 0:
             return False
-    q = 41
-    while q * q <= n:
-        if n % q == 0:
+    if n < 41 * 41:
+        return True  # no factor up to 37; this also keeps every base below n
+    if n >= _MR_BOUND:
+        raise ValueError(
+            f"{n} is too large for a deterministic primality test (bound {_MR_BOUND})"
+        )
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        q += 2
     return True
 
 

@@ -1,12 +1,16 @@
-"""F-pure thresholds of diagonal polynomials and a brute-force Frobenius oracle.
+"""F-pure thresholds of diagonal polynomials and a level-recursive Frobenius oracle.
 
 For f in the maximal ideal of F_p[[x_1..x_n]] and e >= 1, let
 
     nu_e(f) = max { nu >= 0 : f^nu not in (x_1^{p^e}, ..., x_n^{p^e}) }.
 
 Then nu_e / p^e <= fpt(f) <= (nu_e + 1) / p^e, and fpt(f) is the supremum of
-the lower ends.  :func:`frobenius_nu` computes nu_e by iterated truncated
-multiplication; :func:`oracle_bracket` wraps it into the two-sided bound.
+the lower ends.  :func:`frobenius_nu` computes nu_e level by level: by
+Mustata-Takagi-Watanabe ("F-thresholds and Bernstein-Sato polynomials",
+2005) nu_{e+1} lies in [p nu_e, p nu_e + p - 1], and the Frobenius power of
+f^{nu_e} mod (x_i^{p^e}) is f^{p nu_e} mod (x_i^{p^{e+1}}), so each level
+takes at most p - 1 truncated products by f.  :func:`oracle_bracket` wraps
+nu_e into the two-sided bound.
 
 For a diagonal f = x_1^{s_1} + ... + x_n^{s_n} the threshold has a closed
 form in terms of the non-terminating base-p expansions of the 1/s_i.  Writing
@@ -30,7 +34,7 @@ import os
 from dataclasses import dataclass
 
 from .exact import BasePExpansion, Rat, expand_base_p, require_prime
-from .poly import SparsePolyFp, mul_truncated
+from .poly import SparsePolyFp
 
 INFINITE = float("inf")
 
@@ -132,12 +136,26 @@ def _max_terms_budget(max_terms: int | None) -> int:
 def frobenius_nu(f: SparsePolyFp, e: int, max_terms: int | None = None) -> int:
     """nu_e(f): the largest nu with f^nu outside (x_1^{p^e}, ..., x_n^{p^e}).
 
-    Requires f nonzero with no constant term (so f lies in the maximal ideal
-    and nu_e <= n(p^e - 1) by degree pigeonhole).  Work is bounded by one
-    truncated multiplication per step; calls whose ambient monomial space
-    p^(e*n) exceeds the budget (default 10^8, override via the
-    THRESHOLD_LAB_MAX_TERMS environment variable or the ``max_terms``
-    argument) are refused up front.
+    Requires f nonzero with no constant term (so f lies in the maximal ideal).
+    Calls whose ambient monomial space p^(e*n) exceeds the budget (default
+    10^8, override via the THRESHOLD_LAB_MAX_TERMS environment variable or
+    the ``max_terms`` argument) are refused up front.
+
+    The search climbs the levels 1..e (Mustata-Takagi-Watanabe, "F-thresholds
+    and Bernstein-Sato polynomials", 2005).  With m^[q] = (x_1^q, ..., x_n^q)
+    and g = f^{nu_k} mod m^[p^k], the Frobenius power g^[p] (exponents times
+    p; c^p = c over F_p) is f^{p nu_k} mod m^[p^{k+1}], and nu_{k+1} lies in
+    [p nu_k, p nu_k + p - 1].  So each level costs at most p - 1 truncated
+    products by f that stay nonzero, plus the one that vanishes.  Level 0 is
+    g = 1, nu_0 = 0.
+
+    Exponent vectors are packed into one integer, one lane of w bits per
+    variable, with B = 2^(w-1) > p^e.  A term of g at level k stores
+    a_i + B - p^k in lane i, so adding the exponents of a term of f (all
+    below p^e; terms with a larger one never survive) never carries out of a
+    lane, and the sum lies in m^[p^k] exactly when some lane reaches its top
+    bit B.  The Frobenius step is then
+    one affine map per key: p*key - (p - 1)*B in every lane.
     """
     if e < 1:
         raise ValueError(f"Frobenius exponent e must be >= 1, got {e}")
@@ -155,65 +173,36 @@ def frobenius_nu(f: SparsePolyFp, e: int, max_terms: int | None = None) -> int:
             f"monomial space p^(e*n) = {space} exceeds budget {budget}; "
             f"raise {_MAX_TERMS_ENV} to override"
         )
-    g = f.truncate(cap)
-    if g.is_zero():
-        return 0
-    max_steps = n * (cap - 1)
-    bits = (2 * cap - 1).bit_length()
-    if n * bits <= 63:
-        return _nu_packed(g, cap, max_steps)
-    k = 1
-    while True:
-        g = mul_truncated(g, f, cap)
-        if g.is_zero():
-            return k
-        k += 1
-        if k > max_steps:
-            raise AssertionError("step bound exceeded; f cannot lie in the maximal ideal")
-
-
-def _nu_packed(g: SparsePolyFp, cap: int, max_steps: int) -> int:
-    """Truncated-power loop with exponent vectors packed into int64 lanes.
-
-    Each exponent gets ``bits`` bits sized to hold values below 2*cap, so
-    packed addition of a kept monomial and a generator monomial never carries
-    across lanes; per-lane masks then discard anything reaching cap.
-    """
-    import numpy as np
-
-    p = g.p
-    n = len(g.vars)
-    bits = (2 * cap - 1).bit_length()
-    shifts = [bits * i for i in range(n)]
-    mask = (1 << bits) - 1
-
-    def pack(exps: tuple[int, ...]) -> int:
-        return sum(x << s for x, s in zip(exps, shifts))
-
-    f_keys = np.array([pack(t) for t in g.terms], dtype=np.int64)
-    f_coeffs = np.array(list(g.terms.values()), dtype=np.int64)
-    keys, coeffs = f_keys.copy(), f_coeffs.copy()
-    k = 1
-    while True:
-        nk = (keys[:, None] + f_keys[None, :]).ravel()
-        nc = (coeffs[:, None] * f_coeffs[None, :]).ravel() % p
-        keep = np.ones(nk.shape, dtype=bool)
-        for s in shifts:
-            keep &= ((nk >> s) & mask) < cap
-        nk, nc = nk[keep], nc[keep]
-        if nk.size:
-            uk, inv = np.unique(nk, return_inverse=True)
-            acc = np.bincount(inv, weights=nc, minlength=uk.size).astype(np.int64) % p
-            nz = acc != 0
-            uk, acc = uk[nz], acc[nz]
+    w = cap.bit_length() + 1
+    shifts = [w * i for i in range(n)]
+    ones = sum(1 << s for s in shifts)
+    high = ones << (w - 1)
+    frob = (p - 1) * high
+    fq = [
+        (sum(x << s for x, s in zip(exps, shifts)), c)
+        for exps, c in f.terms.items()
+        if max(exps) < cap
+    ]
+    g = {high - ones: 1}
+    nu = 0
+    for _level in range(e):
+        g = {p * k - frob: c for k, c in g.items()}
+        nu *= p
+        for _step in range(p):
+            out: dict[int, int] = {}
+            for fk, fc in fq:
+                for k, c in g.items():
+                    k += fk
+                    if not k & high:
+                        out[k] = out.get(k, 0) + c * fc
+            out = {k: r for k, c in out.items() if (r := c % p)}
+            if not out:
+                break
+            g = out
+            nu += 1
         else:
-            uk = nk
-        if uk.size == 0:
-            return k
-        k += 1
-        if k > max_steps:
             raise AssertionError("step bound exceeded; f cannot lie in the maximal ideal")
-        keys, coeffs = uk, acc
+    return nu
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Tests for the expression parser and the command-line interface."""
 
 import json
+import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -182,6 +184,27 @@ def test_cli_fpt_diagonal_rejects_bad_exponent(capsys):
     code, _, err = run_cli(capsys, "fpt-diagonal", "--prime", "2", "--exponents", "1,2")
     assert code == 2
     assert "error" in err
+
+
+def test_cli_fpt_diagonal_large_prime():
+    """A 61-bit prime is decided at once, not by trial division."""
+    import threshold_lab
+
+    src = os.path.dirname(os.path.dirname(threshold_lab.__file__))
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    proc = subprocess.run(
+        [sys.executable, "-m", "threshold_lab.cli", "fpt-diagonal",
+         "--prime", "2305843009213693951", "--exponents", "2,3"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "5/6\n")
+
+
+def test_cli_refuses_prime_beyond_primality_bound(capsys):
+    code, _, err = run_cli(capsys, "fpt-diagonal", "--prime", str(2**89 - 1), "--exponents", "2,3")
+    assert code == 2
+    assert "too large" in err
 
 
 def test_cli_fpt_search_json(capsys):

@@ -1,5 +1,6 @@
 """Tests for exact rational arithmetic and eventually periodic base-p expansions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,41 @@ PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13])
 ])
 def test_is_prime(n, expected):
     assert is_prime(n) is expected
+
+
+def test_is_prime_matches_sympy_small():
+    sympy = pytest.importorskip("sympy")
+    assert [n for n in range(1, 10**4 + 1) if is_prime(n)] == list(
+        sympy.primerange(1, 10**4 + 1)
+    )
+
+
+def test_is_prime_matches_sympy_64_bit():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20250907)
+    values = [rng.getrandbits(64) | 1 for _ in range(300)]
+    values += [sympy.prevprime(v) for v in values[:100]]
+    for n in values:
+        assert is_prime(n) is bool(sympy.isprime(n)), n
+
+
+@pytest.mark.parametrize("n, expected", [
+    (2305843009213693951, True),                # 2^61 - 1
+    (3215031751, False),                        # strong pseudoprime to bases 2, 3, 5, 7
+    (318665857834031151167461, False),          # strong pseudoprime to bases 2..37
+    (3317044064679887385961813, True),          # the largest prime below the bound
+])
+def test_is_prime_miller_rabin(n, expected):
+    assert is_prime(n) is expected
+
+
+@pytest.mark.parametrize("n", [
+    3317044064679887385961981,                  # the bound: strong pseudoprime to bases 2..41
+    2**89 - 1,                                  # a Mersenne prime above the bound
+])
+def test_require_prime_refuses_beyond_bound(n):
+    with pytest.raises(ValueError, match="too large"):
+        require_prime(n)
 
 
 def test_require_prime():

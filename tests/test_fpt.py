@@ -1,5 +1,6 @@
 """Tests for diagonal threshold formulas and the Frobenius-power search oracle."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from threshold_lab.fpt import (
     lct_diagonal,
     oracle_bracket,
 )
-from threshold_lab.poly import SparsePolyFp
+from threshold_lab.poly import SparsePolyFp, mul_truncated
 
 F = Fraction
 
@@ -161,6 +162,77 @@ def test_resource_guard_env(monkeypatch):
         frobenius_nu(f, 3)
     monkeypatch.setenv("THRESHOLD_LAB_MAX_TERMS", "100000")
     assert frobenius_nu(f, 3) == 3
+
+
+def nu_reference(f, e):
+    """nu_e by brute force: multiply by f, truncating at p^e, until zero."""
+    q = f.p**e
+    g, nu = f.truncate(q), 0
+    while not g.is_zero():
+        nu += 1
+        g = mul_truncated(g, f, q)
+    return nu
+
+
+@st.composite
+def sparse_polys(draw, max_level=3, max_space=5000):
+    """(f, e): 1-4 terms in 1-3 variables over F_p, p^(e*n) <= max_space.
+
+    Some exponents are drawn at or just above p^e, so whole terms, or whole
+    lower levels, vanish under truncation.
+    """
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 3))
+    e = draw(st.integers(1, max_level).filter(lambda e: p ** (e * n) <= max_space))
+    q = p**e
+    exponent = st.one_of(st.integers(0, 4), st.integers(q, q + 2))
+    monomial = st.tuples(*[exponent] * n).filter(any)
+    terms = draw(st.dictionaries(monomial, st.integers(1, p - 1), min_size=1, max_size=4))
+    return SparsePolyFp(p, ("x", "y", "z")[:n], terms), e
+
+
+@given(case=sparse_polys())
+@settings(max_examples=150, deadline=None)
+def test_frobenius_nu_matches_reference(case):
+    f, e = case
+    assert frobenius_nu(f, e) == nu_reference(f, e)
+
+
+@given(case=sparse_polys(max_level=2, max_space=10**5))
+@settings(max_examples=80, deadline=None)
+def test_nu_nesting_sparse(case):
+    """nu_{e+1} lies in [p nu_e, p nu_e + p - 1] (Mustata-Takagi-Watanabe)."""
+    f, e = case
+    p = f.p
+    lo, hi = frobenius_nu(f, e), frobenius_nu(f, e + 1)
+    assert p * lo <= hi <= p * lo + p - 1
+
+
+@given(case=sparse_polys(max_level=2, max_space=27))
+@settings(max_examples=40, deadline=None)
+def test_frobenius_nu_matches_sympy(case):
+    """nu_1 and nu_2 against powers taken by sympy over GF(p)."""
+    sympy = pytest.importorskip("sympy")
+    f, e = case
+    q = f.p**e
+    gens = sympy.symbols(f.vars)
+    expr = sum(c * sympy.prod(x**k for x, k in zip(gens, exps)) for exps, c in f.terms.items())
+    base = sympy.Poly(expr, *gens, modulus=f.p)
+    power, nu = base, 0
+    while any(max(m) < q for m in power.monoms()):
+        nu += 1
+        power = power * base
+    assert frobenius_nu(f, e) == nu
+
+
+def test_oracle_bracket_without_numpy(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    quartic = SparsePolyFp(3, ("x", "y", "z"), {
+        (4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1, (2, 2, 2): 1,
+    })
+    assert oracle_bracket(quartic, 4).nu == (3**4 - 1) // 2
+    br = oracle_bracket(SparsePolyFp(2, ("x", "y"), {(3, 0): 1, (0, 3): 1}), 3)
+    assert (br.lower, br.upper) == (F(3, 8), F(1, 2))
 
 
 def test_diagonal_poly():
