@@ -9,7 +9,6 @@ from .certify import (
     BoundCertificate,
     InternalInconsistencyError,
     LimitProfile,
-    RingContext,
     RuleResult,
     certify,
     limit_profile,
@@ -17,7 +16,6 @@ from .certify import (
     relevel,
 )
 from .digits import (
-    DigitVector,
     binomial_valuation_prime_power,
     digit_sum,
     digits_of,
@@ -29,13 +27,11 @@ from .digits import (
 from .exact import (
     BasePExpansion,
     Rat,
-    digit_at,
     expand_base_p,
     format_rat,
     is_prime,
     multiplicative_order,
     require_prime,
-    truncation,
 )
 from .fpt import (
     INFINITE,
@@ -53,8 +49,8 @@ from .fpt import (
 from .poly import (
     MembershipResult,
     MixedPoly,
+    RingContext,
     SparsePolyFp,
-    WeightedMonomialIdeal,
     mul_truncated,
     pow_mixed,
     pth_root_mod_fp,
@@ -68,7 +64,6 @@ __all__ = [
     "BasePExpansion",
     "BoundCertificate",
     "DiagonalData",
-    "DigitVector",
     "FptBracket",
     "INFINITE",
     "InternalInconsistencyError",
@@ -80,12 +75,10 @@ __all__ = [
     "RingContext",
     "RuleResult",
     "SparsePolyFp",
-    "WeightedMonomialIdeal",
     "binomial_valuation_prime_power",
     "certify",
     "compute_L",
     "diagonal_poly",
-    "digit_at",
     "digit_sum",
     "digits_of",
     "expand_base_p",
@@ -109,6 +102,5 @@ __all__ = [
     "reduce_mod_pi",
     "relevel",
     "require_prime",
-    "truncation",
     "weighted_membership",
 ]

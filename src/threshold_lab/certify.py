@@ -29,6 +29,14 @@ Every certified bound is sound on its own, so the combined max-of-lowers /
 min-of-uppers can only collide if the implementation is wrong; that collision
 is surfaced as :class:`InternalInconsistencyError` and doubles as the
 engine's cross-validation alarm.
+
+The ring context and the ideal test the rules share live in :mod:`.poly`:
+:class:`RingContext` (re-exported here) reads every effective pi-order
+through ``RingContext.pi_order``, and the containments of
+``rule_exact_ramified``, ``rule_diagonal_ramified`` and the cofactor check of
+``rule_extremal_strict`` all ask whether terms lie in the Frobenius power
+(pi^q, x_1^q, ..., x_n^q).  Where fpt(f mod pi) has no closed form, the rules
+read it from the Frobenius oracle at level :data:`ORACLE_LEVEL`.
 """
 
 from __future__ import annotations
@@ -38,7 +46,10 @@ import math
 from dataclasses import dataclass, field
 
 from .digits import padic_valuation
-from .exact import Rat, format_rat, require_prime
+from .exact import Rat, format_rat
+# require_prime is not called here; it stays a module attribute because
+# bench/run.py counts its calls by wrapping it in every engine module.
+from .exact import require_prime  # noqa: F401
 from .fpt import (
     INFINITE,
     ResourceGuardError,
@@ -50,58 +61,22 @@ from .fpt import (
 from .poly import (
     Exps,
     MixedPoly,
+    RingContext,
     SparsePolyFp,
-    WeightedMonomialIdeal,
+    in_frobenius_power,
     pow_mixed,
     pth_root_mod_fp,
     reduce_mod_pi,
     weighted_membership,
 )
 
+# Level e of the Frobenius oracle bracket [nu_e/p^e, (nu_e+1)/p^e] used when
+# fpt(f mod pi) has no closed form.
+ORACLE_LEVEL = 2
+
 
 class InternalInconsistencyError(RuntimeError):
     """Two certified bounds exclude each other.  Must never fire on sound rules."""
-
-
-@dataclass(frozen=True)
-class RingContext:
-    """The ambient ring V[[x_1..x_n]] with V = W(k)[p^{1/p^a}] (a = ram_level).
-
-    With ``cyclotomic`` set, V is instead W(k)[zeta_p] with uniformizer
-    varpi = zeta_p - 1, so varpi^{p-1} is p up to a unit; this flag and
-    ram_level > 0 are mutually exclusive.
-    """
-
-    p: int
-    vars: tuple[str, ...]
-    ram_level: int = 0
-    cyclotomic: bool = False
-
-    def __post_init__(self) -> None:
-        require_prime(self.p)
-        if not self.vars:
-            raise ValueError("at least one x-variable is required")
-        if self.ram_level < 0:
-            raise ValueError(f"ram_level must be >= 0, got {self.ram_level}")
-        if self.cyclotomic and self.ram_level > 0:
-            raise ValueError("cyclotomic base and ram_level > 0 are mutually exclusive")
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.vars)
-
-    @property
-    def pi_multiplier(self) -> int:
-        """Pi-order of p itself: p^a in the root tower, p - 1 cyclotomically."""
-        return (self.p - 1) if self.cyclotomic else self.p**self.ram_level
-
-    def to_doc(self) -> dict:
-        return {
-            "p": self.p,
-            "ram_level": self.ram_level,
-            "cyclotomic": self.cyclotomic,
-            "vars": list(self.vars),
-        }
 
 
 @dataclass(frozen=True)
@@ -221,12 +196,12 @@ def match_mixed_diagonal(f: MixedPoly, ctx: RingContext) -> MixedDiagonal | None
         if not support:
             if pi_order is not None:
                 return None
-            v = padic_valuation(c, ctx.p)
-            order = pi + ctx.pi_multiplier * v
+            order = ctx.pi_order(pi, c)
             if order == 0:
                 return None
             pi_order = order
-            pi_unit_one = abs(c) == ctx.p**v and c > 0
+            # The unit part is 1 exactly when c = p^v, v = v_p(c).
+            pi_unit_one = c == ctx.p ** ((order - pi) // ctx.pi_multiplier)
         elif len(support) == 1:
             if pi != 0 or c % ctx.p == 0:
                 return None
@@ -283,29 +258,11 @@ def base_ring_level(f: MixedPoly, ctx: RingContext) -> int:
     return a - min(a, v)
 
 
-def _frobenius_ideal(ctx: RingContext, q: int) -> WeightedMonomialIdeal:
-    """(pi^q, x_1^q, ..., x_n^q) as a weighted monomial ideal."""
-    n = ctx.n_vars
-    gens: list[tuple[int, Exps]] = [(q, (0,) * n)]
-    for i in range(n):
-        e = [0] * n
-        e[i] = q
-        gens.append((0, tuple(e)))
-    return WeightedMonomialIdeal(ctx.p, ctx.ram_level, ctx.vars, gens)
-
-
-def _effective_order(f: MixedPoly, ctx: RingContext, key: tuple[int, Exps]) -> int:
-    pi, _ = key
-    return pi + ctx.pi_multiplier * padic_valuation(f.terms[key], ctx.p)
-
-
 # --------------------------------------------------------------------------
 # Rules.  Each returns a RuleResult or None (abstention).
 
 
-def rule_fpt_lower(
-    f: MixedPoly, ctx: RingContext, oracle_level: int = 2, max_terms: int | None = None
-) -> RuleResult | None:
+def rule_fpt_lower(f: MixedPoly, ctx: RingContext) -> RuleResult | None:
     """ppt(f) >= fpt(f mod pi): purity descends along the residual reduction."""
     g = reduce_mod_pi(f)
     if g.is_zero():
@@ -316,14 +273,14 @@ def rule_fpt_lower(
         hyp.append(f"fpt(f mod pi) = {format_rat(value)} in closed form")
     else:
         try:
-            bracket = oracle_bracket(g, oracle_level, max_terms=max_terms)
+            bracket = oracle_bracket(g, ORACLE_LEVEL)
         except ResourceGuardError:
             return None
         if bracket.nu == 0:
             return None
         value = bracket.lower
         hyp.append(
-            f"fpt(f mod pi) >= nu_{oracle_level}/p^{oracle_level}"
+            f"fpt(f mod pi) >= nu_{ORACLE_LEVEL}/p^{ORACLE_LEVEL}"
             f" = {format_rat(value)} by the Frobenius oracle"
         )
     return RuleResult(
@@ -371,12 +328,7 @@ def rule_blowup_diagonal(f: MixedPoly, ctx: RingContext) -> RuleResult | None:
     )
 
 
-def rule_ramified_upper(
-    f: MixedPoly,
-    ctx: RingContext,
-    fpt_bar: Rat | None = None,
-    max_terms: int | None = None,
-) -> RuleResult | None:
+def rule_ramified_upper(f: MixedPoly, ctx: RingContext) -> RuleResult | None:
     """ppt(f) <= ceil(q p^e)/p^e once V contains a p^e-th root of the
     uniformizer of a ring of definition of f, where q >= fpt(f mod pi).
 
@@ -391,22 +343,18 @@ def rule_ramified_upper(
     if e < 1:
         return None
     hyp = [f"f is defined over the level-{c} subring; p^{e}-th roots available"]
-    q = fpt_bar
-    if q is None:
-        g = reduce_mod_pi(f)
-        if g.is_zero():
-            return None
-        q = exact_fpt_of_reduction(g)
-        if q is not None:
-            hyp.append(f"fpt(f mod pi) = {format_rat(q)} in closed form")
-        else:
-            try:
-                q = oracle_bracket(g, min(e, 2), max_terms=max_terms).upper
-            except ResourceGuardError:
-                return None
-            hyp.append(f"fpt(f mod pi) <= {format_rat(q)} by the Frobenius oracle")
+    g = reduce_mod_pi(f)
+    if g.is_zero():
+        return None
+    q = exact_fpt_of_reduction(g)
+    if q is not None:
+        hyp.append(f"fpt(f mod pi) = {format_rat(q)} in closed form")
     else:
-        hyp.append(f"fpt(f mod pi) <= {format_rat(q)} supplied by the caller")
+        try:
+            q = oracle_bracket(g, min(e, ORACLE_LEVEL)).upper
+        except ResourceGuardError:
+            return None
+        hyp.append(f"fpt(f mod pi) <= {format_rat(q)} by the Frobenius oracle")
     b = math.ceil(q * ctx.p**e)
     value = Rat(b, ctx.p**e)
     hyp.append(f"upper bound {b}/p^{e} = {format_rat(value)}")
@@ -422,9 +370,7 @@ def rule_ramified_upper(
     )
 
 
-def rule_exact_ramified(
-    f: MixedPoly, ctx: RingContext, max_terms: int | None = None
-) -> RuleResult | None:
+def rule_exact_ramified(f: MixedPoly, ctx: RingContext) -> RuleResult | None:
     """Exact value where the residual threshold terminates inside the tower.
 
     Route (a): fpt(f mod pi) = b/p^e with e <= ram_level - (base level of f);
@@ -472,9 +418,7 @@ def rule_exact_ramified(
         return None
     b = q * ctx.p**e
     assert b.denominator == 1
-    contained = weighted_membership(
-        pow_mixed(f, int(b)), _frobenius_ideal(ctx, ctx.p**e)
-    )
+    contained = weighted_membership(pow_mixed(f, int(b)), ctx, ctx.p**e)
     if not contained:
         return None
     hyp.append(
@@ -520,9 +464,7 @@ def rule_diagonal_ramified(f: MixedPoly, ctx: RingContext) -> RuleResult | None:
     value = fpt_diagonal(ctx.p, exps)
     b = value * ctx.p**level
     assert b.denominator == 1
-    contained = weighted_membership(
-        pow_mixed(f, int(b)), _frobenius_ideal(ctx, ctx.p**level)
-    )
+    contained = weighted_membership(pow_mixed(f, int(b)), ctx, ctx.p**level)
     if not contained:
         raise InternalInconsistencyError(
             "diagonal_ramified: the digit formula promised "
@@ -575,7 +517,6 @@ def rule_extremal_strict(f: MixedPoly, ctx: RingContext) -> RuleResult | None:
     e = 1
     while p**e + 1 <= max_deg:
         q = p**e
-        ideal = _frobenius_ideal(ctx, q)
         for i in range(n):
             for j in range(i + 1, n):
                 for pattern, name in (
@@ -590,17 +531,18 @@ def rule_extremal_strict(f: MixedPoly, ctx: RingContext) -> RuleResult | None:
                     if any(f.terms.get(k) != 1 for k in keys):
                         continue
                     ok = True
-                    for key in f.terms:
+                    for key, c in f.terms.items():
                         if key in keys:
                             continue
                         pi, exps = key
                         others = sum(
                             exps[t] for t in range(n) if t not in (i, j)
                         )
-                        if _effective_order(f, ctx, key) < 1 and others < 1:
+                        order = ctx.pi_order(pi, c)
+                        if order < 1 and others < 1:
                             ok = False
                             break
-                        if ideal.divides_term(f, key) is None:
+                        if not in_frobenius_power(order, exps, q):
                             ok = False
                             break
                     if ok and (best is None or e < best[0]):
@@ -687,7 +629,7 @@ def _match_elliptic(f: MixedPoly, ctx: RingContext) -> tuple[str, str] | None:
     pi_keys = [k for k in f.terms if not any(k[1])]
     if len(pi_keys) != 1 or len(f.terms) != 3:
         return None
-    if _effective_order(f, ctx, pi_keys[0]) != 3:
+    if ctx.pi_order(pi_keys[0][0], f.terms[pi_keys[0]]) != 3:
         return None
     cross = [k for k in f.terms if k != pi_keys[0]]
     supports = set()
@@ -815,7 +757,7 @@ def pth_root_modulo(
         for key in set(f.terms) | set(hp.terms):
             delta = f.terms.get(key, 0) - hp.terms.get(key, 0)
             pi, _ = key
-            if delta and pi + padic_valuation(delta, p) < 2:
+            if delta and ctx.pi_order(pi, delta) < 2:
                 return None
         return h
     by_monomial: dict[Exps, list[int]] = {}
@@ -941,18 +883,13 @@ def _validate_input(f: MixedPoly, ctx: RingContext) -> None:
         raise ValueError("polynomial and ring context disagree")
     if f.is_zero():
         raise ValueError("cannot certify the zero power series")
-    for key in f.terms:
-        _pi, exps = key
-        if not any(exps) and _effective_order(f, ctx, key) == 0:
+    for (pi, exps), c in f.terms.items():
+        if not any(exps) and ctx.pi_order(pi, c) == 0:
             raise ValueError("f must lie in the maximal ideal (unit term found)")
 
 
 def certify(
-    f: MixedPoly,
-    ctx: RingContext,
-    family: str | None = None,
-    oracle_level: int = 2,
-    max_terms: int | None = None,
+    f: MixedPoly, ctx: RingContext, family: str | None = None
 ) -> BoundCertificate:
     """Run every applicable rule on f and intersect the certified bounds.
 
@@ -969,14 +906,14 @@ def certify(
     notes: list[str] = []
     for res in (
         known_values_registry(f, ctx),
-        rule_fpt_lower(f, ctx, oracle_level=oracle_level, max_terms=max_terms),
+        rule_fpt_lower(f, ctx),
         rule_blowup_diagonal(f, ctx),
         rule_extremal_strict(f, ctx),
         rule_frobenius_diagonal_strict(f, ctx),
         rule_elliptic(f, ctx, family=family),
         rule_pth_root_upper(f, ctx),
-        rule_ramified_upper(f, ctx, max_terms=max_terms),
-        rule_exact_ramified(f, ctx, max_terms=max_terms),
+        rule_ramified_upper(f, ctx),
+        rule_exact_ramified(f, ctx),
         rule_diagonal_ramified(f, ctx),
         rule_threshold_cap(f, ctx),
     ):
@@ -1114,10 +1051,7 @@ def relevel(f: MixedPoly, a: int) -> MixedPoly:
 
 
 def limit_profile(
-    f: MixedPoly,
-    e_max: int,
-    family: str | None = None,
-    max_terms: int | None = None,
+    f: MixedPoly, e_max: int, family: str | None = None
 ) -> LimitProfile:
     """Certified bounds for the same element viewed at ram levels 0..e_max.
 
@@ -1132,7 +1066,7 @@ def limit_profile(
     for a in range(e_max + 1):
         fa = relevel(f, a)
         ctx = RingContext(f.p, f.vars, ram_level=a)
-        cert = certify(fa, ctx, family=family, max_terms=max_terms)
+        cert = certify(fa, ctx, family=family)
         steps.append(
             ProfileStep(
                 level=a,

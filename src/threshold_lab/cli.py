@@ -32,7 +32,7 @@ from .certify import (
 from .digits import kummer_valuation, lucas_residue, magic_expansions
 from .exact import expand_base_p, format_rat
 from .fpt import fpt_diagonal, oracle_bracket
-from .poly import MixedPoly, reduce_mod_pi
+from .poly import MixedPoly, pow_mixed, reduce_mod_pi
 from .verify import SUITES, run_suite
 
 
@@ -232,11 +232,7 @@ def lower_expr(expr: PolyExpr, ctx: RingContext) -> MixedPoly:
                 acc = acc * go(factor)
             return acc
         if isinstance(node, Power):
-            base = go(node.base)
-            out = const(1)
-            for _ in range(node.exponent):
-                out = out * base
-            return out
+            return pow_mixed(go(node.base), node.exponent)
         raise TypeError(f"unhandled node {node!r}")
 
     return go(expr)

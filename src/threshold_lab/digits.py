@@ -11,7 +11,6 @@ rules actually consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .exact import require_prime
 
@@ -44,36 +43,6 @@ def digits_of(n: int, p: int) -> list[int]:
 def digit_sum(n: int, p: int) -> int:
     """S_p(n), the sum of the base-p digits of n >= 0."""
     return sum(digits_of(n, p))
-
-
-@dataclass(frozen=True)
-class DigitVector:
-    """A base-p digit string, least significant first, with no trailing zeros.
-
-    Canonical form: the most significant digit is nonzero unless the vector is
-    empty (which represents 0).
-    """
-
-    p: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        require_prime(self.p)
-        for d in self.digits:
-            if not 0 <= d < self.p:
-                raise ValueError(f"digit {d} out of range for base {self.p}")
-        if self.digits and self.digits[-1] == 0:
-            raise ValueError("most significant digit must be nonzero")
-
-    @classmethod
-    def of(cls, n: int, p: int) -> DigitVector:
-        return cls(p, tuple(digits_of(n, p)))
-
-    def value(self) -> int:
-        n = 0
-        for d in reversed(self.digits):
-            n = n * self.p + d
-        return n
 
 
 def kummer_valuation(n: int, m: int, p: int) -> int:
@@ -122,9 +91,9 @@ def magic_expansions(p: int) -> tuple[list[int], list[int]]:
 
     Returns the two-digit strings, least significant first:
     [(p-2)/3, (2p-1)/3] and [(2p-1)/3, (p-2)/3].  These are the exponents
-    whose binomials survive mod p in the cubic (elliptic-type) rules.  The
-    digit lists are returned raw rather than as :class:`DigitVector` because
-    at p = 2 the second value is 1, whose two-digit string has a leading zero.
+    whose binomials survive mod p in the cubic (elliptic-type) rules.  Both
+    lists keep two digits even when the top one is zero: at p = 2 the second
+    value is 1, written [1, 0].
     """
     require_prime(p)
     if p % 3 != 2:

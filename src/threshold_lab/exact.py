@@ -198,11 +198,3 @@ def expand_base_p(x: Rat, p: int) -> BasePExpansion:
     # so the digit stream from position v+1 on is purely periodic.
     ds, _ = digits(v + order)
     return BasePExpansion(p, tuple(ds[:v]), tuple(ds[v:]))
-
-
-def digit_at(exp: BasePExpansion, e: int) -> int:
-    return exp.digit_at(e)
-
-
-def truncation(exp: BasePExpansion, L: int) -> Rat:
-    return exp.truncation(L)

@@ -221,9 +221,9 @@ class FptBracket:
         return self.upper - self.lower
 
 
-def oracle_bracket(f: SparsePolyFp, e: int, max_terms: int | None = None) -> FptBracket:
+def oracle_bracket(f: SparsePolyFp, e: int) -> FptBracket:
     """Bracket fpt(f) between nu_e/p^e and (nu_e + 1)/p^e at level e."""
-    nu = frobenius_nu(f, e, max_terms=max_terms)
+    nu = frobenius_nu(f, e)
     q = f.p**e
     return FptBracket(e=e, nu=nu, lower=Rat(nu, q), upper=Rat(nu + 1, q))
 

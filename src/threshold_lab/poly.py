@@ -1,14 +1,21 @@
 """Sparse multivariate polynomials over F_p and over ramified p-adic models.
 
-Two term-level representations:
+Two term-level representations, the ring context of the second, and one ideal
+test:
 
 * :class:`SparsePolyFp` - polynomials over the prime field, coefficients
   normalized to {1, ..., p-1}, used by the Frobenius-power oracle.
 * :class:`MixedPoly` - polynomials over Z with an extra uniformizer symbol pi,
   modelling W[pi]/(pi^{p^a} = p) with ramification level ``ram_level = a``.
-  The pi-exponent of a term is an integer counted in units of p^{-a}, and the
-  *effective* pi-order of a term c * pi^k * x^E is k + p^a * v_p(c), since
-  every factor of p in the coefficient is pi^{p^a} times a unit.
+  The pi-exponent of a term is an integer counted in units of p^{-a}.
+
+:class:`RingContext` names the base ring a :class:`MixedPoly` is read over: the
+root tower W(k)[p^{1/p^a}] or the p-cyclotomic base W(k)[zeta_p].  It owns the
+one definition of the *effective* pi-order of a term c * pi^k * x^E,
+``RingContext.pi_order`` = k + m * v_p(c), where m is the pi-order of p itself
+(p^a in the tower, p - 1 cyclotomically).  :func:`weighted_membership` tests
+f termwise against the Frobenius power (pi^q, x_1^q, ..., x_n^q), the only
+ideal the certification rules ask about.
 
 Coefficients of :class:`MixedPoly` are exact integers and are never reduced;
 all soundness arguments downstream rely on termwise effective pi-orders, so no
@@ -123,15 +130,6 @@ class SparsePolyFp:
             self.p, self.vars, {e: c for e, c in self.terms.items() if max(e) < cap}
         )
 
-    def evaluate(self, point: tuple[int, ...]) -> int:
-        val = 0
-        for e, c in self.terms.items():
-            t = c
-            for x, k in zip(point, e):
-                t = t * pow(x, k, self.p) % self.p
-            val = (val + t) % self.p
-        return val
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -204,6 +202,51 @@ def pth_root_mod_fp(f: SparsePolyFp) -> SparsePolyFp | None:
     return SparsePolyFp(f.p, f.vars, root)
 
 
+@dataclass(frozen=True)
+class RingContext:
+    """The ambient ring V[[x_1..x_n]] with V = W(k)[p^{1/p^a}] (a = ram_level).
+
+    With ``cyclotomic`` set, V is instead W(k)[zeta_p] with uniformizer
+    varpi = zeta_p - 1, so varpi^{p-1} is p up to a unit; this flag and
+    ram_level > 0 are mutually exclusive.
+    """
+
+    p: int
+    vars: tuple[str, ...]
+    ram_level: int = 0
+    cyclotomic: bool = False
+
+    def __post_init__(self) -> None:
+        require_prime(self.p)
+        if not self.vars:
+            raise ValueError("at least one x-variable is required")
+        if self.ram_level < 0:
+            raise ValueError(f"ram_level must be >= 0, got {self.ram_level}")
+        if self.cyclotomic and self.ram_level > 0:
+            raise ValueError("cyclotomic base and ram_level > 0 are mutually exclusive")
+
+    @property
+    def n_vars(self) -> int:
+        return len(self.vars)
+
+    @property
+    def pi_multiplier(self) -> int:
+        """Pi-order of p itself: p^a in the root tower, p - 1 cyclotomically."""
+        return (self.p - 1) if self.cyclotomic else self.p**self.ram_level
+
+    def pi_order(self, pi: int, c: int) -> int:
+        """Effective pi-order of a term c * pi^pi * x^E with c != 0."""
+        return pi + self.pi_multiplier * padic_valuation(c, self.p)
+
+    def to_doc(self) -> dict:
+        return {
+            "p": self.p,
+            "ram_level": self.ram_level,
+            "cyclotomic": self.cyclotomic,
+            "vars": list(self.vars),
+        }
+
+
 class MixedPoly:
     """Integer-coefficient polynomial in pi and x_1..x_n over W[pi]/(pi^{p^a} = p)."""
 
@@ -238,12 +281,6 @@ class MixedPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def effective_pi_order(self, key: tuple[int, Exps]) -> int:
-        """pi-adic order of the term at ``key``: pi_exp + p^ram_level * v_p(coeff)."""
-        pi, _ = key
-        c = self.terms[key]
-        return pi + self.p**self.ram_level * padic_valuation(c, self.p)
 
     def sorted_terms(self) -> list[tuple[tuple[int, Exps], int]]:
         return sorted(
@@ -289,13 +326,6 @@ class MixedPoly:
                 k = (p1 + p2, tuple(a + b for a, b in zip(e1, e2)))
                 out[k] = out.get(k, 0) + c1 * c2
         return MixedPoly(self.p, self.ram_level, self.vars, out)
-
-    def eval_at_one(self) -> int:
-        """Image under pi -> 1, x_i -> 1 (a ring map to Z on formal terms)."""
-        return sum(self.terms.values())
-
-    def x_degree(self, key: tuple[int, Exps]) -> int:
-        return sum(key[1])
 
     def __str__(self) -> str:
         if not self.terms:
@@ -365,82 +395,34 @@ def reduce_mod_pi(f: MixedPoly) -> SparsePolyFp:
     return SparsePolyFp(f.p, f.vars, out)
 
 
-class WeightedMonomialIdeal:
-    """An ideal generated by terms pi^g * x^E, stored as a minimal generating set."""
-
-    __slots__ = ("p", "ram_level", "vars", "gens")
-
-    def __init__(
-        self,
-        p: int,
-        ram_level: int,
-        vars: tuple[str, ...],
-        gens: list[tuple[int, Exps]],
-    ):
-        require_prime(p)
-        if ram_level < 0:
-            raise ValueError(f"ram_level must be >= 0, got {ram_level}")
-        self.p = p
-        self.ram_level = ram_level
-        self.vars = _check_vars(tuple(vars))
-        n = len(self.vars)
-        checked = []
-        for pi, exps in gens:
-            if pi < 0:
-                raise ValueError(f"pi-exponent must be >= 0, got {pi}")
-            checked.append((pi, _check_exps(exps, n)))
-        minimal = [
-            g
-            for g in checked
-            if not any(h != g and _divides(h, g) for h in checked)
-        ]
-        # Deduplicate while keeping a stable, deterministic order.
-        self.gens = tuple(sorted(set(minimal)))
-
-    def divides_term(self, f: MixedPoly, key: tuple[int, Exps]) -> tuple[int, Exps] | None:
-        """A generator dividing the given term of f, or None.
-
-        A generator pi^g * x^G divides c * pi^k * x^E iff G <= E componentwise
-        and g <= k + p^a * v_p(c), the effective pi-order of the term.
-        """
-        order = f.effective_pi_order(key)
-        _, exps = key
-        for gpi, gexps in self.gens:
-            if gpi <= order and all(a <= b for a, b in zip(gexps, exps)):
-                return (gpi, gexps)
-        return None
-
-
-def _divides(g: tuple[int, Exps], h: tuple[int, Exps]) -> bool:
-    return g[0] <= h[0] and all(a <= b for a, b in zip(g[1], h[1]))
+def in_frobenius_power(order: int, exps: Exps, q: int) -> bool:
+    """Whether a term of effective pi-order ``order`` and x-exponents ``exps``
+    lies in the Frobenius power (pi^q, x_1^q, ..., x_n^q)."""
+    return order >= q or max(exps) >= q
 
 
 @dataclass(frozen=True)
 class MembershipResult:
     """Outcome of a termwise ideal-membership test.
 
-    ``matches`` pairs each term key of f with the generator that absorbed it;
-    when containment fails, ``failure`` is the first term (in graded-lex
-    order) no generator divides.  Termwise membership is sufficient but not
-    necessary for membership, which is the safe direction for upper bounds.
+    When containment fails, ``failure`` is the key of the first term (in
+    graded-lex order) outside the ideal.  Termwise membership is sufficient
+    but not necessary for membership, which is the safe direction for upper
+    bounds.
     """
 
     contained: bool
-    matches: tuple[tuple[tuple[int, Exps], tuple[int, Exps]], ...]
     failure: tuple[int, Exps] | None
 
     def __bool__(self) -> bool:
         return self.contained
 
 
-def weighted_membership(f: MixedPoly, ideal: WeightedMonomialIdeal) -> MembershipResult:
-    """Test whether every term of f lies in the weighted monomial ideal."""
-    if f.p != ideal.p or f.ram_level != ideal.ram_level or f.vars != ideal.vars:
-        raise ValueError("polynomial and ideal live in different rings")
-    matches = []
-    for (key, _c) in f.sorted_terms():
-        gen = ideal.divides_term(f, key)
-        if gen is None:
-            return MembershipResult(False, tuple(matches), key)
-        matches.append((key, gen))
-    return MembershipResult(True, tuple(matches), None)
+def weighted_membership(f: MixedPoly, ctx: RingContext, q: int) -> MembershipResult:
+    """Test whether every term of f lies in (pi^q, x_1^q, ..., x_n^q)."""
+    if f.p != ctx.p or f.ram_level != ctx.ram_level or f.vars != ctx.vars:
+        raise ValueError("polynomial and ring context disagree")
+    for (pi, exps), c in f.sorted_terms():
+        if not in_frobenius_power(ctx.pi_order(pi, c), exps, q):
+            return MembershipResult(False, (pi, exps))
+    return MembershipResult(True, None)

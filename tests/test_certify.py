@@ -257,6 +257,22 @@ def test_diagonal_ramified_abstains_when_slots_reach_p():
     assert rule_diagonal_ramified(g, ctx_of(g)) is None
 
 
+def test_diagonal_ramified_alarm_names_the_witness(monkeypatch):
+    """A digit formula promising too small a power trips the containment
+    cross-check, and the alarm names the first term outside the ideal."""
+    import sys
+
+    mod = sys.modules["threshold_lab.certify"]
+    f = mixed_diagonal_poly(5, 1, 3, (3,))  # pi^3 + x^3, digit level L = 1
+    monkeypatch.setattr(mod, "fpt_diagonal", lambda p, exps: F(1, 5))
+    with pytest.raises(InternalInconsistencyError) as alarm:
+        rule_diagonal_ramified(f, ctx_of(f))
+    assert str(alarm.value) == (
+        "diagonal_ramified: the digit formula promised f^1 in (pi^5, x_i^5) "
+        "but the containment fails at term (3, (0,))"
+    )
+
+
 def test_threshold_cap_always_applies():
     f = MixedPoly(2, 0, ("x",), {(0, (1,)): 1})
     res = rule_threshold_cap(f, ctx_of(f))

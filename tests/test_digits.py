@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshold_lab.digits import (
-    DigitVector,
     binomial_valuation_prime_power,
     digit_sum,
     digits_of,
@@ -53,17 +52,6 @@ def test_digits_of(n, p, ds):
 ])
 def test_digit_sum(n, p, s):
     assert digit_sum(n, p) == s
-
-
-def test_digit_vector():
-    dv = DigitVector.of(16, 5)
-    assert dv.digits == (1, 3)
-    assert dv.value() == 16
-    assert DigitVector.of(0, 3).digits == ()
-    with pytest.raises(ValueError):
-        DigitVector(5, (1, 0))  # trailing zero
-    with pytest.raises(ValueError):
-        DigitVector(5, (5,))
 
 
 @pytest.mark.parametrize("n, m, p, v", [

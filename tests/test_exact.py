@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from threshold_lab.exact import (
     BasePExpansion,
-    digit_at,
     expand_base_p,
     format_rat,
     is_prime,
     multiplicative_order,
     require_prime,
-    truncation,
 )
 
 F = Fraction
@@ -126,8 +124,6 @@ def test_expansion_digit_and_truncation():
     assert exp.digit_at(1) == 2
     assert exp.digit_at(7) == 2
     assert exp.truncation(2) == F(12, 25)
-    assert digit_at(exp, 7) == 2
-    assert truncation(exp, 2) == F(12, 25)
 
     exp = expand_base_p(F(1, 6), 3)
     assert exp.digit_at(1) == 0

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from threshold_lab.poly import (
     MixedPoly,
+    RingContext,
     SparsePolyFp,
-    WeightedMonomialIdeal,
     mul_truncated,
     pow_mixed,
     pth_root_mod_fp,
@@ -54,9 +54,15 @@ def test_mul_truncated_example():
 
 def test_pow_and_evaluate():
     f = sp(7, ("x",), {(1,): 1, (0,): 3})
+
+    def at(g, x):
+        return sum(c * x**e for (e,), c in g.terms.items()) % g.p
+
     assert (f**2).terms == {(2,): 1, (1,): 6, (0,): 2}
-    assert f.evaluate((4,)) == 0
-    assert f.evaluate((1,)) == 4
+    assert at(f, 4) == 0
+    assert at(f, 1) == 4
+    for n in range(6):
+        assert at(f**n, 2) == at(f, 2) ** n % 7
     assert (f**0).terms == {(0,): 1}
 
 
@@ -135,9 +141,28 @@ def test_pth_power_has_pth_root(data):
 
 def test_mixed_effective_pi_order():
     h = MixedPoly(3, 1, ("x",), {(0, (2,)): 6, (1, (0,)): 1})
-    assert h.effective_pi_order((0, (2,))) == 3   # v_3(6) = 1, times p^a = 3
-    assert h.effective_pi_order((1, (0,))) == 1
+    ctx = RingContext(3, ("x",), ram_level=1)
+    assert ctx.pi_order(0, h.terms[(0, (2,))]) == 3   # v_3(6) = 1, times p^a = 3
+    assert ctx.pi_order(1, h.terms[(1, (0,))]) == 1
     assert str(h) == "6*x^2 + pi"
+
+
+@pytest.mark.parametrize("ram_level, cyclotomic, multiplier", [
+    (0, False, 1),
+    (1, False, 5),
+    (2, False, 25),     # p^a in the root tower
+    (0, True, 4),       # p - 1 over W[zeta_p]
+])
+def test_ring_pi_order(ram_level, cyclotomic, multiplier):
+    ctx = RingContext(5, ("x",), ram_level=ram_level, cyclotomic=cyclotomic)
+    assert ctx.pi_multiplier == multiplier
+    assert ctx.pi_order(0, 7) == 0
+    assert ctx.pi_order(3, -7) == 3
+    assert ctx.pi_order(0, 5) == multiplier
+    assert ctx.pi_order(2, -250) == 2 + 3 * multiplier
+    # 5*x lies in (pi^4, x^4) exactly when p has pi-order at least 4
+    f = MixedPoly(5, ram_level, ("x",), {(0, (1,)): 5})
+    assert weighted_membership(f, ctx, 4).contained is (multiplier >= 4)
 
 
 def test_mixed_rejects_bad_input():
@@ -197,62 +222,101 @@ def test_reduce_commutes_with_pow():
 )
 @settings(max_examples=60, deadline=None)
 def test_eval_at_one_is_multiplicative(n, c1, c2, pi):
+    # pi -> 1, x -> 1 is a ring map to Z on formal terms
     f = MixedPoly(5, 0, ("x",), {(pi, (0,)): c1, (0, (2,)): c2})
-    assert pow_mixed(f, n).eval_at_one() == f.eval_at_one() ** n
+    assert sum(pow_mixed(f, n).terms.values()) == sum(f.terms.values()) ** n
 
 
-# -- weighted ideals and membership ---------------------------------------
-
-
-def test_ideal_minimal_generators():
-    ideal = WeightedMonomialIdeal(
-        2, 0, ("x", "y"),
-        [(2, (0, 0)), (0, (2, 0)), (2, (2, 0)), (0, (0, 2))],
-    )
-    assert ideal.gens == ((0, (0, 2)), (0, (2, 0)), (2, (0, 0)))
+# -- Frobenius-power membership ------------------------------------------
 
 
 def test_membership_positive():
-    # (pi^2 + x^2)^2 lies termwise in (x^2, pi^2)
+    # (pi^2 + x^2)^2 lies termwise in (pi^2, x^2)
     f = MixedPoly(2, 0, ("x",), {(2, (0,)): 1, (0, (2,)): 1})
-    ideal = WeightedMonomialIdeal(2, 0, ("x",), [(2, (0,)), (0, (2,))])
-    res = weighted_membership(pow_mixed(f, 2), ideal)
+    res = weighted_membership(pow_mixed(f, 2), RingContext(2, ("x",)), 2)
     assert res
     assert res.contained is True
     assert res.failure is None
-    assert {k for k, _ in res.matches} == set(pow_mixed(f, 2).terms)
 
 
 def test_membership_failure_witness():
     f = MixedPoly(2, 0, ("x",), {(1, (1,)): 1})
-    ideal = WeightedMonomialIdeal(2, 0, ("x",), [(2, (0,))])
-    res = weighted_membership(f, ideal)
+    res = weighted_membership(f, RingContext(2, ("x",)), 2)
     assert not res
     assert res.failure == (1, (1,))
 
 
 def test_membership_uses_effective_order():
-    # 3*x has effective pi-order 1 at p = 3, so it lies in (pi)
-    f = MixedPoly(3, 0, ("x",), {(0, (1,)): 3})
-    ideal = WeightedMonomialIdeal(3, 0, ("x",), [(1, (0,))])
-    assert weighted_membership(f, ideal).contained is True
+    # 9*x has effective pi-order 2 at p = 3, so it lies in (pi^2, x^2); x does not
+    ctx = RingContext(3, ("x",))
+    assert weighted_membership(MixedPoly(3, 0, ("x",), {(0, (1,)): 9}), ctx, 2).contained
+    assert not weighted_membership(MixedPoly(3, 0, ("x",), {(0, (1,)): 1}), ctx, 2)
+
+
+def test_membership_rejects_other_ring():
+    f = MixedPoly(3, 1, ("x",), {(0, (1,)): 1})
+    with pytest.raises(ValueError):
+        weighted_membership(f, RingContext(3, ("x",)), 2)
 
 
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_membership_monotone_under_multiplication(data):
-    """If f is in I termwise then so is g*f, for monomial g."""
+    """If f is in the Frobenius power termwise then so is g*f, for monomial g."""
     p = data.draw(st.sampled_from([2, 3, 5]))
     f = MixedPoly(p, 0, ("x",), {
         (data.draw(st.integers(0, 3)), (data.draw(st.integers(0, 3)),)):
             data.draw(st.integers(1, p**2))
         for _ in range(data.draw(st.integers(1, 3)))
     })
-    ideal = WeightedMonomialIdeal(
-        p, 0, ("x",),
-        [(data.draw(st.integers(0, 2)), (data.draw(st.integers(0, 2)),))],
-    )
-    if not weighted_membership(f, ideal):
+    ctx = RingContext(p, ("x",))
+    q = data.draw(st.integers(1, 4))
+    if not weighted_membership(f, ctx, q):
         return
     g = MixedPoly(p, 0, ("x",), {(1, (1,)): 1})
-    assert weighted_membership(g * f, ideal).contained is True
+    assert weighted_membership(g * f, ctx, q).contained is True
+
+
+@st.composite
+def mixed_polys(draw):
+    """Random MixedPolys at ram levels 0-2 whose coefficients carry powers of p."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    a = draw(st.integers(0, 2))
+    n = draw(st.integers(1, 3))
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        key = (draw(st.integers(0, 12)), tuple(draw(st.integers(0, 6)) for _ in range(n)))
+        unit = draw(st.integers(1, p - 1)) * draw(st.sampled_from([1, -1]))
+        terms[key] = unit * p ** draw(st.integers(0, 3))
+    return MixedPoly(p, a, tuple("xyz"[:n]), terms)
+
+
+@given(f=mixed_polys(), q=st.integers(1, 30))
+@settings(max_examples=200, deadline=None)
+def test_membership_matches_brute_force(f, q):
+    """Verdict and witness against the ideal (pi^q, x_1^q, ..., x_n^q) written out
+    as its generators (q, 0) and (0, q e_i), each tried on each term."""
+    n = len(f.vars)
+    gens = [(q, (0,) * n)] + [
+        (0, tuple(q if j == i else 0 for j in range(n))) for i in range(n)
+    ]
+
+    def order(key):
+        c, v = abs(f.terms[key]), 0
+        while c % f.p == 0:
+            c //= f.p
+            v += 1
+        return key[0] + f.p**f.ram_level * v
+
+    outside = [
+        key for key in f.terms
+        if not any(
+            g_pi <= order(key) and all(a <= b for a, b in zip(g_exps, key[1]))
+            for g_pi, g_exps in gens
+        )
+    ]
+    res = weighted_membership(f, RingContext(f.p, f.vars, ram_level=f.ram_level), q)
+    assert res.contained is (not outside)
+    # the witness is the first failing term in graded-lex order, pi leading
+    expected = max(outside, key=lambda k: (k[0] + sum(k[1]), k[0], k[1]), default=None)
+    assert res.failure == expected
