@@ -19,8 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .certify import (
     ELLIPTIC_FAMILIES,
@@ -50,40 +52,50 @@ class PolySyntaxError(ValueError):
 # '/' is tokenized but accepted nowhere, so "x^(1/2)" reaches the dedicated
 # fractional-exponent error instead of dying at the character level.
 _OPERATORS = set("+-*^()/")
+# str.isdigit also accepts "²" and "٣", which int() rejects or reads as 3.
+_DIGITS = set("0123456789")
 
 
 @dataclass(frozen=True)
 class Token:
     kind: str  # "uint" | "ident" | one of + - * ^ ( ) | "end"
     text: str
-    offset: int
+    offset: int  # UTF-8 byte offset into the source
+
+
+def _byte_offsets(src: str) -> Sequence[int]:
+    """The UTF-8 byte offset of each character index of src, and of len(src)."""
+    if src.isascii():
+        return range(len(src) + 1)
+    return list(accumulate((len(c.encode()) for c in src), initial=0))
 
 
 def tokenize(src: str) -> list[Token]:
     tokens: list[Token] = []
+    at = _byte_offsets(src)
     i, n = 0, len(src)
     while i < n:
         c = src[i]
         if c.isspace():
             i += 1
-        elif c.isdigit():
+        elif c in _DIGITS:
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j] in _DIGITS:
                 j += 1
-            tokens.append(Token("uint", src[i:j], i))
+            tokens.append(Token("uint", src[i:j], at[i]))
             i = j
         elif c.isalpha() or c == "_":
             j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
+            while j < n and (src[j].isalpha() or src[j] in _DIGITS or src[j] == "_"):
                 j += 1
-            tokens.append(Token("ident", src[i:j], i))
+            tokens.append(Token("ident", src[i:j], at[i]))
             i = j
         elif c in _OPERATORS:
-            tokens.append(Token(c, c, i))
+            tokens.append(Token(c, c, at[i]))
             i += 1
         else:
-            raise PolySyntaxError(i, f"unexpected character {c!r}")
-    tokens.append(Token("end", "", n))
+            raise PolySyntaxError(at[i], f"unexpected character {c!r}")
+    tokens.append(Token("end", "", at[n]))
     return tokens
 
 

@@ -13,8 +13,9 @@ takes at most p - 1 truncated products by f.  :func:`oracle_bracket` wraps
 nu_e into the two-sided bound.
 
 For a diagonal f = x_1^{s_1} + ... + x_n^{s_n} the threshold has a closed
-form in terms of the non-terminating base-p expansions of the 1/s_i.  Writing
-d_i^(e) for the e-th digit of 1/s_i, let
+form (Hernandez, "F-invariants of diagonal hypersurfaces", Proc. AMS 143,
+2015) in terms of the non-terminating base-p expansions of the 1/s_i.
+Writing d_i^(e) for the e-th digit of 1/s_i, let
 
     L = min { e >= 0 : sum_i d_i^(e+1) >= p }   (:func:`compute_L`).
 
@@ -25,11 +26,21 @@ If L is infinite, fpt(f) = sum_i 1/s_i; otherwise
 where trunc_i(L) is the L-digit truncation of 1/s_i.  The non-terminating
 digit convention of :mod:`.exact` is load-bearing here: with terminating
 expansions the formula is simply wrong (already for two squares at p = 2).
+
+Neither function builds an expansion.  Under that convention
+p^j * trunc_i(j) = floor((p^j - 1) / s_i), so both read the digits off the
+remainders r_i = (p^j - 1) mod s_i: from r_i = 0 at j = 0, column j + 1 has
+digit d_i = (p r_i + p - 1) // s_i and the next remainder is
+(p r_i + p - 1) mod s_i.  The remainder tuple determines every later
+column, so once it repeats with no column summing to p, L is infinite;
+Brent's cycle check (keep one saved tuple, double the interval between
+saves) finds the repeat within about 2 max(mu, lam) + lam columns, where mu
+and lam are the preperiod and period of the tuple, with no multiplicative
+order computed up front.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -74,18 +85,32 @@ def compute_L(p: int, exponents: tuple[int, ...]) -> int | float:
     """Least L >= 0 with sum_i d_i^(L+1) >= p, or INFINITE if no digit column
     of the expansions of the 1/s_i ever sums to p or more.
 
-    The digit columns are eventually periodic, so scanning one full
-    preperiod-plus-period window decides finiteness.
+    Walks the remainders (p^j - 1) mod s_i column by column (see the module
+    docstring) and stops at the first column that sums to p, or when the
+    remainder tuple repeats.  One exponent never reaches p: its digits are
+    all below p.
     """
-    diag = DiagonalData(p, tuple(exponents))
-    exps = diag.expansions()
-    window = max(len(x.preperiod) for x in exps) + math.lcm(
-        *(len(x.period) for x in exps)
-    )
-    for j in range(1, window + 1):
-        if sum(x.digit_at(j) for x in exps) >= p:
-            return j - 1
-    return INFINITE
+    exps = DiagonalData(p, tuple(exponents)).exponents
+    if len(exps) == 1:
+        return INFINITE
+    rems = saved = (0,) * len(exps)
+    j, power, steps = 0, 1, 0
+    while True:
+        total = 0
+        nxt = []
+        for r, s in zip(rems, exps):
+            d, r = divmod(p * r + p - 1, s)
+            total += d
+            nxt.append(r)
+        if total >= p:
+            return j
+        rems = tuple(nxt)
+        if rems == saved:
+            return INFINITE
+        j += 1
+        steps += 1
+        if steps == power:
+            saved, power, steps = rems, 2 * power, 0
 
 
 def fpt_diagonal(p: int, exponents: tuple[int, ...]) -> Rat:
@@ -94,9 +119,8 @@ def fpt_diagonal(p: int, exponents: tuple[int, ...]) -> Rat:
     level = compute_L(p, diag.exponents)
     if level == INFINITE:
         return sum(Rat(1, s) for s in diag.exponents)
-    scaled = sum(x.truncation(level) for x in diag.expansions()) * p**level
-    assert scaled.denominator == 1
-    return Rat(scaled.numerator + 1, p**level)
+    q = p**level
+    return Rat(sum((q - 1) // s for s in diag.exponents) + 1, q)
 
 
 def fpt_fermat(p: int, d: int) -> Rat:

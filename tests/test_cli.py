@@ -106,6 +106,28 @@ def test_syntax_errors_carry_byte_offsets(src, byte, fragment):
     assert fragment in str(info.value)
 
 
+@pytest.mark.parametrize("src, byte", [
+    ("x^\u00b2", 2),       # superscript two: int() would reject it
+    ("x^\u0663", 2),       # Arabic-Indic three: int() would read it as 3
+    ("x\u00b2 + y", 1),    # nor does it continue an identifier
+])
+def test_only_ascii_digits_are_digits(src, byte):
+    with pytest.raises(PolySyntaxError) as info:
+        parse_poly(src, RingContext(2, ("x", "y")))
+    assert info.value.offset == byte
+    assert "unexpected character" in str(info.value)
+
+
+def test_syntax_error_offsets_count_utf8_bytes():
+    src = "\u00fc + x^(1/2)"
+    assert src.index("(") == 6
+    with pytest.raises(PolySyntaxError) as info:
+        parse_poly(src, RingContext(2, infer_variables(src)))
+    assert info.value.offset == 7 == src.encode().index(b"(")
+    assert "fractional or compound exponents" in str(info.value)
+    assert [t.offset for t in tokenize(src)] == [0, 3, 5, 6, 7, 8, 9, 10, 11, 12]
+
+
 def test_unknown_variable_is_rejected():
     with pytest.raises(ValueError) as info:
         parse_poly("x + q", RingContext(3, ("x",)))
@@ -186,19 +208,42 @@ def test_cli_fpt_diagonal_rejects_bad_exponent(capsys):
     assert "error" in err
 
 
-def test_cli_fpt_diagonal_large_prime():
-    """A 61-bit prime is decided at once, not by trial division."""
+def run_module_cli(*argv):
+    """`python -m threshold_lab.cli ARGV` in a fresh interpreter, cut at 10 s."""
     import threshold_lab
 
     src = os.path.dirname(os.path.dirname(threshold_lab.__file__))
     pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=pythonpath)
     proc = subprocess.run(
-        [sys.executable, "-m", "threshold_lab.cli", "fpt-diagonal",
-         "--prime", "2305843009213693951", "--exponents", "2,3"],
+        [sys.executable, "-m", "threshold_lab.cli", *argv],
         capture_output=True, text=True, timeout=10, env=env,
     )
-    assert (proc.returncode, proc.stdout) == (0, "5/6\n")
+    return proc.returncode, proc.stdout
+
+
+def test_cli_fpt_diagonal_large_prime():
+    """A 61-bit prime is decided at once, not by trial division."""
+    assert run_module_cli(
+        "fpt-diagonal", "--prime", "2305843009213693951", "--exponents", "2,3"
+    ) == (0, "5/6\n")
+
+
+@pytest.mark.parametrize("prime, exponents, value", [
+    ("3", "1000000007,1000000009", "5083/2541865828329"),  # L = 26
+    ("2", "1000000007", "1/1000000007"),
+])
+def test_cli_fpt_diagonal_large_exponents(prime, exponents, value):
+    """Digits are read until the first carry; no period is computed first."""
+    assert run_module_cli(
+        "fpt-diagonal", "--prime", prime, "--exponents", exponents
+    ) == (0, value + "\n")
+
+
+def test_cli_reports_syntax_error_byte(capsys):
+    code, out, err = run_cli(capsys, "certify", "--prime", "3", "--poly", "x^\u00b2")
+    assert (code, out) == (2, "")
+    assert "syntax error at byte 2" in err
 
 
 def test_cli_refuses_prime_beyond_primality_bound(capsys):

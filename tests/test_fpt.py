@@ -1,5 +1,7 @@
 """Tests for diagonal threshold formulas and the Frobenius-power search oracle."""
 
+import itertools
+import math
 import sys
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threshold_lab.exact import expand_base_p, is_prime
 from threshold_lab.fpt import (
     INFINITE,
     DiagonalData,
@@ -46,6 +49,10 @@ def test_diagonal_data_validation():
     (5, (3, 3, 3), 1),
     (7, (3, 3, 3), INFINITE),
     (2, (4, 4), 2),
+    # 1/(10^9+7) and 1/(10^9+9) have periods of 500000003 and 55555556 digits
+    # at p = 3; the first carry is in column 27.
+    (3, (1_000_000_007, 1_000_000_009), 26),
+    (2, (1_000_000_007,), INFINITE),
 ])
 def test_compute_L(p, exps, L):
     assert compute_L(p, exps) == L
@@ -62,6 +69,8 @@ def test_compute_L(p, exps, L):
     (2, (5, 5), F(1, 4)),
     (3, (2,), F(1, 2)),
     (5, (4, 4), F(1, 2)),
+    (3, (1_000_000_007, 1_000_000_009), F(5083, 2541865828329)),
+    (2, (1_000_000_007,), F(1, 1_000_000_007)),
 ])
 def test_fpt_diagonal_values(p, exps, value):
     assert fpt_diagonal(p, exps) == value
@@ -69,6 +78,57 @@ def test_fpt_diagonal_values(p, exps, value):
 
 def test_fpt_diagonal_order_invariant():
     assert fpt_diagonal(3, (2, 5, 4)) == fpt_diagonal(3, (5, 4, 2))
+
+
+def reference_L(p, exps):
+    """L from the expansions themselves: the first digit column of the 1/s_i
+    summing to p or more, scanned over one preperiod-plus-period window."""
+    expansions = [expand_base_p(F(1, s), p) for s in exps]
+    window = max(len(x.preperiod) for x in expansions) + math.lcm(
+        *(len(x.period) for x in expansions)
+    )
+    for j in range(1, window + 1):
+        if sum(x.digit_at(j) for x in expansions) >= p:
+            return j - 1
+    return INFINITE
+
+
+def reference_fpt(p, exps):
+    """Hernandez's formula evaluated on the L-digit truncations of the 1/s_i."""
+    level = reference_L(p, exps)
+    if level == INFINITE:
+        return sum(F(1, s) for s in exps)
+    scaled = sum(expand_base_p(F(1, s), p).truncation(level) for s in exps) * p**level
+    assert scaled.denominator == 1
+    return F(scaled.numerator + 1, p**level)
+
+
+def assert_matches_reference(p, exps):
+    L, value = compute_L(p, exps), fpt_diagonal(p, exps)
+    ref_L, ref_value = reference_L(p, exps), reference_fpt(p, exps)
+    assert (L, value) == (ref_L, ref_value), (p, exps)
+    assert (type(L), type(value)) == (type(ref_L), type(ref_value)), (p, exps)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_diagonal_kernel_matches_expansions_exhaustively(p):
+    """Every multiset of 1-3 exponents in 2..25 (2..13 for three)."""
+    cases = itertools.chain(
+        itertools.combinations_with_replacement(range(2, 26), 1),
+        itertools.combinations_with_replacement(range(2, 26), 2),
+        itertools.combinations_with_replacement(range(2, 14), 3),
+    )
+    for exps in cases:
+        assert_matches_reference(p, exps)
+
+
+@given(
+    p=st.integers(2, 97).filter(is_prime),
+    exps=st.lists(st.integers(2, 300), min_size=1, max_size=3).map(tuple),
+)
+@settings(max_examples=200, deadline=None)
+def test_diagonal_kernel_matches_expansions(p, exps):
+    assert_matches_reference(p, exps)
 
 
 @pytest.mark.parametrize("p, d, value", [
