@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -63,11 +62,14 @@ class Token:
     offset: int  # UTF-8 byte offset into the source
 
 
-def _byte_offsets(src: str) -> Sequence[int]:
-    """The UTF-8 byte offset of each character index of src, and of len(src)."""
-    if src.isascii():
-        return range(len(src) + 1)
-    return list(accumulate((len(c.encode()) for c in src), initial=0))
+def _byte_offsets(src: str) -> list[int]:
+    """The UTF-8 byte offset of each character index of src, and of len(src).
+
+    Undecodable argv bytes arrive as lone surrogates; surrogateescape counts
+    each as the one byte it stands for.
+    """
+    sizes = (len(c.encode("utf-8", "surrogateescape")) for c in src)
+    return list(accumulate(sizes, initial=0))
 
 
 def tokenize(src: str) -> list[Token]:

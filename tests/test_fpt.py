@@ -52,7 +52,6 @@ def test_diagonal_data_validation():
     # 1/(10^9+7) and 1/(10^9+9) have periods of 500000003 and 55555556 digits
     # at p = 3; the first carry is in column 27.
     (3, (1_000_000_007, 1_000_000_009), 26),
-    (2, (1_000_000_007,), INFINITE),
 ])
 def test_compute_L(p, exps, L):
     assert compute_L(p, exps) == L
@@ -69,8 +68,6 @@ def test_compute_L(p, exps, L):
     (2, (5, 5), F(1, 4)),
     (3, (2,), F(1, 2)),
     (5, (4, 4), F(1, 2)),
-    (3, (1_000_000_007, 1_000_000_009), F(5083, 2541865828329)),
-    (2, (1_000_000_007,), F(1, 1_000_000_007)),
 ])
 def test_fpt_diagonal_values(p, exps, value):
     assert fpt_diagonal(p, exps) == value
