@@ -12,6 +12,11 @@ with ``--ram A`` the exponent is read in units of p^{1/p^A}, so "p^3" at
 --ram 1, prime 5 means 5^{3/5}.  All other identifiers must be variables of
 the ring context (the CLI infers them from the source in order of first
 appearance).  Fractional exponents are rejected rather than parsed.
+
+A source is validated once: it is tokenized and parsed in full (so a syntax
+error anywhere wins over an unknown variable), then :func:`lower_expr`
+evaluates the tree into one term dict {(pi, E): c} and hands it to the
+validating ``MixedPoly`` constructor.
 """
 
 from __future__ import annotations
@@ -19,9 +24,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import add
+from typing import NamedTuple
 
 from .certify import (
     ELLIPTIC_FAMILIES,
@@ -55,8 +61,7 @@ _OPERATORS = set("+-*^()/")
 _DIGITS = set("0123456789")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "uint" | "ident" | one of + - * ^ ( ) | "end"
     text: str
     offset: int  # UTF-8 byte offset into the source
@@ -101,34 +106,32 @@ def tokenize(src: str) -> list[Token]:
     return tokens
 
 
-class PolyExpr:
-    """Abstract syntax for polynomial sources (lowered via :func:`lower_expr`)."""
+# Abstract syntax, lowered by :func:`lower_expr`.  A parse builds one node per
+# operand and operator, so nodes (like tokens) are plain named tuples.
 
 
-@dataclass(frozen=True)
-class IntLit(PolyExpr):
+class IntLit(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class VarRef(PolyExpr):
+class VarRef(NamedTuple):
     name: str  # "p" refers to the uniformizer
 
 
-@dataclass(frozen=True)
-class Sum(PolyExpr):
+class Sum(NamedTuple):
     parts: tuple[tuple[int, PolyExpr], ...]  # (+1 or -1, operand)
 
 
-@dataclass(frozen=True)
-class Product(PolyExpr):
+class Product(NamedTuple):
     factors: tuple[PolyExpr, ...]
 
 
-@dataclass(frozen=True)
-class Power(PolyExpr):
+class Power(NamedTuple):
     base: PolyExpr
     exponent: int
+
+
+PolyExpr = IntLit | VarRef | Sum | Product | Power
 
 
 class _Parser:
@@ -211,45 +214,60 @@ def infer_variables(src: str) -> tuple[str, ...]:
 
 
 def lower_expr(expr: PolyExpr, ctx: RingContext) -> MixedPoly:
-    """Evaluate an AST into a MixedPoly over the given ring context."""
-    n = ctx.n_vars
-    zero_exps = (0,) * n
+    """Evaluate an AST into a MixedPoly over the given ring context.
 
-    def const(c: int) -> MixedPoly:
-        return MixedPoly(ctx.p, ctx.ram_level, ctx.vars, {(0, zero_exps): c})
+    Each node evaluates to one term dict {(pi, E): c} without zero
+    coefficients: sums accumulate signed coefficients, a one-term factor
+    scales the product, other products go through ``MixedPoly.__mul__`` and
+    powers through ``pow_mixed``.  Every key is valid by construction, so only
+    the final dict goes through the validating ``MixedPoly`` constructor.
+    """
+    p, ram_level, vars = ctx.p, ctx.ram_level, ctx.vars
+    zero_exps = (0,) * len(vars)
+    keys = {
+        name: (0, zero_exps[:i] + (1,) + zero_exps[i + 1:]) for i, name in enumerate(vars)
+    }
+    keys["p"] = (1, zero_exps)
 
-    def go(node: PolyExpr) -> MixedPoly:
-        if isinstance(node, IntLit):
-            return const(node.value)
-        if isinstance(node, VarRef):
-            if node.name == "p":
-                return MixedPoly(ctx.p, ctx.ram_level, ctx.vars, {(1, zero_exps): 1})
-            if node.name not in ctx.vars:
+    def poly(terms: dict) -> MixedPoly:
+        return MixedPoly._of(p, ram_level, vars, terms)
+
+    def go(node: PolyExpr) -> dict:
+        kind = type(node)
+        if kind is VarRef:
+            key = keys.get(node.name)
+            if key is None:
                 raise ValueError(
                     f"unknown variable {node.name!r}; declared variables are"
-                    f" {', '.join(ctx.vars)}"
+                    f" {', '.join(vars)}"
                 )
-            e = [0] * n
-            e[ctx.vars.index(node.name)] = 1
-            return MixedPoly(ctx.p, ctx.ram_level, ctx.vars, {(0, tuple(e)): 1})
-        if isinstance(node, Sum):
-            acc = const(0)
+            return {key: 1}
+        if kind is IntLit:
+            return {(0, zero_exps): node.value} if node.value else {}
+        if kind is Power:
+            return pow_mixed(poly(go(node.base)), node.exponent).terms
+        if kind is Product:
+            acc = go(node.factors[0])
+            for factor in node.factors[1:]:
+                terms = go(factor)
+                if len(terms) == 1:
+                    ((pi, exps), c), = terms.items()
+                    acc = {
+                        (pi + q, tuple(map(add, exps, e))): c * d
+                        for (q, e), d in acc.items()
+                    }
+                else:
+                    acc = (poly(acc) * poly(terms)).terms
+            return acc
+        if kind is Sum:
+            acc = {}
             for sign, part in node.parts:
-                term = go(part)
-                if sign < 0:
-                    term = const(-1) * term
-                acc = acc + term
-            return acc
-        if isinstance(node, Product):
-            acc = const(1)
-            for factor in node.factors:
-                acc = acc * go(factor)
-            return acc
-        if isinstance(node, Power):
-            return pow_mixed(go(node.base), node.exponent)
+                for key, c in go(part).items():
+                    acc[key] = acc.get(key, 0) + sign * c
+            return {key: c for key, c in acc.items() if c}
         raise TypeError(f"unhandled node {node!r}")
 
-    return go(expr)
+    return MixedPoly(p, ram_level, vars, go(expr))
 
 
 def parse_poly(src: str, ctx: RingContext) -> MixedPoly:

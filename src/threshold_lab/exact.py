@@ -15,8 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 Rat = Fraction
+
+# The longest expansion (preperiod plus period digits) expand_base_p builds,
+# and so the longest search for a multiplicative order; base 2 needs about
+# 5 * 10^8 digits for 1/1000000007.
+MAX_EXPANSION_DIGITS = 100_000
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -71,15 +77,24 @@ def require_prime(p: int) -> int:
 
 
 def multiplicative_order(a: int, m: int) -> int:
-    """Least t >= 1 with a^t == 1 (mod m); requires gcd(a, m) == 1, m >= 2."""
+    """Least t >= 1 with a^t == 1 (mod m); requires gcd(a, m) == 1, m >= 2.
+
+    The search steps through the powers of a and gives up with a ValueError
+    beyond MAX_EXPANSION_DIGITS of them.
+    """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
+    if gcd(a, m) != 1:
+        raise ValueError(f"{a} is not invertible modulo {m}")
     t, x = 1, a % m
     while x != 1:
+        if t == MAX_EXPANSION_DIGITS:
+            raise ValueError(
+                f"the order of {a} modulo {m} exceeds the digit budget"
+                f" of {MAX_EXPANSION_DIGITS}"
+            )
         x = (x * a) % m
         t += 1
-        if t > m:
-            raise ValueError(f"{a} is not invertible modulo {m}")
     return t
 
 
@@ -167,6 +182,8 @@ def expand_base_p(x: Rat, p: int) -> BasePExpansion:
 
     The preperiod has length <= v_p(den(x)) and the (minimal) period length
     divides the multiplicative order of p modulo the p-free part of den(x).
+    An expansion that needs more than MAX_EXPANSION_DIGITS digits to reach
+    its period is refused with a ValueError.
     """
     require_prime(p)
     x = Fraction(x)
@@ -188,12 +205,18 @@ def expand_base_p(x: Rat, p: int) -> BasePExpansion:
             out.append(d)
         return out, r
 
+    # A terminating x gets the one-digit period (p - 1,).
+    order = 1 if m == 1 else multiplicative_order(p, m)
+    if v + order > MAX_EXPANSION_DIGITS:
+        raise ValueError(
+            f"the expansion of {x} in base {p} exceeds the digit budget"
+            f" of {MAX_EXPANSION_DIGITS}"
+        )
     if m == 1:
         # x = num / p^v terminates at position v; rewrite the tail as (p-1)s.
         ds, r = digits(v)
         assert r == 0 and ds[-1] > 0
         return BasePExpansion(p, (*ds[:-1], ds[-1] - 1), (p - 1,))
-    order = multiplicative_order(p, m)
     # The long-division remainder after position v recurs with period `order`,
     # so the digit stream from position v+1 on is purely periodic.
     ds, _ = digits(v + order)

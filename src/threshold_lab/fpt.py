@@ -44,7 +44,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .exact import BasePExpansion, Rat, expand_base_p, require_prime
+from .exact import Rat, require_prime
+# expand_base_p is not called here; it stays a module attribute because
+# bench/run.py times it by wrapping fpt.expand_base_p.
+from .exact import expand_base_p  # noqa: F401
 from .poly import SparsePolyFp
 
 INFINITE = float("inf")
@@ -76,9 +79,6 @@ class DiagonalData:
             if not isinstance(s, int) or s < 2:
                 raise ValueError(f"diagonal exponents must be integers >= 2, got {s}")
         object.__setattr__(self, "exponents", tuple(self.exponents))
-
-    def expansions(self) -> list[BasePExpansion]:
-        return [expand_base_p(Rat(1, s), self.p) for s in self.exponents]
 
 
 def compute_L(p: int, exponents: tuple[int, ...]) -> int | float:

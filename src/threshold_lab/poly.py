@@ -17,6 +17,13 @@ one definition of the *effective* pi-order of a term c * pi^k * x^E,
 f termwise against the Frobenius power (pi^q, x_1^q, ..., x_n^q), the only
 ideal the certification rules ask about.
 
+The public constructors check the prime, the variable names and every
+exponent vector, and over F_p reduce coefficients mod p.  Arithmetic results
+(``+``, ``*``, powers, :func:`reduce_mod_pi`, :func:`pth_root_mod_fp`) are
+valid by construction and go through the private ``_of`` constructor, which
+checks nothing; the parser in :mod:`.cli` also lowers a source through it and
+validates only the finished polynomial.
+
 Coefficients of :class:`MixedPoly` are exact integers and are never reduced;
 all soundness arguments downstream rely on termwise effective pi-orders, so no
 information may be lost here.  Serialization is byte-deterministic: terms are
@@ -68,6 +75,14 @@ class SparsePolyFp:
         self.terms = {e: c for e, c in clean.items() if c}
 
     @classmethod
+    def _of(cls, p: int, vars: tuple[str, ...], terms: dict[Exps, int]) -> SparsePolyFp:
+        """Wrap terms that are valid by construction: exponent tuples of the
+        ring's length, coefficients in {1, ..., p-1}.  Nothing is checked."""
+        f = object.__new__(cls)
+        f.p, f.vars, f.terms = p, vars, terms
+        return f
+
+    @classmethod
     def zero(cls, p: int, vars: tuple[str, ...]) -> SparsePolyFp:
         return cls(p, vars, {})
 
@@ -101,7 +116,9 @@ class SparsePolyFp:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return SparsePolyFp(self.p, self.vars, out)
+        p = self.p
+        terms = {e: r for e, c in out.items() if (r := c % p)}
+        return SparsePolyFp._of(p, self.vars, terms)
 
     def __mul__(self, other: SparsePolyFp) -> SparsePolyFp:
         self._same_ring(other)
@@ -110,12 +127,14 @@ class SparsePolyFp:
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return SparsePolyFp(self.p, self.vars, out)
+        p = self.p
+        terms = {e: r for e, c in out.items() if (r := c % p)}
+        return SparsePolyFp._of(p, self.vars, terms)
 
     def __pow__(self, n: int) -> SparsePolyFp:
         if n < 0:
             raise ValueError("negative power")
-        out = SparsePolyFp(self.p, self.vars, {(0,) * len(self.vars): 1})
+        out = SparsePolyFp._of(self.p, self.vars, {(0,) * len(self.vars): 1})
         base = self
         while n:
             if n & 1:
@@ -126,7 +145,7 @@ class SparsePolyFp:
 
     def truncate(self, cap: int) -> SparsePolyFp:
         """Drop every term with some exponent >= cap (reduction mod (x_i^cap))."""
-        return SparsePolyFp(
+        return SparsePolyFp._of(
             self.p, self.vars, {e: c for e, c in self.terms.items() if max(e) < cap}
         )
 
@@ -199,7 +218,7 @@ def pth_root_mod_fp(f: SparsePolyFp) -> SparsePolyFp | None:
         if any(e % f.p for e in exps):
             return None
         root[tuple(e // f.p for e in exps)] = c
-    return SparsePolyFp(f.p, f.vars, root)
+    return SparsePolyFp._of(f.p, f.vars, root)
 
 
 @dataclass(frozen=True)
@@ -276,6 +295,22 @@ class MixedPoly:
         self.terms = {k: c for k, c in clean.items() if c}
 
     @classmethod
+    def _of(
+        cls,
+        p: int,
+        ram_level: int,
+        vars: tuple[str, ...],
+        terms: dict[tuple[int, Exps], int],
+    ) -> MixedPoly:
+        """Wrap terms that are valid by construction: keys (pi, E) with pi >= 0
+        and E a tuple of the ring's length, no zero coefficients.  Nothing is
+        checked, so only arithmetic on already validated polynomials (and the
+        parser's lowering) builds through here."""
+        f = object.__new__(cls)
+        f.p, f.ram_level, f.vars, f.terms = p, ram_level, vars, terms
+        return f
+
+    @classmethod
     def zero(cls, p: int, ram_level: int, vars: tuple[str, ...]) -> MixedPoly:
         return cls(p, ram_level, vars, {})
 
@@ -316,7 +351,8 @@ class MixedPoly:
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
-        return MixedPoly(self.p, self.ram_level, self.vars, out)
+        terms = {k: c for k, c in out.items() if c}
+        return MixedPoly._of(self.p, self.ram_level, self.vars, terms)
 
     def __mul__(self, other: MixedPoly) -> MixedPoly:
         self._same_ring(other)
@@ -325,7 +361,8 @@ class MixedPoly:
             for (p2, e2), c2 in other.terms.items():
                 k = (p1 + p2, tuple(a + b for a, b in zip(e1, e2)))
                 out[k] = out.get(k, 0) + c1 * c2
-        return MixedPoly(self.p, self.ram_level, self.vars, out)
+        terms = {k: c for k, c in out.items() if c}
+        return MixedPoly._of(self.p, self.ram_level, self.vars, terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -373,10 +410,18 @@ class MixedPoly:
 
 
 def pow_mixed(f: MixedPoly, n: int) -> MixedPoly:
-    """f^n with exact integer coefficients (binary powering, no reduction)."""
+    """f^n with exact integer coefficients (no reduction).
+
+    A one-term base is scaled, (c pi^k x^E)^n = c^n pi^(kn) x^(nE); any other
+    base goes through binary powering.
+    """
     if n < 0:
         raise ValueError("negative power")
-    out = MixedPoly(f.p, f.ram_level, f.vars, {(0, (0,) * len(f.vars)): 1})
+    if len(f.terms) == 1:
+        ((pi, exps), c), = f.terms.items()
+        scaled = {(pi * n, tuple(e * n for e in exps)): c**n}
+        return MixedPoly._of(f.p, f.ram_level, f.vars, scaled)
+    out = MixedPoly._of(f.p, f.ram_level, f.vars, {(0, (0,) * len(f.vars)): 1})
     base = f
     while n:
         if n & 1:
@@ -391,8 +436,8 @@ def reduce_mod_pi(f: MixedPoly) -> SparsePolyFp:
     out: dict[Exps, int] = {}
     for (pi, exps), c in f.terms.items():
         if pi == 0 and c % f.p:
-            out[exps] = (out.get(exps, 0) + c) % f.p
-    return SparsePolyFp(f.p, f.vars, out)
+            out[exps] = c % f.p
+    return SparsePolyFp._of(f.p, f.vars, out)
 
 
 def in_frobenius_power(order: int, exps: Exps, q: int) -> bool:

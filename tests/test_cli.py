@@ -7,17 +7,25 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshold_lab.certify import InternalInconsistencyError, RingContext
 from threshold_lab.cli import (
+    IntLit,
     PolySyntaxError,
+    Power,
+    Product,
+    Sum,
+    VarRef,
+    _Parser,
     format_poly_src,
     infer_variables,
     main,
     parse_poly,
     tokenize,
 )
-from threshold_lab.poly import MixedPoly
+from threshold_lab.poly import MixedPoly, pow_mixed
 
 
 def ctx_for(src, p=2, ram=0):
@@ -103,6 +111,7 @@ def test_parse_exponent_zero():
     ("x\u00b2 + y", 1, "unexpected character"),  # nor does it continue an identifier
     ("x\udcff", 1, "unexpected character"),     # the undecodable argv byte 0xff
     ("\u00fc + x^(1/2)", 7, "fractional or compound exponents"),  # 2-byte u-umlaut
+    ("q + x^(1/2)", 6, "fractional or compound exponents"),  # before the unknown q
 ])
 def test_syntax_errors_carry_byte_offsets(src, byte, fragment):
     with pytest.raises(PolySyntaxError) as info:
@@ -176,6 +185,76 @@ def test_print_parse_round_trip_corpus():
             assert parse_poly(printed, ctx) == f, (src, printed)
 
 
+def reference_lowering(src, ctx):
+    """The lowering on public MixedPoly arithmetic only: every node is a
+    validated MixedPoly, sums and differences use +, products *, powers
+    pow_mixed."""
+    zero = (0,) * ctx.n_vars
+
+    def poly(pi, exps, c):
+        return MixedPoly(ctx.p, ctx.ram_level, ctx.vars, {(pi, exps): c})
+
+    def go(node):
+        if isinstance(node, IntLit):
+            return poly(0, zero, node.value)
+        if isinstance(node, VarRef):
+            if node.name == "p":
+                return poly(1, zero, 1)
+            i = ctx.vars.index(node.name)
+            return poly(0, tuple(int(j == i) for j in range(ctx.n_vars)), 1)
+        if isinstance(node, Sum):
+            acc = poly(0, zero, 0)
+            for sign, part in node.parts:
+                acc = acc + poly(0, zero, sign) * go(part)
+            return acc
+        if isinstance(node, Product):
+            acc = poly(0, zero, 1)
+            for factor in node.factors:
+                acc = acc * go(factor)
+            return acc
+        assert isinstance(node, Power)
+        return pow_mixed(go(node.base), node.exponent)
+
+    return go(_Parser(tokenize(src)).parse())
+
+
+@st.composite
+def sources(draw, p, depth=0):
+    """Sources in the style of _random_source, with p-divisible literals and
+    differences that cancel to zero; powers of groups only two levels down,
+    which keeps every expansion small."""
+    roll = draw(st.integers(0, 99))
+    if depth >= 3 or roll < 35:
+        base = draw(st.sampled_from(["x", "y", "z", "p", str(p), str(p * p)])
+                    | st.integers(0, 12).map(str))
+        return f"{base}^{draw(st.integers(0, 4))}" if draw(st.booleans()) else base
+    if roll < 60:
+        parts = [draw(sources(p, depth + 1)) for _ in range(draw(st.integers(2, 3)))]
+        out = parts[0]
+        for part in parts[1:]:
+            out += draw(st.sampled_from([" + ", " - "])) + part
+        return out
+    if roll < 75:
+        return "*".join(draw(sources(p, depth + 1)) for _ in range(2))
+    if roll < 85:
+        a, b = draw(sources(p, depth + 1)), draw(sources(p, depth + 1))
+        return draw(st.sampled_from([f"{a} - ({a})", f"({a})*({b}) - ({b})*({a})"]))
+    inner = draw(sources(p, depth + 1))
+    if depth >= 2:
+        return f"({inner})^{draw(st.integers(0, 3))}"
+    return f"({inner})"
+
+
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), ram=st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_parse_matches_reference_lowering(data, p, ram):
+    src = data.draw(sources(p))
+    ctx = ctx_for(src, p=p, ram=ram)
+    f = parse_poly(src, ctx)
+    assert f == reference_lowering(src, ctx), src
+    assert all(f.terms.values())
+
+
 # -- CLI subcommands -------------------------------------------------------
 
 
@@ -236,6 +315,13 @@ def test_cli_reports_syntax_error_byte(capsys, poly, byte):
     code, out, err = run_cli(capsys, "certify", "--prime", "3", "--poly", poly)
     assert (code, out) == (2, "")
     assert f"syntax error at byte {byte}" in err
+
+
+def test_cli_padic_expand_refuses_long_period():
+    """1/1000000007 has a base-2 period of about 5 * 10^8 digits."""
+    assert run_module_cli(
+        "padic", "expand", "--value", "1/1000000007", "--prime", "2"
+    ) == (2, "")
 
 
 def test_cli_refuses_prime_beyond_primality_bound(capsys):

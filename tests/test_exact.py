@@ -1,6 +1,7 @@
 """Tests for exact rational arithmetic and eventually periodic base-p expansions."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -146,6 +147,19 @@ def test_expansion_rejects_bad_digits():
         BasePExpansion(3, (), (3,))
     with pytest.raises(ValueError):
         BasePExpansion(3, (-1,), (1,))
+
+
+def test_expansion_digit_budget(monkeypatch):
+    """Preperiod plus period may fill the budget but not exceed it."""
+    monkeypatch.setattr(sys.modules["threshold_lab.exact"], "MAX_EXPANSION_DIGITS", 4)
+    assert expand_base_p(F(1, 5), 2).period == (0, 0, 1, 1)    # 4 digits
+    assert expand_base_p(F(1, 8), 2).preperiod == (0, 0, 0)    # 3 + 1 digits
+    for x in (F(1, 10), F(1, 11), F(1, 16)):   # 1 + 4, 10 and 4 + 1 digits
+        with pytest.raises(ValueError, match="digit budget of 4"):
+            expand_base_p(x, 2)
+    with pytest.raises(ValueError, match="digit budget of 4"):
+        multiplicative_order(2, 11)
+    assert multiplicative_order(2, 5) == 4
 
 
 def test_expand_base_p_domain():

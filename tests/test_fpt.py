@@ -37,7 +37,7 @@ def test_diagonal_data_validation():
     with pytest.raises(ValueError):
         DiagonalData(3, (1, 2))     # linear variables are out of scope
     d = DiagonalData(3, (2, 3))
-    assert [e.value() for e in d.expansions()] == [F(1, 2), F(1, 3)]
+    assert [expand_base_p(F(1, s), d.p).value() for s in d.exponents] == [F(1, 2), F(1, 3)]
 
 
 @pytest.mark.parametrize("p, exps, L", [

@@ -200,6 +200,21 @@ def test_pow_mixed_matches_repeated_product():
     assert pow_mixed(f, 3) == f * f * f
 
 
+@pytest.mark.parametrize("p, key, c", [
+    (2, (0, (1, 0)), 1),
+    (3, (2, (0, 1)), -1),
+    (5, (1, (2, 3)), -10),     # p-divisible and negative
+    (7, (3, (0, 0)), 49),
+    (3, (0, (0, 0)), -2),      # a constant
+])
+def test_pow_mixed_one_term_matches_repeated_product(p, key, c):
+    f = MixedPoly(p, 1, ("x", "y"), {key: c})
+    acc = MixedPoly(p, 1, ("x", "y"), {(0, (0, 0)): 1})
+    for n in range(8):
+        assert pow_mixed(f, n) == acc
+        acc = acc * f
+
+
 def test_reduce_mod_pi():
     f = MixedPoly(3, 0, ("x", "y"), {(1, (0, 0)): 1, (0, (2, 0)): 4, (0, (0, 1)): 3})
     g = reduce_mod_pi(f)
@@ -320,3 +335,51 @@ def test_membership_matches_brute_force(f, q):
     # the witness is the first failing term in graded-lex order, pi leading
     expected = max(outside, key=lambda k: (k[0] + sum(k[1]), k[0], k[1]), default=None)
     assert res.failure == expected
+
+
+# -- results of arithmetic are valid polynomials ---------------------------
+
+
+@st.composite
+def mixed_pairs(draw):
+    """Two MixedPolys of one ring.  The second may be the first with every
+    sign flipped, so f + g cancels, or with all signs but the first flipped,
+    so (a + b)(a - b) cancels its cross terms in f * g."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    a = draw(st.integers(0, 2))
+    n = draw(st.integers(1, 3))
+
+    def poly():
+        terms = {}
+        for _ in range(draw(st.integers(0, 4))):
+            key = (draw(st.integers(0, 4)), tuple(draw(st.integers(0, 3)) for _ in range(n)))
+            terms[key] = draw(st.integers(-p**2, p**2))
+        return MixedPoly(p, a, tuple("xyz"[:n]), terms)
+
+    f = poly()
+    keep = draw(st.sampled_from([None, 0, 1]))
+    if keep is None:
+        return f, poly()
+    flipped = {k: c if i < keep else -c for i, (k, c) in enumerate(f.terms.items())}
+    return f, MixedPoly(p, a, f.vars, flipped)
+
+
+def assert_revalidates(h):
+    if isinstance(h, MixedPoly):
+        assert MixedPoly(h.p, h.ram_level, h.vars, dict(h.terms)) == h
+        assert all(h.terms.values())
+    else:
+        assert SparsePolyFp(h.p, h.vars, dict(h.terms)) == h
+        assert all(0 < c < h.p for c in h.terms.values())
+
+
+@given(pair=mixed_pairs(), n=st.integers(0, 4))
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_results_revalidate(pair, n):
+    f, g = pair
+    results = [f + g, f * g, pow_mixed(f, n), pow_mixed(f + g, n)]
+    fp, gp = reduce_mod_pi(f), reduce_mod_pi(g)
+    results += [fp, gp, fp + gp, fp * gp, fp**n, fp.truncate(2), fp ** fp.p]
+    results.append(pth_root_mod_fp(fp ** fp.p))
+    for h in results:
+        assert_revalidates(h)
