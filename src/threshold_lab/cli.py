@@ -26,7 +26,6 @@ import json
 import sys
 from fractions import Fraction
 from itertools import accumulate
-from operator import add
 from typing import NamedTuple
 
 from .certify import (
@@ -217,9 +216,8 @@ def lower_expr(expr: PolyExpr, ctx: RingContext) -> MixedPoly:
     """Evaluate an AST into a MixedPoly over the given ring context.
 
     Each node evaluates to one term dict {(pi, E): c} without zero
-    coefficients: sums accumulate signed coefficients, a one-term factor
-    scales the product, other products go through ``MixedPoly.__mul__`` and
-    powers through ``pow_mixed``.  Every key is valid by construction, so only
+    coefficients: sums accumulate signed coefficients, products go through
+    ``MixedPoly.__mul__`` and powers through ``pow_mixed``.  Every key is valid by construction, so only
     the final dict goes through the validating ``MixedPoly`` constructor.
     """
     p, ram_level, vars = ctx.p, ctx.ram_level, ctx.vars
@@ -249,15 +247,7 @@ def lower_expr(expr: PolyExpr, ctx: RingContext) -> MixedPoly:
         if kind is Product:
             acc = go(node.factors[0])
             for factor in node.factors[1:]:
-                terms = go(factor)
-                if len(terms) == 1:
-                    ((pi, exps), c), = terms.items()
-                    acc = {
-                        (pi + q, tuple(map(add, exps, e))): c * d
-                        for (q, e), d in acc.items()
-                    }
-                else:
-                    acc = (poly(acc) * poly(terms)).terms
+                acc = (poly(acc) * poly(go(factor))).terms
             return acc
         if kind is Sum:
             acc = {}

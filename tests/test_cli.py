@@ -286,14 +286,14 @@ def run_module_cli(*argv):
         [sys.executable, "-m", "threshold_lab.cli", *argv],
         capture_output=True, text=True, timeout=10, env=env,
     )
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_cli_fpt_diagonal_large_prime():
     """A 61-bit prime is decided at once, not by trial division."""
     assert run_module_cli(
         "fpt-diagonal", "--prime", "2305843009213693951", "--exponents", "2,3"
-    ) == (0, "5/6\n")
+    ) == (0, "5/6\n", "")
 
 
 @pytest.mark.parametrize("prime, exponents, value", [
@@ -304,7 +304,7 @@ def test_cli_fpt_diagonal_large_exponents(prime, exponents, value):
     """Digits are read until the first carry; no period is computed first."""
     assert run_module_cli(
         "fpt-diagonal", "--prime", prime, "--exponents", exponents
-    ) == (0, value + "\n")
+    ) == (0, value + "\n", "")
 
 
 @pytest.mark.parametrize("poly, byte", [
@@ -319,9 +319,11 @@ def test_cli_reports_syntax_error_byte(capsys, poly, byte):
 
 def test_cli_padic_expand_refuses_long_period():
     """1/1000000007 has a base-2 period of about 5 * 10^8 digits."""
-    assert run_module_cli(
+    code, out, err = run_module_cli(
         "padic", "expand", "--value", "1/1000000007", "--prime", "2"
-    ) == (2, "")
+    )
+    assert (code, out) == (2, "")
+    assert "digit budget of 100000" in err
 
 
 def test_cli_refuses_prime_beyond_primality_bound(capsys):
