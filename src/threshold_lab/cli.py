@@ -36,7 +36,7 @@ from .certify import (
     limit_profile,
 )
 from .digits import kummer_valuation, lucas_residue, magic_expansions
-from .exact import expand_base_p, format_rat
+from .exact import MAX_EXPANSION_DIGITS, expand_base_p, format_rat
 from .fpt import fpt_diagonal, oracle_bracket
 from .poly import MixedPoly, pow_mixed, reduce_mod_pi
 from .verify import SUITES, run_suite
@@ -330,6 +330,11 @@ def _cmd_fpt_search(args: argparse.Namespace) -> int:
 
 def _cmd_padic(args: argparse.Namespace) -> int:
     if args.padic_cmd == "expand":
+        if not 0 <= args.digits <= MAX_EXPANSION_DIGITS:
+            raise ValueError(
+                f"--digits {args.digits} is outside 0..{MAX_EXPANSION_DIGITS},"
+                f" the digit budget of {MAX_EXPANSION_DIGITS}"
+            )
         exp = expand_base_p(Fraction(args.value), args.prime)
         print(f"preperiod = {list(exp.preperiod)}")
         print(f"period = {list(exp.period)}")
@@ -429,7 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
     pe = psub.add_parser("expand", help="non-terminating base-p expansion")
     pe.add_argument("--value", required=True, help="rational in (0, 1], e.g. 1/6")
     pe.add_argument("--prime", type=int, required=True)
-    pe.add_argument("--digits", type=int, default=0, help="also print the first K digits")
+    pe.add_argument(
+        "--digits", type=int, default=0,
+        help=f"also print the first K digits, 0 <= K <= {MAX_EXPANSION_DIGITS}",
+    )
     pk = psub.add_parser("kummer", help="v_p of a binomial coefficient")
     pk.add_argument("--n", type=int, required=True)
     pk.add_argument("--m", type=int, required=True)

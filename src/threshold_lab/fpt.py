@@ -150,20 +150,18 @@ def lct_diagonal(exponents: tuple[int, ...]) -> Rat:
     return min(Rat(1), sum(Rat(1, s) for s in exponents))
 
 
-def _max_terms_budget(max_terms: int | None) -> int:
-    if max_terms is not None:
-        return max_terms
+def _max_terms_budget() -> int:
     env = os.environ.get(_MAX_TERMS_ENV)
     return int(env) if env else _DEFAULT_MAX_TERMS
 
 
-def frobenius_nu(f: SparsePolyFp, e: int, max_terms: int | None = None) -> int:
+def frobenius_nu(f: SparsePolyFp, e: int) -> int:
     """nu_e(f): the largest nu with f^nu outside (x_1^{p^e}, ..., x_n^{p^e}).
 
     Requires f nonzero with no constant term (so f lies in the maximal ideal).
     Calls whose ambient monomial space p^(e*n) exceeds the budget (default
-    10^8, override via the THRESHOLD_LAB_MAX_TERMS environment variable or
-    the ``max_terms`` argument) are refused up front.
+    10^8, override via the THRESHOLD_LAB_MAX_TERMS environment variable) are
+    refused up front, before any power of p is taken.
 
     The search climbs the levels 1..e (Mustata-Takagi-Watanabe, "F-thresholds
     and Bernstein-Sato polynomials", 2005).  With m^[q] = (x_1^q, ..., x_n^q)
@@ -188,15 +186,18 @@ def frobenius_nu(f: SparsePolyFp, e: int, max_terms: int | None = None) -> int:
     n = len(f.vars)
     if f.terms.get((0,) * n):
         raise ValueError("f must have no constant term (f must vanish at the origin)")
-    p = f.p
-    cap = p**e
-    budget = _max_terms_budget(max_terms)
-    space = cap**n
-    if space > budget:
+    p, k = f.p, e * n
+    budget = _max_terms_budget()
+    # p^k >= 2^(k (bits(p) - 1)), so this decides a huge space from bit lengths
+    # alone, before any power is taken, and shows it as p^k.
+    huge = k * (p.bit_length() - 1) >= budget.bit_length()
+    if huge or p**k > budget:
+        space = f"{p}^{k}" if huge else p**k
         raise ResourceGuardError(
             f"monomial space p^(e*n) = {space} exceeds budget {budget}; "
             f"raise {_MAX_TERMS_ENV} to override"
         )
+    cap = p**e
     w = cap.bit_length() + 1
     shifts = [w * i for i in range(n)]
     ones = sum(1 << s for s in shifts)

@@ -1,6 +1,7 @@
 """Tests for the certification engine: rules, combined certificates, profiles."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from threshold_lab.certify import (
     InternalInconsistencyError,
     RingContext,
     RuleResult,
+    analyze,
     base_ring_level,
     certify,
     exact_fpt_of_reduction,
@@ -127,7 +129,7 @@ def test_base_ring_level(pi_exps, a, c):
 
 def test_blowup_diagonal_bounds():
     f = mixed_diagonal_poly(2, 0, 3, (3, 3))
-    res = rule_blowup_diagonal(f, ctx_of(f))
+    res = rule_blowup_diagonal(analyze(f, ctx_of(f)))
     assert res is not None
     assert res.lower == Bound(F(1, 2))
     assert res.upper == Bound(F(1))
@@ -137,7 +139,7 @@ def test_blowup_diagonal_bounds():
 def test_blowup_regular_element():
     # pi + x^2 at a = 1 is a regular parameter: threshold exactly 1
     f = MixedPoly(2, 1, ("x",), {(1, (0,)): 1, (0, (2,)): 1})
-    res = rule_blowup_diagonal(f, ctx_of(f))
+    res = rule_blowup_diagonal(analyze(f, ctx_of(f)))
     assert res is not None
     assert res.lower == Bound(F(1)) and res.upper == Bound(F(1))
     cert = certify(f, ctx_of(f))
@@ -146,7 +148,7 @@ def test_blowup_regular_element():
 
 def test_extremal_strict_fires():
     f = mixed_diagonal_poly(2, 0, 3, (3, 3))
-    res = rule_extremal_strict(f, ctx_of(f))
+    res = rule_extremal_strict(analyze(f, ctx_of(f)))
     assert res is not None
     assert res.lower == Bound(F(1, 2), strict=True)
 
@@ -154,42 +156,42 @@ def test_extremal_strict_fires():
 def test_extremal_strict_cross_pattern():
     # pi^3 + x^2 y + x y^2 matches the {X^q Y, X Y^q} shape at q = 2
     f = MixedPoly(2, 0, ("x", "y"), {(3, (0, 0)): 1, (0, (2, 1)): 1, (0, (1, 2)): 1})
-    res = rule_extremal_strict(f, ctx_of(f))
+    res = rule_extremal_strict(analyze(f, ctx_of(f)))
     assert res is not None and res.lower == Bound(F(1, 2), strict=True)
 
 
 def test_extremal_abstains_below_degree_bound():
     # q + 1 = 3 exceeds every degree of x^2 + y^2, so no pattern exists
     f = mixed_diagonal_poly(2, 0, None, (2, 2))
-    assert rule_extremal_strict(f, ctx_of(f)) is None
+    assert rule_extremal_strict(analyze(f, ctx_of(f))) is None
 
 
 def test_extremal_abstains_at_positive_ram_level():
     f = mixed_diagonal_poly(2, 1, 3, (3, 3))
-    assert rule_extremal_strict(f, ctx_of(f)) is None
+    assert rule_extremal_strict(analyze(f, ctx_of(f))) is None
 
 
 def test_frobenius_diagonal_strict():
     f = mixed_diagonal_poly(3, 0, 3, (3, 3))
-    res = rule_frobenius_diagonal_strict(f, ctx_of(f))
+    res = rule_frobenius_diagonal_strict(analyze(f, ctx_of(f)))
     assert res is not None
     assert res.lower == Bound(F(1, 3), strict=True)
     # p = 2 is outside the rule's hypotheses
     g = mixed_diagonal_poly(2, 0, 2, (2, 2))
-    assert rule_frobenius_diagonal_strict(g, ctx_of(g)) is None
+    assert rule_frobenius_diagonal_strict(analyze(g, ctx_of(g))) is None
     # non-p-power exponent
     h = mixed_diagonal_poly(3, 0, 4, (4, 4))
-    assert rule_frobenius_diagonal_strict(h, ctx_of(h)) is None
+    assert rule_frobenius_diagonal_strict(analyze(h, ctx_of(h))) is None
 
 
 def test_elliptic_upper():
     f = mixed_diagonal_poly(2, 0, 3, (3, 3))
-    res = rule_elliptic(f, ctx_of(f))
+    res = rule_elliptic(analyze(f, ctx_of(f)))
     assert res is not None
     assert res.upper == Bound(F(3, 4))
     assert res.lower is None
     g = mixed_diagonal_poly(7, 0, 3, (3, 3))   # 7 = 1 mod 3: not this family
-    assert rule_elliptic(g, ctx_of(g)) is None
+    assert rule_elliptic(analyze(g, ctx_of(g))) is None
 
 
 def test_elliptic_families_constant():
@@ -204,7 +206,7 @@ def test_pth_root_witness():
     h = pth_root_modulo(f, ctx, 2)
     assert h is not None
     assert h.terms == {(0, (1, 0)): 1, (0, (0, 1)): 1}
-    res = rule_pth_root_upper(f, ctx)
+    res = rule_pth_root_upper(analyze(f, ctx))
     assert res is not None and res.upper == Bound(F(1, 2))
 
 
@@ -222,7 +224,7 @@ def test_pth_root_cyclotomic():
     f = MixedPoly(3, 0, ("x",), {(0, (3,)): 1, (3, (0,)): 1})
     h = pth_root_modulo(f, ctx, 3)
     assert h is not None
-    res = rule_pth_root_upper(f, ctx)
+    res = rule_pth_root_upper(analyze(f, ctx))
     assert res is not None and res.upper == Bound(F(1, 3))
     cert = certify(f, ctx)
     assert cert.exact == F(1, 3)
@@ -231,7 +233,7 @@ def test_pth_root_cyclotomic():
 def test_ramified_upper():
     # p + x^2, re-expressed at level 1 where one descent step is available
     f = relevel(MixedPoly(5, 0, ("x",), {(2, (0,)): 1, (0, (2,)): 1}), 1)
-    res = rule_ramified_upper(f, ctx_of(f))
+    res = rule_ramified_upper(analyze(f, ctx_of(f)))
     assert res is not None
     assert res.upper == Bound(F(3, 5))
 
@@ -239,22 +241,22 @@ def test_ramified_upper():
 def test_ramified_upper_gated_by_base_level():
     # pi + x^2 at a = 1 uses the full ramification: no room to descend
     f = MixedPoly(2, 1, ("x",), {(1, (0,)): 1, (0, (2,)): 1})
-    assert rule_ramified_upper(f, ctx_of(f)) is None
+    assert rule_ramified_upper(analyze(f, ctx_of(f))) is None
 
 
 def test_diagonal_ramified_exact():
     f = mixed_diagonal_poly(5, 1, 3, (3,))
-    res = rule_diagonal_ramified(f, ctx_of(f))
+    res = rule_diagonal_ramified(analyze(f, ctx_of(f)))
     assert res is not None and res.exact == F(3, 5)
 
 
 def test_diagonal_ramified_abstains_when_slots_reach_p():
     # pi^3 + x^3 + y^3 has three slots = p at p = 3
     f = mixed_diagonal_poly(3, 1, 3, (3, 3))
-    assert rule_diagonal_ramified(f, ctx_of(f)) is None
+    assert rule_diagonal_ramified(analyze(f, ctx_of(f))) is None
     # and at a = 0 the digit level 1 exceeds the ramification budget
     g = mixed_diagonal_poly(3, 0, 3, (3,))
-    assert rule_diagonal_ramified(g, ctx_of(g)) is None
+    assert rule_diagonal_ramified(analyze(g, ctx_of(g))) is None
 
 
 def test_diagonal_ramified_alarm_names_the_witness(monkeypatch):
@@ -266,7 +268,7 @@ def test_diagonal_ramified_alarm_names_the_witness(monkeypatch):
     f = mixed_diagonal_poly(5, 1, 3, (3,))  # pi^3 + x^3, digit level L = 1
     monkeypatch.setattr(mod, "fpt_diagonal", lambda p, exps: F(1, 5))
     with pytest.raises(InternalInconsistencyError) as alarm:
-        rule_diagonal_ramified(f, ctx_of(f))
+        rule_diagonal_ramified(analyze(f, ctx_of(f)))
     assert str(alarm.value) == (
         "diagonal_ramified: the digit formula promised f^1 in (pi^5, x_i^5) "
         "but the containment fails at term (3, (0,))"
@@ -275,7 +277,7 @@ def test_diagonal_ramified_alarm_names_the_witness(monkeypatch):
 
 def test_threshold_cap_always_applies():
     f = MixedPoly(2, 0, ("x",), {(0, (1,)): 1})
-    res = rule_threshold_cap(f, ctx_of(f))
+    res = rule_threshold_cap(analyze(f, ctx_of(f)))
     assert res.upper == Bound(F(1))
 
 
@@ -360,7 +362,7 @@ def test_contradiction_alarm(monkeypatch):
 
     mod = sys.modules["threshold_lab.certify"]
 
-    def bogus_cap(f, ctx):
+    def bogus_cap(facts):
         return RuleResult(
             "threshold_cap", "bogus", "bogus", (), None, Bound(F(1, 4)), None, (),
         )
@@ -369,6 +371,43 @@ def test_contradiction_alarm(monkeypatch):
     f = mixed_diagonal_poly(2, 0, 3, (3, 3))
     with pytest.raises(InternalInconsistencyError):
         certify(f, ctx_of(f))
+
+
+ANALYSES = ("match_mixed_diagonal", "exact_fpt_of_reduction", "base_ring_level")
+RULES = (
+    "known_values_registry", "rule_fpt_lower", "rule_blowup_diagonal",
+    "rule_extremal_strict", "rule_frobenius_diagonal_strict", "rule_elliptic",
+    "rule_pth_root_upper", "rule_ramified_upper", "rule_exact_ramified",
+    "rule_diagonal_ramified", "rule_threshold_cap",
+)
+
+
+@pytest.mark.parametrize("f", [
+    mixed_diagonal_poly(2, 0, 3, (3, 3)),
+    mixed_diagonal_poly(5, 1, 3, (3,)),
+    relevel(MixedPoly(5, 0, ("x",), {(2, (0,)): 1, (0, (2,)): 1}), 1),
+], ids=str)
+def test_certify_analyses_each_input_once(monkeypatch, f):
+    """However many rules read the diagonal match, the residue's closed form
+    and the base ring level, each is computed once per call, and each of the
+    eleven rules is called once."""
+    import sys
+
+    mod = sys.modules["threshold_lab.certify"]
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ANALYSES + RULES:
+        monkeypatch.setattr(mod, name, counted(name))
+    certify(f, ctx_of(f))
+    assert calls == Counter(ANALYSES + RULES)
 
 
 def test_certificate_json_shape():

@@ -326,6 +326,36 @@ def test_cli_padic_expand_refuses_long_period():
     assert "digit budget of 100000" in err
 
 
+@pytest.mark.parametrize("digits", ["100000000", "100001", "-5"])
+def test_cli_padic_expand_refuses_digits_outside_budget(digits):
+    code, out, err = run_module_cli(
+        "padic", "expand", "--value", "1/6", "--prime", "3", "--digits", digits
+    )
+    assert (code, out) == (2, "")
+    assert "digit budget of 100000" in err
+
+
+def test_cli_padic_expand_digits_at_budget(capsys):
+    code, out, _ = run_cli(
+        capsys, "padic", "expand", "--value", "1/6", "--prime", "3", "--digits", "100000",
+    )
+    assert code == 0
+    assert out.splitlines()[2] == "digits = " + str([0] + [1] * 99_999)
+
+
+@pytest.mark.parametrize("level", ["4000", "5000", "30000000"])
+def test_cli_fpt_search_refuses_huge_level(level):
+    """The oracle refuses from e*n alone: no power of p is taken or printed."""
+    code, out, err = run_module_cli(
+        "fpt-search", "--prime", "3", "--poly", "x^2 + y^3", "--level", level
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: monomial space p^(e*n) = 3^{2 * int(level)} exceeds budget "
+        "100000000; raise THRESHOLD_LAB_MAX_TERMS to override\n"
+    )
+
+
 def test_cli_refuses_prime_beyond_primality_bound(capsys):
     code, _, err = run_cli(capsys, "fpt-diagonal", "--prime", str(2**89 - 1), "--exponents", "2,3")
     assert code == 2

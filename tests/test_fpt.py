@@ -205,11 +205,24 @@ def test_oracle_bracket_values(p, terms, e, lo, hi):
     assert br.width() == F(1, p**e)
 
 
-def test_resource_guard():
+def test_resource_guard(monkeypatch):
     f = SparsePolyFp(2, ("x", "y", "z"), {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
+    monkeypatch.setenv("THRESHOLD_LAB_MAX_TERMS", "10")
     with pytest.raises(ResourceGuardError) as info:
-        frobenius_nu(f, 4, max_terms=10)
+        frobenius_nu(f, 4)
     assert "THRESHOLD_LAB_MAX_TERMS" in str(info.value)
+
+
+def test_resource_guard_message():
+    """A space near the budget is printed in full (far past it, as p^(e*n):
+    see the fpt-search CLI tests)."""
+    f = SparsePolyFp(5, ("x", "y", "z"), {(1, 1, 0): 1, (0, 0, 2): 1})
+    with pytest.raises(ResourceGuardError) as info:
+        frobenius_nu(f, 4)
+    assert str(info.value) == (
+        "monomial space p^(e*n) = 244140625 exceeds budget 100000000; "
+        "raise THRESHOLD_LAB_MAX_TERMS to override"
+    )
 
 
 def test_resource_guard_env(monkeypatch):

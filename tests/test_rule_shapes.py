@@ -1,0 +1,132 @@
+"""Randomized certification of the rule shapes that are not diagonals.
+
+The strategies follow the grammar of the certify-sweep workload's shape
+generators (``CertifySweep._extremal`` through ``_cross_term`` in
+``bench/workloads.py``) and add the registry rows: extremal forms, elliptic
+cubic cones and their cross terms, p-th powers modulo p^2, the cyclotomic
+base, and residues with a mixed monomial.  Each input must certify without
+tripping the inconsistency alarm, and its bounds, strictness and rule ids
+must not depend on the order of the ring's variables.
+"""
+
+from typing import NamedTuple
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from threshold_lab.certify import RingContext, certify
+from threshold_lab.cli import infer_variables, parse_poly
+
+VARS = ("x", "y", "z")
+
+
+class Shape(NamedTuple):
+    src: str
+    p: int
+    ram: int = 0
+    cyclotomic: bool = False
+
+
+def _term(coeff: int, exps: tuple[int, ...]) -> str:
+    factors = [str(coeff)] if coeff != 1 else []
+    factors += [v if e == 1 else f"{v}^{e}" for v, e in zip(VARS, exps) if e]
+    return "*".join(factors)
+
+
+def _monomial(draw, n: int, lo: int, hi: int) -> tuple[int, ...]:
+    """A monomial in n variables of total degree lo..hi."""
+    exps = [0] * n
+    for i in draw(st.lists(st.integers(0, n - 1), min_size=lo, max_size=hi)):
+        exps[i] += 1
+    return tuple(exps)
+
+
+@st.composite
+def extremal(draw) -> Shape:
+    """X^{q+1} + Y^{q+1} + f' or X^q Y + X Y^q + f', q = p, with f' in the
+    Frobenius power and carrying pi or a third variable."""
+    p = q = draw(st.sampled_from((2, 3, 5)))
+    head = draw(st.sampled_from((f"x^{q + 1} + y^{q + 1}", f"x^{q}*y + x*y^{q}")))
+    extra = draw(st.one_of(
+        st.integers(q, q + 2).map(lambda k: f"p^{k}"),
+        st.integers(q, q + 1).map(lambda k: f"z^{k}"),
+        st.integers(1, 3).map(lambda c: f"{c}*p*x^{q}"),
+        st.just(f"p^{q}*y"),
+    ))
+    return Shape(f"{head} + {extra}", p)
+
+
+@st.composite
+def elliptic(draw) -> Shape:
+    """pi^3 + X^3 + Y^3 or pi^3 + XY(uX + vY) at p = 2 (mod 3)."""
+    p = draw(st.sampled_from((2, 5)))
+    if draw(st.booleans()):
+        return Shape("p^3 + x^3 + y^3", p)
+    u, v = draw(st.integers(1, p - 1)), draw(st.integers(1, p - 1))
+    return Shape(f"p^3 + {_term(u, (2, 1))} + {_term(v, (1, 2))}", p)
+
+
+@st.composite
+def pth_power(draw) -> Shape:
+    """h^p + p^2 g: a p-th power modulo p^2 over the unramified base."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    c = draw(st.integers(1, p - 1))
+    g = _term(1, _monomial(draw, 2, 2, 4))
+    return Shape(f"(x + {c}*y)^{p} + p^2*{g}", p)
+
+
+@st.composite
+def cyclotomic(draw) -> Shape:
+    """Over W[zeta_p]: p-th powers modulo varpi^p, and shapes without a root."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    g = _term(1, _monomial(draw, 2, 1, 3))
+    if draw(st.booleans()):
+        src = f"(x + {draw(st.integers(1, p - 1))}*y)^{p} + p^{p}*{g}"
+    else:
+        src = f"x^{draw(st.integers(2, 4))} + p*{g}"
+    return Shape(src, p, cyclotomic=True)
+
+
+@st.composite
+def cross_term(draw) -> Shape:
+    """Residues with a mixed monomial: fpt_lower falls back to the oracle."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(2, 3))
+    monos = {_monomial(draw, n, 2, 4) for _ in range(draw(st.integers(2, 3)))}
+    monos.add((1, 1) + (0,) * (n - 2))
+    parts = [_term(draw(st.integers(1, p - 1)), m) for m in sorted(monos)]
+    if draw(st.booleans()):
+        parts.append(f"p^{draw(st.integers(1, 4))}")
+    return Shape(" + ".join(parts), p, draw(st.integers(0, 1)))
+
+
+@st.composite
+def registry(draw) -> Shape:
+    """The curated rows: the diagonal cubic cone and the 2-adic quadratic cone."""
+    if draw(st.booleans()):
+        return Shape("p^2 + x^2", 2)
+    return Shape("x^3 + y^3 + z^3", draw(st.sampled_from((2, 5, 7, 11))), draw(st.integers(0, 1)))
+
+
+SHAPES = st.one_of(extremal(), elliptic(), pth_power(), cyclotomic(), cross_term(), registry())
+
+
+def _summary(src: str, shape: Shape, vars: tuple[str, ...]):
+    ctx = RingContext(shape.p, vars, ram_level=shape.ram, cyclotomic=shape.cyclotomic)
+    cert = certify(parse_poly(src, ctx), ctx)
+    return (
+        cert.lower, cert.lower_strict, cert.upper, cert.upper_strict, cert.exact,
+        [r.rule_id for r in cert.rules],
+    )
+
+
+@given(data=st.data(), shape=SHAPES)
+@settings(max_examples=300, deadline=None)
+def test_rule_shapes_certify_and_ignore_variable_order(data, shape):
+    vars = infer_variables(shape.src)
+    summary = _summary(shape.src, shape, vars)
+    lower, lower_strict, upper, upper_strict, _exact, _ids = summary
+    if lower is not None and upper is not None:
+        assert lower < upper or (lower == upper and not (lower_strict or upper_strict))
+    permuted = tuple(data.draw(st.permutations(vars)))
+    assert _summary(shape.src, shape, permuted) == summary
