@@ -30,14 +30,18 @@ holding f, the ring context, the requested elliptic family, the residue
 f mod pi with its closed-form fpt, the pure-power diagonal match and the base
 ring level.  Every rule takes that one argument and returns a
 :class:`RuleResult` or None (abstention).  :func:`certify` runs the ten
-rules above plus ``rule_threshold_cap`` (ppt <= 1, always) from one tuple
-written in its body, the registry first and the cap last; the tuple is
-built on each call, so a rule replaced on the module is the one that runs.
+rules above plus ``rule_threshold_cap`` (ppt <= 1, always) from one tuple,
+the registry first and the cap last; the tuple is built on each call, so a
+rule replaced on the module is the one that runs.  A limit profile is
+analysed once too: :func:`limit_profile` validates and analyses f at level 0
+only, derives every level's :class:`Facts` from that with
+:func:`relevel_facts`, and runs the same rule table on each.
 
 Every certified bound is sound on its own, so the combined max-of-lowers /
 min-of-uppers can only collide if the implementation is wrong; that collision
 is surfaced as :class:`InternalInconsistencyError` and doubles as the
-engine's cross-validation alarm.
+engine's cross-validation alarm.  A limit profile raises it across levels
+too, since ppt can only fall as the base is ramified further.
 
 The ring context and the ideal test the rules share live in :mod:`.poly`:
 :class:`RingContext` (re-exported here) reads every effective pi-order
@@ -143,7 +147,7 @@ class BoundCertificate:
                 return None
             return {"value": format_rat(value), "strict": strict}
 
-        input_doc = json.loads(self.poly.to_json())
+        input_doc = self.poly.to_doc()
         input_doc["ctx"] = self.ctx.to_doc()
         return {
             "input": input_doc,
@@ -299,6 +303,33 @@ def analyze(f: MixedPoly, ctx: RingContext, family: str | None = None) -> Facts:
         residue_fpt=exact_fpt_of_reduction(residue),
         diag=match_mixed_diagonal(f, ctx),
         base_level=base_ring_level(f, ctx),
+    )
+
+
+def relevel_facts(facts: Facts, a: int) -> Facts:
+    """The analysis of ``relevel(f, a)``, derived from the level-0 analysis of f.
+
+    Scaling every pi-exponent by p^a leaves all of it unchanged except the
+    diagonal's pi-order, which scales with it: the residue keeps the terms of
+    pi-exponent 0 (so its closed-form fpt is the same), the diagonal match
+    reads each term's shape and the unit part of its pi-term, and every
+    positive pi-exponent of relevel(f, a) is divisible by p^a, so the base
+    ring level is 0.
+    """
+    ctx = facts.ctx
+    if ctx.ram_level != 0 or ctx.cyclotomic:
+        raise ValueError("relevel_facts expects the analysis of a level-0 polynomial")
+    diag = facts.diag
+    if diag is not None and diag.pi_order is not None:
+        diag = MixedDiagonal(diag.pi_order * ctx.p**a, diag.pi_unit_one, diag.entries)
+    return Facts(
+        f=relevel(facts.f, a),
+        ctx=RingContext(ctx.p, ctx.vars, ram_level=a),
+        family=facts.family,
+        residue=facts.residue,
+        residue_fpt=facts.residue_fpt,
+        diag=diag,
+        base_level=0,
     )
 
 
@@ -920,7 +951,7 @@ def rule_threshold_cap(facts: Facts) -> RuleResult:
 # Orchestration.
 
 
-def _validate_input(f: MixedPoly, ctx: RingContext) -> None:
+def _validate_input(f: MixedPoly, ctx: RingContext, family: str | None) -> None:
     if f.p != ctx.p or f.ram_level != ctx.ram_level or f.vars != ctx.vars:
         raise ValueError("polynomial and ring context disagree")
     if f.is_zero():
@@ -928,6 +959,15 @@ def _validate_input(f: MixedPoly, ctx: RingContext) -> None:
     for (pi, exps), c in f.terms.items():
         if not any(exps) and ctx.pi_order(pi, c) == 0:
             raise ValueError("f must lie in the maximal ideal (unit term found)")
+    if family is not None and family not in ELLIPTIC_FAMILIES:
+        raise ValueError(
+            f"unknown family {family!r}; expected one of {ELLIPTIC_FAMILIES}"
+        )
+
+
+def _excludes(lower: Rat, lower_strict: bool, upper: Rat, upper_strict: bool) -> bool:
+    """Whether a lower and an upper bound on the same threshold contradict."""
+    return lower > upper or (lower == upper and (lower_strict or upper_strict))
 
 
 def certify(
@@ -939,12 +979,12 @@ def certify(
     other (max lower above min upper, or touching with a strict side) - the
     engine's cross-validation alarm.
     """
-    _validate_input(f, ctx)
-    if family is not None and family not in ELLIPTIC_FAMILIES:
-        raise ValueError(
-            f"unknown family {family!r}; expected one of {ELLIPTIC_FAMILIES}"
-        )
-    facts = analyze(f, ctx, family)
+    _validate_input(f, ctx, family)
+    return _run_rules(analyze(f, ctx, family))
+
+
+def _run_rules(facts: Facts) -> BoundCertificate:
+    """The rule table on one analysed input, intersected into a certificate."""
     results: list[RuleResult] = []
     notes: list[str] = []
     # The table is built per call, so a rule replaced on the module (as the
@@ -966,6 +1006,7 @@ def certify(
         if res is not None:
             results.append(res)
             notes.extend(res.notes)
+    family, ctx = facts.family, facts.ctx
     if family is not None and not any(r.rule_id == "elliptic" for r in results):
         notes.append(f"family {family} requested but the shape did not match; abstained")
 
@@ -994,8 +1035,7 @@ def certify(
         upper_strict = any(s for (v, s, _r) in uppers if v == hi)
 
     if lower is not None and upper is not None:
-        crossing = lower > upper or (lower == upper and (lower_strict or upper_strict))
-        if crossing:
+        if _excludes(lower, lower_strict, upper, upper_strict):
             lo_rules = sorted({r for (v, _s, r) in lowers if v == lower})
             hi_rules = sorted({r for (v, _s, r) in uppers if v == upper})
             raise InternalInconsistencyError(
@@ -1036,7 +1076,7 @@ def certify(
         exact=exact,
         rules=results,
         notes=deduped,
-        poly=f,
+        poly=facts.f,
         ctx=ctx,
     )
 
@@ -1090,8 +1130,10 @@ def relevel(f: MixedPoly, a: int) -> MixedPoly:
     """
     if f.ram_level != 0:
         raise ValueError("relevel expects a polynomial written at level 0")
+    if a < 0:
+        raise ValueError(f"ram_level must be >= 0, got {a}")
     scale = f.p**a
-    return MixedPoly(
+    return MixedPoly._of(
         f.p, a, f.vars, {(pi * scale, exps): c for (pi, exps), c in f.terms.items()}
     )
 
@@ -1105,25 +1147,49 @@ def limit_profile(
     residual threshold fpt(f mod pi); the profile records, per level, the
     sharpest certified bounds, and notes when every finite level provably
     stays strictly above the limit (non-attainment).
+
+    f is validated and analysed once, at level 0; each level's rules read
+    :func:`relevel_facts` of that analysis.  Ramifying further is a free
+    extension, so ppt can only fall with the level: a certified lower bound
+    at one level that excludes a certified upper bound at a lower level
+    raises :class:`InternalInconsistencyError`, like a contradiction within
+    one level.
     """
     if e_max < 0:
         raise ValueError(f"e_max must be >= 0, got {e_max}")
+    if f.ram_level != 0:
+        raise ValueError("limit_profile expects a polynomial written at level 0")
+    ctx = RingContext(f.p, f.vars)
+    _validate_input(f, ctx, family)
+    base = analyze(f, ctx, family)
     steps: list[ProfileStep] = []
     for a in range(e_max + 1):
-        fa = relevel(f, a)
-        ctx = RingContext(f.p, f.vars, ram_level=a)
-        cert = certify(fa, ctx, family=family)
-        steps.append(
-            ProfileStep(
-                level=a,
-                lower=cert.lower,
-                lower_strict=cert.lower_strict,
-                upper=cert.upper,
-                upper_strict=cert.upper_strict,
-                exact=cert.exact,
-            )
+        cert = _run_rules(relevel_facts(base, a))
+        step = ProfileStep(
+            level=a,
+            lower=cert.lower,
+            lower_strict=cert.lower_strict,
+            upper=cert.upper,
+            upper_strict=cert.upper_strict,
+            exact=cert.exact,
         )
-    limit = exact_fpt_of_reduction(reduce_mod_pi(f))
+        for earlier in steps:
+            if (
+                step.lower is not None
+                and earlier.upper is not None
+                and _excludes(
+                    step.lower, step.lower_strict, earlier.upper, earlier.upper_strict
+                )
+            ):
+                raise InternalInconsistencyError(
+                    f"certified lower {format_rat(step.lower)}"
+                    f"{' (strict)' if step.lower_strict else ''} at ram level {a} "
+                    f"excludes certified upper {format_rat(earlier.upper)}"
+                    f"{' (strict)' if earlier.upper_strict else ''}"
+                    f" at ram level {earlier.level}"
+                )
+        steps.append(step)
+    limit = base.residue_fpt
     notes: list[str] = []
     attained: bool | None = None
     if limit is not None:

@@ -78,7 +78,8 @@ def _byte_offsets(src: str) -> list[int]:
 
 def tokenize(src: str) -> list[Token]:
     tokens: list[Token] = []
-    at = _byte_offsets(src)
+    # In an ASCII source every character is one byte.
+    at = range(len(src) + 1) if src.isascii() else _byte_offsets(src)
     i, n = 0, len(src)
     while i < n:
         c = src[i]

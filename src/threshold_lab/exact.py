@@ -99,11 +99,15 @@ def multiplicative_order(a: int, m: int) -> int:
 
 
 def format_rat(q: Rat) -> str:
-    """Render a rational in lowest terms as "num/den", or plain "n" for integers."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Render a rational in lowest terms as "num/den", or plain "n" for integers.
+
+    Accepts a Fraction or an int; both carry their lowest-terms numerator
+    and denominator.
+    """
+    num, den = q.numerator, q.denominator
+    if den == 1:
+        return str(num)
+    return f"{num}/{den}"
 
 
 def _minimal_period(period: tuple[int, ...]) -> tuple[int, ...]:

@@ -41,6 +41,7 @@ order computed up front.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -83,14 +84,18 @@ class DiagonalData:
 
 def compute_L(p: int, exponents: tuple[int, ...]) -> int | float:
     """Least L >= 0 with sum_i d_i^(L+1) >= p, or INFINITE if no digit column
-    of the expansions of the 1/s_i ever sums to p or more.
+    of the expansions of the 1/s_i ever sums to p or more."""
+    return _digit_level(p, DiagonalData(p, tuple(exponents)).exponents)
+
+
+def _digit_level(p: int, exps: tuple[int, ...]) -> int | float:
+    """:func:`compute_L` for exponents already checked by :class:`DiagonalData`.
 
     Walks the remainders (p^j - 1) mod s_i column by column (see the module
     docstring) and stops at the first column that sums to p, or when the
     remainder tuple repeats.  One exponent never reaches p: its digits are
     all below p.
     """
-    exps = DiagonalData(p, tuple(exponents)).exponents
     if len(exps) == 1:
         return INFINITE
     rems = saved = (0,) * len(exps)
@@ -113,14 +118,20 @@ def compute_L(p: int, exponents: tuple[int, ...]) -> int | float:
             saved, power, steps = rems, 2 * power, 0
 
 
+def _reciprocal_sum(exps: tuple[int, ...]) -> Rat:
+    """sum_i 1/s_i as one fraction over the least common multiple."""
+    den = math.lcm(*exps)
+    return Rat(sum(den // s for s in exps), den)
+
+
 def fpt_diagonal(p: int, exponents: tuple[int, ...]) -> Rat:
     """Exact F-pure threshold of x_1^{s_1} + ... + x_n^{s_n} over F_p."""
-    diag = DiagonalData(p, tuple(exponents))
-    level = compute_L(p, diag.exponents)
+    exps = DiagonalData(p, tuple(exponents)).exponents
+    level = _digit_level(p, exps)
     if level == INFINITE:
-        return sum(Rat(1, s) for s in diag.exponents)
+        return _reciprocal_sum(exps)
     q = p**level
-    return Rat(sum((q - 1) // s for s in diag.exponents) + 1, q)
+    return Rat(sum((q - 1) // s for s in exps) + 1, q)
 
 
 def fpt_fermat(p: int, d: int) -> Rat:
@@ -147,7 +158,7 @@ def lct_diagonal(exponents: tuple[int, ...]) -> Rat:
     for s in exponents:
         if not isinstance(s, int) or s < 2:
             raise ValueError(f"diagonal exponents must be integers >= 2, got {s}")
-    return min(Rat(1), sum(Rat(1, s) for s in exponents))
+    return min(Rat(1), _reciprocal_sum(exponents))
 
 
 def _max_terms_budget() -> int:

@@ -386,8 +386,9 @@ class MixedPoly:
 
     __repr__ = __str__
 
-    def to_json(self) -> str:
-        doc = {
+    def to_doc(self) -> dict:
+        """The JSON document of :meth:`to_json`, as a fresh dict."""
+        return {
             "p": self.p,
             "ram_level": self.ram_level,
             "vars": list(self.vars),
@@ -396,7 +397,9 @@ class MixedPoly:
                 for (pi, e), c in self.sorted_terms()
             ],
         }
-        return json.dumps(doc, separators=(",", ":"))
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_doc(), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> MixedPoly:

@@ -382,15 +382,9 @@ RULES = (
 )
 
 
-@pytest.mark.parametrize("f", [
-    mixed_diagonal_poly(2, 0, 3, (3, 3)),
-    mixed_diagonal_poly(5, 1, 3, (3,)),
-    relevel(MixedPoly(5, 0, ("x",), {(2, (0,)): 1, (0, (2,)): 1}), 1),
-], ids=str)
-def test_certify_analyses_each_input_once(monkeypatch, f):
-    """However many rules read the diagonal match, the residue's closed form
-    and the base ring level, each is computed once per call, and each of the
-    eleven rules is called once."""
+def count_calls(monkeypatch, names) -> Counter:
+    """Count the calls of each named function of the certify module, made
+    through its module attribute from now on."""
     import sys
 
     mod = sys.modules["threshold_lab.certify"]
@@ -404,10 +398,89 @@ def test_certify_analyses_each_input_once(monkeypatch, f):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ANALYSES + RULES:
+    for name in names:
         monkeypatch.setattr(mod, name, counted(name))
+    return calls
+
+
+@pytest.mark.parametrize("f", [
+    mixed_diagonal_poly(2, 0, 3, (3, 3)),
+    mixed_diagonal_poly(5, 1, 3, (3,)),
+    relevel(MixedPoly(5, 0, ("x",), {(2, (0,)): 1, (0, (2,)): 1}), 1),
+], ids=str)
+def test_certify_analyses_each_input_once(monkeypatch, f):
+    """However many rules read the diagonal match, the residue's closed form
+    and the base ring level, each is computed once per call, and each of the
+    eleven rules is called once."""
+    calls = count_calls(monkeypatch, ANALYSES + RULES)
     certify(f, ctx_of(f))
     assert calls == Counter(ANALYSES + RULES)
+
+
+@pytest.mark.parametrize("f", [
+    mixed_diagonal_poly(2, 0, 3, (3, 3)),
+    MixedPoly(5, 0, ("x",), {(2, (0,)): 1, (0, (2,)): 1}),
+    MixedPoly(2, 0, ("x", "y"), {(0, (1, 1)): 1, (0, (2, 2)): 1}),
+], ids=str)
+def test_limit_profile_analyses_level_zero_once(monkeypatch, f):
+    """The four levels of limit_profile(f, 3) share one analysis of f: the
+    residue, its closed form, the diagonal match and the base ring level are
+    computed once, and each rule runs once per level."""
+    calls = count_calls(monkeypatch, ("reduce_mod_pi",) + ANALYSES + RULES)
+    limit_profile(f, 3)
+    expected = Counter(("reduce_mod_pi",) + ANALYSES)
+    expected.update({rule: 4 for rule in RULES})
+    assert calls == expected
+
+
+def _bogus_cap(monkeypatch, bounds: dict[int, dict]) -> MixedPoly:
+    """Replace the threshold cap by a rule that certifies bounds[a] at ram
+    level a and nothing elsewhere; returns an f whose own bounds are [3/4, 1]
+    at every level."""
+    import sys
+
+    def rule(facts):
+        level = bounds.get(facts.ctx.ram_level)
+        return level and RuleResult("threshold_cap", "bogus", "bogus", [], **level)
+
+    monkeypatch.setattr(sys.modules["threshold_lab.certify"], "rule_threshold_cap", rule)
+    return MixedPoly(2, 0, ("x", "y"), {(0, (1, 1)): 1, (0, (2, 2)): 1})
+
+
+UPPER_0 = {0: {"upper": Bound(F(4, 5))}}
+
+
+@pytest.mark.parametrize("bounds, levels", [
+    ({**UPPER_0, 1: {"lower": Bound(F(9, 10))}}, (1, 0)),
+    ({**UPPER_0, 1: {"lower": Bound(F(4, 5), strict=True)}}, (1, 0)),
+    ({**UPPER_0, 2: {"lower": Bound(F(9, 10))}}, (2, 0)),
+    ({**UPPER_0, 1: {"upper": Bound(F(4, 5), strict=True)},
+      2: {"lower": Bound(F(4, 5))}}, (2, 1)),
+])
+def test_cross_level_alarm(monkeypatch, bounds, levels):
+    """Ramifying further cannot raise ppt, so a lower bound at a later level
+    above (or touching, with a strict side) an upper bound at an earlier
+    level is a contradiction, although each level is consistent on its own.
+    The alarm names the later level and the first earlier level it excludes."""
+    f = _bogus_cap(monkeypatch, bounds)
+    for a in range(3):
+        certify(relevel(f, a), RingContext(2, f.vars, ram_level=a))
+    with pytest.raises(InternalInconsistencyError) as info:
+        limit_profile(f, 3)
+    later, earlier = levels
+    message = str(info.value)
+    assert f"at ram level {later} excludes" in message
+    assert message.endswith(f"at ram level {earlier}")
+
+
+def test_cross_level_bounds_may_touch(monkeypatch):
+    """A non-strict lower bound at a later level equal to a non-strict upper
+    bound at an earlier level is consistent."""
+    f = _bogus_cap(monkeypatch, {**UPPER_0, 1: {"lower": Bound(F(4, 5))}})
+    steps = limit_profile(f, 2).steps
+    assert [(s.lower, s.upper) for s in steps] == [
+        (F(3, 4), F(4, 5)), (F(4, 5), F(1)), (F(3, 4), F(1)),
+    ]
 
 
 def test_certificate_json_shape():

@@ -6,7 +6,10 @@ generators (``CertifySweep._extremal`` through ``_cross_term`` in
 cubic cones and their cross terms, p-th powers modulo p^2, the cyclotomic
 base, and residues with a mixed monomial.  Each input must certify without
 tripping the inconsistency alarm, and its bounds, strictness and rule ids
-must not depend on the order of the ring's variables.
+must not depend on the order of the ring's variables.  Read at level 0 and
+joined by diagonals with a pi-slot, the same shapes check that a limit
+profile's levels, derived from one analysis of f, match a fresh analysis
+and a fresh certificate at each level.
 """
 
 from typing import NamedTuple
@@ -14,7 +17,15 @@ from typing import NamedTuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threshold_lab.certify import RingContext, certify
+from threshold_lab.certify import (
+    ELLIPTIC_FAMILIES,
+    RingContext,
+    analyze,
+    certify,
+    limit_profile,
+    relevel,
+    relevel_facts,
+)
 from threshold_lab.cli import infer_variables, parse_poly
 
 VARS = ("x", "y", "z")
@@ -130,3 +141,36 @@ def test_rule_shapes_certify_and_ignore_variable_order(data, shape):
         assert lower < upper or (lower == upper and not (lower_strict or upper_strict))
     permuted = tuple(data.draw(st.permutations(vars)))
     assert _summary(shape.src, shape, permuted) == summary
+
+
+@st.composite
+def pi_slot_diagonal(draw) -> Shape:
+    """pi^t + x^s, or pi^t + x^s + y^s' below p = 5: the limit-profile grid at
+    p <= 5 without its two-variable p = 5 diagonals, whose containment checks
+    at levels 2 and 3 take seconds."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    exps = draw(st.lists(st.integers(2, 5), min_size=1, max_size=1 if p == 5 else 2))
+    parts = [f"p^{draw(st.integers(1, 4))}"] + [f"{v}^{s}" for v, s in zip(VARS, exps)]
+    return Shape(" + ".join(parts), p)
+
+
+def _bounds(c):
+    return c.lower, c.lower_strict, c.upper, c.upper_strict, c.exact
+
+
+@given(
+    shape=st.one_of(SHAPES, pi_slot_diagonal()),
+    family=st.sampled_from((None, *ELLIPTIC_FAMILIES)),
+)
+@settings(max_examples=150, deadline=None)
+def test_profile_levels_match_a_fresh_analysis(shape, family):
+    vars = infer_variables(shape.src)
+    ctx = RingContext(shape.p, vars)
+    f = parse_poly(shape.src, ctx)
+    base = analyze(f, ctx, family)
+    steps = limit_profile(f, 3, family).steps
+    assert [s.level for s in steps] == [0, 1, 2, 3]
+    for a, step in enumerate(steps):
+        fa, ctx_a = relevel(f, a), RingContext(shape.p, vars, ram_level=a)
+        assert relevel_facts(base, a) == analyze(fa, ctx_a, family)
+        assert _bounds(step) == _bounds(certify(fa, ctx_a, family))
