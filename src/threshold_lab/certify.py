@@ -28,14 +28,20 @@ bound, or an exact value, and intersects everything it can prove:
 Each input is analysed once: :func:`analyze` builds a frozen :class:`Facts`
 holding f, the ring context, the requested elliptic family, the residue
 f mod pi with its closed-form fpt, the pure-power diagonal match and the base
-ring level.  Every rule takes that one argument and returns a
-:class:`RuleResult` or None (abstention).  :func:`certify` runs the ten
-rules above plus ``rule_threshold_cap`` (ppt <= 1, always) from one tuple,
-the registry first and the cap last; the tuple is built on each call, so a
-rule replaced on the module is the one that runs.  A limit profile is
-analysed once too: :func:`limit_profile` validates and analyses f at level 0
-only, derives every level's :class:`Facts` from that with
-:func:`relevel_facts`, and runs the same rule table on each.
+ring level; it also reads the diagonal's fpt and the oracle brackets of the
+residue on demand, once each.  Every rule takes that one argument and
+returns a :class:`RuleResult` or None (abstention): its bounds at once, its
+hypotheses and notes only when they are read.  :func:`_run_rules` runs the
+ten rules above plus ``rule_threshold_cap`` (ppt <= 1, always) from one
+tuple, the registry first and the cap last; the tuple is built on each
+call, so a rule replaced on the module is the one that runs.
+:func:`_intersect` then finds the max lower and the min upper bound in one
+scan.  :func:`certify` builds its :class:`BoundCertificate` from that, with
+the rules' hypotheses and notes.  A limit profile is analysed once too:
+:func:`limit_profile` validates and analyses f at level 0 only, derives every
+level's :class:`Facts` from that with :func:`relevel_facts`, and keeps only
+the intersected bounds of each level, so it builds no certificate and
+renders no rule text.
 
 Every certified bound is sound on its own, so the combined max-of-lowers /
 min-of-uppers can only collide if the implementation is wrong; that collision
@@ -56,7 +62,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from .digits import padic_valuation
 from .exact import Rat, format_rat
@@ -65,6 +74,7 @@ from .exact import Rat, format_rat
 from .exact import require_prime  # noqa: F401
 from .fpt import (
     INFINITE,
+    FptBracket,
     ResourceGuardError,
     compute_L,
     fpt_diagonal,
@@ -98,18 +108,51 @@ class Bound:
     strict: bool = False
 
 
-@dataclass
 class RuleResult:
-    """One rule's contribution: bounds plus the checked-hypothesis trail."""
+    """One rule's contribution: bounds plus the checked-hypothesis trail.
 
-    rule_id: str
-    statement: str
-    quote: str
-    hypotheses: list[str]
-    lower: Bound | None = None
-    upper: Bound | None = None
-    exact: Rat | None = None
-    notes: list[str] = field(default_factory=list)
+    The bounds are computed when the rule runs.  The trail (hypotheses and
+    notes) is either passed in, or produced on first read by ``text``, a
+    zero-argument function returning (hypotheses, notes): a limit profile
+    keeps only the bounds of each level, so it never formats rule text.
+    """
+
+    __slots__ = ("rule_id", "statement", "quote", "lower", "upper", "exact", "_text", "_trail")
+
+    def __init__(
+        self,
+        rule_id: str,
+        statement: str,
+        quote: str,
+        hypotheses: Sequence[str] = (),
+        lower: Bound | None = None,
+        upper: Bound | None = None,
+        exact: Rat | None = None,
+        notes: Sequence[str] = (),
+        *,
+        text: Callable[[], tuple[list[str], list[str]]] | None = None,
+    ) -> None:
+        self.rule_id = rule_id
+        self.statement = statement
+        self.quote = quote
+        self.lower = lower
+        self.upper = upper
+        self.exact = exact
+        self._text = text
+        self._trail = None if text is not None else (list(hypotheses), list(notes))
+
+    def _read_trail(self) -> tuple[list[str], list[str]]:
+        if self._trail is None:
+            self._trail = self._text()
+        return self._trail
+
+    @property
+    def hypotheses(self) -> list[str]:
+        return self._read_trail()[0]
+
+    @property
+    def notes(self) -> list[str]:
+        return self._read_trail()[1]
 
     def to_doc(self) -> dict:
         return {
@@ -118,6 +161,16 @@ class RuleResult:
             "quote": self.quote,
             "hypotheses": list(self.hypotheses),
         }
+
+
+def _check_bounds(b: BoundCertificate | ProfileStep) -> None:
+    """What every intersection keeps: lower <= upper, and an exact value is
+    both bounds, neither of them strict."""
+    if b.lower is not None and b.upper is not None:
+        assert _cmp(b.lower, b.upper) <= 0
+    if b.exact is not None:
+        assert b.lower == b.upper == b.exact
+        assert not b.lower_strict and not b.upper_strict
 
 
 @dataclass
@@ -135,11 +188,7 @@ class BoundCertificate:
     ctx: RingContext
 
     def __post_init__(self) -> None:
-        if self.lower is not None and self.upper is not None:
-            assert self.lower <= self.upper
-        if self.exact is not None:
-            assert self.lower == self.upper == self.exact
-            assert not self.lower_strict and not self.upper_strict
+        _check_bounds(self)
 
     def to_doc(self) -> dict:
         def bound_doc(value: Rat | None, strict: bool) -> dict | None:
@@ -280,6 +329,10 @@ class Facts:
     pure-power diagonal decomposition of f, or None; ``base_level`` is
     :func:`base_ring_level`.  ``family`` is the elliptic family the caller
     asked for, if any.
+
+    ``brackets`` memoizes :meth:`bracket`.  It holds no fact of its own, so
+    it is left out of equality, and the levels of one limit profile share it:
+    their residue is the same.
     """
 
     f: MixedPoly
@@ -289,6 +342,25 @@ class Facts:
     residue_fpt: Rat | None
     diag: MixedDiagonal | None
     base_level: int
+    brackets: dict[int, FptBracket | None] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    @cached_property
+    def diag_fpt(self) -> Rat:
+        """fpt_diagonal of the pure-power diagonal's exponents, pi-slot
+        included; read only when ``diag`` is set and no exponent is 1."""
+        return fpt_diagonal(self.ctx.p, self.diag.exponents())
+
+    def bracket(self, e: int) -> FptBracket | None:
+        """The oracle bracket of the residue at level e, or None when the
+        oracle refuses it (a :class:`ResourceGuardError`); asked once per e."""
+        if e not in self.brackets:
+            try:
+                self.brackets[e] = oracle_bracket(self.residue, e)
+            except ResourceGuardError:
+                self.brackets[e] = None
+        return self.brackets[e]
 
 
 def analyze(f: MixedPoly, ctx: RingContext, family: str | None = None) -> Facts:
@@ -314,7 +386,8 @@ def relevel_facts(facts: Facts, a: int) -> Facts:
     pi-exponent 0 (so its closed-form fpt is the same), the diagonal match
     reads each term's shape and the unit part of its pi-term, and every
     positive pi-exponent of relevel(f, a) is divisible by p^a, so the base
-    ring level is 0.
+    ring level is 0.  The residue being the same, the derived facts share
+    the oracle brackets of ``facts``.
     """
     ctx = facts.ctx
     if ctx.ram_level != 0 or ctx.cyclotomic:
@@ -330,6 +403,7 @@ def relevel_facts(facts: Facts, a: int) -> Facts:
         residue_fpt=facts.residue_fpt,
         diag=diag,
         base_level=0,
+        brackets=facts.brackets,
     )
 
 
@@ -339,31 +413,32 @@ def relevel_facts(facts: Facts, a: int) -> Facts:
 
 def rule_fpt_lower(facts: Facts) -> RuleResult | None:
     """ppt(f) >= fpt(f mod pi): purity descends along the residual reduction."""
-    g = facts.residue
-    if g.is_zero():
+    if facts.residue.is_zero():
         return None
-    hyp = ["f mod pi is nonzero"]
     value = facts.residue_fpt
-    if value is not None:
-        hyp.append(f"fpt(f mod pi) = {format_rat(value)} in closed form")
-    else:
-        try:
-            bracket = oracle_bracket(g, ORACLE_LEVEL)
-        except ResourceGuardError:
-            return None
-        if bracket.nu == 0:
+    closed = value is not None
+    if not closed:
+        bracket = facts.bracket(ORACLE_LEVEL)
+        if bracket is None or bracket.nu == 0:
             return None
         value = bracket.lower
-        hyp.append(
-            f"fpt(f mod pi) >= nu_{ORACLE_LEVEL}/p^{ORACLE_LEVEL}"
-            f" = {format_rat(value)} by the Frobenius oracle"
-        )
+
+    def text():
+        if closed:
+            source = f"fpt(f mod pi) = {format_rat(value)} in closed form"
+        else:
+            source = (
+                f"fpt(f mod pi) >= nu_{ORACLE_LEVEL}/p^{ORACLE_LEVEL}"
+                f" = {format_rat(value)} by the Frobenius oracle"
+            )
+        return ["f mod pi is nonzero", source], []
+
     return RuleResult(
         rule_id="fpt_lower",
         statement="comparison with the residual characteristic-p threshold",
         quote="ppt(f) >= fpt(f mod pi)",
-        hypotheses=hyp,
         lower=Bound(value, strict=False),
+        text=text,
     )
 
 
@@ -378,26 +453,32 @@ def rule_blowup_diagonal(facts: Facts) -> RuleResult | None:
     if ctx.cyclotomic or diag is None:
         return None
     exps = diag.exponents()
-    if any(s == 1 for s in exps):
+    linear = any(s == 1 for s in exps)
+    if linear:
         lower = lct = Rat(1)
-        shape = "a linear slot makes the blown-up diagonal regular"
     else:
-        lower = fpt_diagonal(ctx.p, exps)
+        lower = facts.diag_fpt
         lct = lct_diagonal(exps)
-        shape = f"blown-up diagonal exponents {list(exps)}"
-    hyp = [
-        "f is a pure-power diagonal in pi and distinct variables",
-        shape,
-        f"fpt(f_0) = {format_rat(lower)}, lct = {format_rat(lct)}",
-    ]
+
+    def text():
+        if linear:
+            shape = "a linear slot makes the blown-up diagonal regular"
+        else:
+            shape = f"blown-up diagonal exponents {list(exps)}"
+        hyp = [
+            "f is a pure-power diagonal in pi and distinct variables",
+            shape,
+            f"fpt(f_0) = {format_rat(lower)}, lct = {format_rat(lct)}",
+        ]
+        return hyp, [f"lct = {format_rat(lct)}"]
+
     return RuleResult(
         rule_id="blowup_diagonal",
         statement="blow-up comparison for diagonals in the uniformizer",
         quote="fpt(f_0) <= ppt(f) <= lct(f) for the diagonal with pi replaced by a variable",
-        hypotheses=hyp,
         lower=Bound(lower, strict=False),
         upper=Bound(lct, strict=False),
-        notes=[f"lct = {format_rat(lct)}"],
+        text=text,
     )
 
 
@@ -409,27 +490,33 @@ def rule_ramified_upper(facts: Facts) -> RuleResult | None:
     rule abstains when that is zero, i.e. when f uses the full ramification
     of V itself.
     """
-    ctx, c, g = facts.ctx, facts.base_level, facts.residue
+    ctx, c = facts.ctx, facts.base_level
     if ctx.cyclotomic:
         return None
     e = ctx.ram_level - c
-    if e < 1:
-        return None
-    hyp = [f"f is defined over the level-{c} subring; p^{e}-th roots available"]
-    if g.is_zero():
+    if e < 1 or facts.residue.is_zero():
         return None
     q = facts.residue_fpt
-    if q is not None:
-        hyp.append(f"fpt(f mod pi) = {format_rat(q)} in closed form")
-    else:
-        try:
-            q = oracle_bracket(g, min(e, ORACLE_LEVEL)).upper
-        except ResourceGuardError:
+    closed = q is not None
+    if not closed:
+        bracket = facts.bracket(min(e, ORACLE_LEVEL))
+        if bracket is None:
             return None
-        hyp.append(f"fpt(f mod pi) <= {format_rat(q)} by the Frobenius oracle")
-    b = math.ceil(q * ctx.p**e)
+        q = bracket.upper
+    b = -(-q.numerator * ctx.p**e // q.denominator)  # ceil(q p^e)
     value = Rat(b, ctx.p**e)
-    hyp.append(f"upper bound {b}/p^{e} = {format_rat(value)}")
+
+    def text():
+        if closed:
+            source = f"fpt(f mod pi) = {format_rat(q)} in closed form"
+        else:
+            source = f"fpt(f mod pi) <= {format_rat(q)} by the Frobenius oracle"
+        return [
+            f"f is defined over the level-{c} subring; p^{e}-th roots available",
+            source,
+            f"upper bound {b}/p^{e} = {format_rat(value)}",
+        ], []
+
     return RuleResult(
         rule_id="ramified_upper",
         statement="upper bound after adjoining p-power roots of the uniformizer",
@@ -437,8 +524,8 @@ def rule_ramified_upper(facts: Facts) -> RuleResult | None:
             "ppt(f) <= b/p^e once the base contains a p^e-th root of the "
             "uniformizer of a ring of definition of f and fpt(f mod pi) <= b/p^e"
         ),
-        hypotheses=hyp,
         upper=Bound(value, strict=False),
+        text=text,
     )
 
 
@@ -461,46 +548,49 @@ def rule_exact_ramified(facts: Facts) -> RuleResult | None:
         e += 1
     if den != 1:
         return None
-    hyp = [f"fpt(f mod pi) = {format_rat(q)} with p-power denominator p^{e}"]
     c = facts.base_level
-    if e <= ctx.ram_level - c:
-        hyp.append(
-            f"f is defined over the level-{c} subring and ram_level ({ctx.ram_level})"
-            f" >= {c} + {e}"
+    descends = e <= ctx.ram_level - c
+    if not descends:
+        if e > ctx.ram_level or e == 0:
+            return None
+        diag = facts.diag
+        if diag is None or not diag.monic():
+            return None
+        b = q * ctx.p**e
+        assert b.denominator == 1
+        if not weighted_membership(pow_mixed(f, int(b)), ctx, ctx.p**e):
+            return None
+
+    def text():
+        terminates = f"fpt(f mod pi) = {format_rat(q)} with p-power denominator p^{e}"
+        if descends:
+            route = (
+                f"f is defined over the level-{c} subring and ram_level ({ctx.ram_level})"
+                f" >= {c} + {e}"
+            )
+        else:
+            route = (
+                f"f^{int(b)} lies termwise in (pi^{ctx.p**e}, x_i^{ctx.p**e}) and "
+                f"ram_level >= {e}"
+            )
+        return [terminates, route], []
+
+    if descends:
+        quote = (
+            "if fpt(f mod pi) = b/p^e terminates and the base is ramified e "
+            "levels past a ring of definition of f, then ppt(f) = fpt(f mod pi)"
         )
-        return RuleResult(
-            rule_id="exact_ramified",
-            statement="equality at terminating residual thresholds over ramified bases",
-            quote=(
-                "if fpt(f mod pi) = b/p^e terminates and the base is ramified e "
-                "levels past a ring of definition of f, then ppt(f) = fpt(f mod pi)"
-            ),
-            hypotheses=hyp,
-            exact=q,
+    else:
+        quote = (
+            "f^b in (pi^{p^e}, x_1^{p^e}, ..., x_n^{p^e}) with e <= ram_level "
+            "forces ppt(f) <= b/p^e, meeting the residual lower bound"
         )
-    if e > ctx.ram_level or e == 0:
-        return None
-    diag = facts.diag
-    if diag is None or not diag.monic():
-        return None
-    b = q * ctx.p**e
-    assert b.denominator == 1
-    contained = weighted_membership(pow_mixed(f, int(b)), ctx, ctx.p**e)
-    if not contained:
-        return None
-    hyp.append(
-        f"f^{int(b)} lies termwise in (pi^{ctx.p**e}, x_i^{ctx.p**e}) and "
-        f"ram_level >= {e}"
-    )
     return RuleResult(
         rule_id="exact_ramified",
         statement="equality at terminating residual thresholds over ramified bases",
-        quote=(
-            "f^b in (pi^{p^e}, x_1^{p^e}, ..., x_n^{p^e}) with e <= ram_level "
-            "forces ppt(f) <= b/p^e, meeting the residual lower bound"
-        ),
-        hypotheses=hyp,
+        quote=quote,
         exact=q,
+        text=text,
     )
 
 
@@ -528,7 +618,7 @@ def rule_diagonal_ramified(facts: Facts) -> RuleResult | None:
     if level == INFINITE or level > ctx.ram_level:
         return None
     level = int(level)
-    value = fpt_diagonal(ctx.p, exps)
+    value = facts.diag_fpt
     b = value * ctx.p**level
     assert b.denominator == 1
     contained = weighted_membership(pow_mixed(f, int(b)), ctx, ctx.p**level)
@@ -539,13 +629,18 @@ def rule_diagonal_ramified(facts: Facts) -> RuleResult | None:
             f"containment fails at term {contained.failure}"
         )
     exact = n == 2 or len(set(exps)) == 1
-    hyp = [
-        f"pure-power diagonal with pi-slot, exponents {list(exps)}",
-        f"n = {n} < p = {ctx.p}; digit level L = {level} <= ram_level = {ctx.ram_level}",
-        f"containment f^{int(b)} in (pi^{ctx.p**level}, x_i^{ctx.p**level}) verified",
-    ]
+
+    def text():
+        hyp = [
+            f"pure-power diagonal with pi-slot, exponents {list(exps)}",
+            f"n = {n} < p = {ctx.p}; digit level L = {level} <= ram_level = {ctx.ram_level}",
+            f"containment f^{int(b)} in (pi^{ctx.p**level}, x_i^{ctx.p**level}) verified",
+        ]
+        if exact:
+            hyp.append("n = 2 or equal exponents: the comparison is an equality")
+        return hyp, []
+
     if exact:
-        hyp.append("n = 2 or equal exponents: the comparison is an equality")
         return RuleResult(
             rule_id="diagonal_ramified",
             statement="ramified diagonal comparison at digit level L",
@@ -553,8 +648,8 @@ def rule_diagonal_ramified(facts: Facts) -> RuleResult | None:
                 "ppt(pi^{s_1} + x_2^{s_2} + ...) equals the full diagonal fpt "
                 "once ram_level >= L, for n = 2 or equal exponents"
             ),
-            hypotheses=hyp,
             exact=value,
+            text=text,
         )
     return RuleResult(
         rule_id="diagonal_ramified",
@@ -563,8 +658,8 @@ def rule_diagonal_ramified(facts: Facts) -> RuleResult | None:
             "ppt(pi^{s_1} + x_2^{s_2} + ...) <= fpt of the full diagonal "
             "once ram_level >= L"
         ),
-        hypotheses=hyp,
         upper=Bound(value, strict=False),
+        text=text,
     )
 
 
@@ -581,16 +676,13 @@ def rule_extremal_strict(facts: Facts) -> RuleResult | None:
         return None
     p, n = ctx.p, ctx.n_vars
     max_deg = max((sum(e) for (_pi, e) in f.terms), default=0)
-    best: tuple[int, list[str]] | None = None
+    best: tuple[int, int, int, tuple] | None = None
     e = 1
     while p**e + 1 <= max_deg:
         q = p**e
         for i in range(n):
             for j in range(i + 1, n):
-                for pattern, name in (
-                    (((q + 1, 0), (0, q + 1)), f"{{X^{q+1}, Y^{q+1}}}"),
-                    (((q, 1), (1, q)), f"{{X^{q} Y, X Y^{q}}}"),
-                ):
+                for pattern in (((q + 1, 0), (0, q + 1)), ((q, 1), (1, q))):
                     keys = []
                     for di, dj in pattern:
                         exp = [0] * n
@@ -614,23 +706,23 @@ def rule_extremal_strict(facts: Facts) -> RuleResult | None:
                             ok = False
                             break
                     if ok and (best is None or e < best[0]):
-                        best = (
-                            e,
-                            [
-                                f"pattern {name} on ({ctx.vars[i]}, {ctx.vars[j]})"
-                                f" with unit coefficients",
-                                "every remaining term lies in the e-th Frobenius"
-                                " power of (pi, all variables)",
-                                "every remaining term has positive pi-order or a"
-                                " third variable",
-                            ],
-                        )
+                        best = (e, i, j, pattern)
         e += 1
     if best is None:
         return None
-    e, hyp = best
+    e, i, j, pattern = best
     value = Rat(1, ctx.p**e)
-    hyp.append(f"strict lower bound 1/p^{e} = {format_rat(value)}")
+
+    def text():
+        a, b = pattern[0]
+        name = f"{{X^{a}, Y^{a}}}" if b == 0 else f"{{X^{a} Y, X Y^{a}}}"
+        return [
+            f"pattern {name} on ({ctx.vars[i]}, {ctx.vars[j]}) with unit coefficients",
+            "every remaining term lies in the e-th Frobenius power of (pi, all variables)",
+            "every remaining term has positive pi-order or a third variable",
+            f"strict lower bound 1/p^{e} = {format_rat(value)}",
+        ], []
+
     return RuleResult(
         rule_id="extremal_strict",
         statement="strict lower bound via an extremal-form cofactor certificate",
@@ -639,8 +731,8 @@ def rule_extremal_strict(facts: Facts) -> RuleResult | None:
             "{a, b} = {p^e + 1, 0} or {p^e, 1} and f' in the e-th Frobenius "
             "power of (pi, X, Y, rest)"
         ),
-        hypotheses=hyp,
         lower=Bound(value, strict=True),
+        text=text,
     )
 
 
@@ -668,21 +760,22 @@ def rule_frobenius_diagonal_strict(facts: Facts) -> RuleResult | None:
         rule_id="frobenius_diagonal_strict",
         statement="strict excess over the residual threshold for p-power diagonals",
         quote="ppt(pi^{p^e} + x_2^{p^e} + ... + x_n^{p^e}) > 1/p^e for p > 2",
-        hypotheses=[
+        lower=Bound(value, strict=True),
+        text=lambda: ([
             f"f = pi^{q} + sum of {len(diag.entries)} distinct x^{q} with unit"
             " coefficients",
             f"p = {ctx.p} > 2 and the base is unramified",
             f"strict lower bound 1/p^{e} = {format_rat(value)}",
-        ],
-        lower=Bound(value, strict=True),
+        ], []),
     )
 
 
 ELLIPTIC_FAMILIES = ("diag_cubic_p3", "h_xy_linear")
 
 
-def _match_elliptic(facts: Facts) -> tuple[str, str] | None:
-    """Recognize pi^3 + X^3 + Y^3 or pi^3 + (unit X^2 Y + unit X Y^2)."""
+def _match_elliptic(facts: Facts) -> tuple[str, int, int] | None:
+    """Recognize pi^3 + X^3 + Y^3 or pi^3 + (unit X^2 Y + unit X Y^2); returns
+    the family and the indices of X and Y."""
     f, ctx, diag = facts.f, facts.ctx, facts.diag
     if (
         diag is not None
@@ -692,8 +785,7 @@ def _match_elliptic(facts: Facts) -> tuple[str, str] | None:
         and diag.monic()
         and len(diag.entries) == 2
     ):
-        i, j = (diag.entries[0][0], diag.entries[1][0])
-        return "diag_cubic_p3", f"pi^3 + {ctx.vars[i]}^3 + {ctx.vars[j]}^3"
+        return "diag_cubic_p3", diag.entries[0][0], diag.entries[1][0]
     pi_keys = [k for k in f.terms if not any(k[1])]
     if len(pi_keys) != 1 or len(f.terms) != 3:
         return None
@@ -715,7 +807,7 @@ def _match_elliptic(facts: Facts) -> tuple[str, str] | None:
     ((i, j),) = supports
     if sorted(exps[i] for (_pi, exps) in cross) != [1, 2]:
         return None
-    return "h_xy_linear", f"pi^3 + {ctx.vars[i]} {ctx.vars[j]} (u {ctx.vars[i]} + v {ctx.vars[j]})"
+    return "h_xy_linear", i, j
 
 
 def rule_elliptic(facts: Facts) -> RuleResult | None:
@@ -732,15 +824,27 @@ def rule_elliptic(facts: Facts) -> RuleResult | None:
     matched = _match_elliptic(facts)
     if matched is None:
         return None
-    form, shape = matched
+    form, i, j = matched
     if facts.family is not None and facts.family != form:
         return None
     value = 1 - Rat(1, ctx.p**2)
-    notes = []
-    if ctx.p > 2:
-        notes.append(
-            "open question: whether ppt strictly exceeds 1 - 1/p for this family"
-        )
+
+    def text():
+        x, y = ctx.vars[i], ctx.vars[j]
+        if form == "diag_cubic_p3":
+            shape = f"pi^3 + {x}^3 + {y}^3"
+        else:
+            shape = f"pi^3 + {x} {y} (u {x} + v {y})"
+        notes = []
+        if ctx.p > 2:
+            notes.append(
+                "open question: whether ppt strictly exceeds 1 - 1/p for this family"
+            )
+        return [
+            f"p = {ctx.p} = 2 (mod 3), unramified base",
+            f"matched family {form}: {shape}",
+        ], notes
+
     return RuleResult(
         rule_id="elliptic",
         statement="cubic cone bound via the second Frobenius level",
@@ -748,12 +852,8 @@ def rule_elliptic(facts: Facts) -> RuleResult | None:
             "ppt(f) <= 1 - 1/p^2 for the cone over a plane cubic of this shape "
             "when p = 2 (mod 3)"
         ),
-        hypotheses=[
-            f"p = {ctx.p} = 2 (mod 3), unramified base",
-            f"matched family {form}: {shape}",
-        ],
         upper=Bound(value, strict=False),
-        notes=notes,
+        text=text,
     )
 
 
@@ -873,10 +973,8 @@ def rule_pth_root_upper(facts: Facts) -> RuleResult | None:
             "if f = h^p modulo p^2 then ppt(f) <= 1 - 1/p; "
             "if f = h^p modulo varpi^p cyclotomically then ppt(f) <= 1/p"
         ),
-        hypotheses=[
-            f"witness h = {h} with f = h^{p} modulo {modulus}",
-        ],
         upper=Bound(value, strict=False),
+        text=lambda: ([f"witness h = {h} with f = h^{p} modulo {modulus}"], []),
     )
 
 
@@ -965,9 +1063,20 @@ def _validate_input(f: MixedPoly, ctx: RingContext, family: str | None) -> None:
         )
 
 
+def _cmp(a: Rat, b: Rat) -> int:
+    """The sign of a - b, by cross-multiplying numerators and denominators.
+
+    Fraction's own comparisons dispatch through the numeric ABCs and cost
+    several times more; the bound intersections make a dozen per level.
+    """
+    x, y = a.numerator * b.denominator, b.numerator * a.denominator
+    return (x > y) - (x < y)
+
+
 def _excludes(lower: Rat, lower_strict: bool, upper: Rat, upper_strict: bool) -> bool:
     """Whether a lower and an upper bound on the same threshold contradict."""
-    return lower > upper or (lower == upper and (lower_strict or upper_strict))
+    c = _cmp(lower, upper)
+    return c > 0 or (c == 0 and (lower_strict or upper_strict))
 
 
 def certify(
@@ -980,15 +1089,28 @@ def certify(
     engine's cross-validation alarm.
     """
     _validate_input(f, ctx, family)
-    return _run_rules(analyze(f, ctx, family))
+    results = _run_rules(analyze(f, ctx, family))
+    bounds = _intersect(results)
+    notes = [note for res in results for note in res.notes]
+    if family is not None and not any(r.rule_id == "elliptic" for r in results):
+        notes.append(f"family {family} requested but the shape did not match; abstained")
+    if bounds.lower_strict and bounds.upper is not None:
+        m = math.floor(ctx.p * bounds.lower)
+        if m >= 1 and ctx.p * bounds.upper <= m + bounds.lower:
+            notes.append(
+                "p*ppt is not a jumping number: p*ppt lies in "
+                f"({m}, {m} + ppt), an interval free of jumping numbers"
+            )
+    seen: set[str] = set()
+    deduped = [n for n in notes if not (n in seen or seen.add(n))]
+    return BoundCertificate(*bounds, rules=results, notes=deduped, poly=f, ctx=ctx)
 
 
-def _run_rules(facts: Facts) -> BoundCertificate:
-    """The rule table on one analysed input, intersected into a certificate."""
-    results: list[RuleResult] = []
-    notes: list[str] = []
+def _run_rules(facts: Facts) -> list[RuleResult]:
+    """The rule table on one analysed input: the results of the rules that fired."""
     # The table is built per call, so a rule replaced on the module (as the
     # benchmark's tracer and the tests do) is the one that runs.
+    results: list[RuleResult] = []
     for rule in (
         known_values_registry,
         rule_fpt_lower,
@@ -1005,80 +1127,71 @@ def _run_rules(facts: Facts) -> BoundCertificate:
         res = rule(facts)
         if res is not None:
             results.append(res)
-            notes.extend(res.notes)
-    family, ctx = facts.family, facts.ctx
-    if family is not None and not any(r.rule_id == "elliptic" for r in results):
-        notes.append(f"family {family} requested but the shape did not match; abstained")
+    return results
 
-    lowers: list[tuple[Rat, bool, str]] = []
-    uppers: list[tuple[Rat, bool, str]] = []
+
+class Bounds(NamedTuple):
+    """The intersection of the bounds that the rules certified on one input."""
+
+    lower: Rat | None
+    lower_strict: bool
+    upper: Rat | None
+    upper_strict: bool
+    exact: Rat | None
+
+
+def _intersect(results: list[RuleResult]) -> Bounds:
+    """The max lower and the min upper bound of the results, in one scan.
+
+    An exact value counts as a lower and an upper bound, neither strict; a
+    side is strict when any bound at its extreme is.  Raises
+    :class:`InternalInconsistencyError` when the two sides exclude each
+    other, naming every rule with a bound at either extreme.
+    """
+    lower = upper = None
+    lower_strict = upper_strict = False
     for res in results:
         if res.exact is not None:
-            lowers.append((res.exact, False, res.rule_id))
-            uppers.append((res.exact, False, res.rule_id))
+            if lower is None or _cmp(res.exact, lower) > 0:
+                lower, lower_strict = res.exact, False
+            if upper is None or _cmp(res.exact, upper) < 0:
+                upper, upper_strict = res.exact, False
         if res.lower is not None:
-            assert res.lower.value > 0
-            lowers.append((res.lower.value, res.lower.strict, res.rule_id))
+            value = res.lower.value
+            assert value.numerator > 0
+            c = 1 if lower is None else _cmp(value, lower)
+            if c > 0:
+                lower, lower_strict = value, res.lower.strict
+            elif c == 0:
+                lower_strict = lower_strict or res.lower.strict
         if res.upper is not None:
-            assert res.upper.value > 0
-            uppers.append((res.upper.value, res.upper.strict, res.rule_id))
+            value = res.upper.value
+            assert value.numerator > 0
+            c = -1 if upper is None else _cmp(value, upper)
+            if c < 0:
+                upper, upper_strict = value, res.upper.strict
+            elif c == 0:
+                upper_strict = upper_strict or res.upper.strict
+    if lower is None or upper is None:
+        return Bounds(lower, lower_strict, upper, upper_strict, None)
+    if _excludes(lower, lower_strict, upper, upper_strict):
 
-    lower = lower_strict = None
-    if lowers:
-        lo = max(v for (v, _s, _r) in lowers)
-        lower = lo
-        lower_strict = any(s for (v, s, _r) in lowers if v == lo)
-    upper = upper_strict = None
-    if uppers:
-        hi = min(v for (v, _s, _r) in uppers)
-        upper = hi
-        upper_strict = any(s for (v, s, _r) in uppers if v == hi)
+        def rules_at(value: Rat, side: str) -> list[str]:
+            return sorted({
+                r.rule_id for r in results
+                if r.exact == value
+                or (getattr(r, side) is not None and getattr(r, side).value == value)
+            })
 
-    if lower is not None and upper is not None:
-        if _excludes(lower, lower_strict, upper, upper_strict):
-            lo_rules = sorted({r for (v, _s, r) in lowers if v == lower})
-            hi_rules = sorted({r for (v, _s, r) in uppers if v == upper})
-            raise InternalInconsistencyError(
-                f"certified lower {format_rat(lower)}"
-                f"{' (strict)' if lower_strict else ''} from {lo_rules} excludes "
-                f"certified upper {format_rat(upper)}"
-                f"{' (strict)' if upper_strict else ''} from {hi_rules}"
-            )
-    exact = None
-    if (
-        lower is not None
-        and upper is not None
-        and lower == upper
-        and not lower_strict
-        and not upper_strict
-    ):
-        exact = lower
-
-    if (
-        lower is not None
-        and upper is not None
-        and lower_strict
-    ):
-        m = math.floor(ctx.p * lower)
-        if m >= 1 and ctx.p * upper <= m + lower:
-            notes.append(
-                "p*ppt is not a jumping number: p*ppt lies in "
-                f"({m}, {m} + ppt), an interval free of jumping numbers"
-            )
-
-    seen: set[str] = set()
-    deduped = [n for n in notes if not (n in seen or seen.add(n))]
-    return BoundCertificate(
-        lower=lower,
-        lower_strict=bool(lower_strict),
-        upper=upper,
-        upper_strict=bool(upper_strict),
-        exact=exact,
-        rules=results,
-        notes=deduped,
-        poly=facts.f,
-        ctx=ctx,
-    )
+        raise InternalInconsistencyError(
+            f"certified lower {format_rat(lower)}"
+            f"{' (strict)' if lower_strict else ''} from {rules_at(lower, 'lower')} "
+            f"excludes certified upper {format_rat(upper)}"
+            f"{' (strict)' if upper_strict else ''} from {rules_at(upper, 'upper')}"
+        )
+    # Bounds that meet without excluding each other are both non-strict.
+    exact = lower if _cmp(lower, upper) == 0 else None
+    return Bounds(lower, lower_strict, upper, upper_strict, exact)
 
 
 # --------------------------------------------------------------------------
@@ -1093,6 +1206,9 @@ class ProfileStep:
     upper: Rat | None
     upper_strict: bool
     exact: Rat | None
+
+    def __post_init__(self) -> None:
+        _check_bounds(self)
 
 
 @dataclass
@@ -1164,15 +1280,7 @@ def limit_profile(
     base = analyze(f, ctx, family)
     steps: list[ProfileStep] = []
     for a in range(e_max + 1):
-        cert = _run_rules(relevel_facts(base, a))
-        step = ProfileStep(
-            level=a,
-            lower=cert.lower,
-            lower_strict=cert.lower_strict,
-            upper=cert.upper,
-            upper_strict=cert.upper_strict,
-            exact=cert.exact,
-        )
+        step = ProfileStep(a, *_intersect(_run_rules(relevel_facts(base, a))))
         for earlier in steps:
             if (
                 step.lower is not None

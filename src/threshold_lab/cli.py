@@ -16,7 +16,9 @@ appearance).  Fractional exponents are rejected rather than parsed.
 A source is validated once: it is tokenized and parsed in full (so a syntax
 error anywhere wins over an unknown variable), then :func:`lower_expr`
 evaluates the tree into one term dict {(pi, E): c} and hands it to the
-validating ``MixedPoly`` constructor.
+validating ``MixedPoly`` constructor.  The commands read a source through
+:func:`parse_source`, which takes the variables and the syntax tree off one
+tokenize.
 """
 
 from __future__ import annotations
@@ -204,13 +206,17 @@ class _Parser:
         raise PolySyntaxError(tok.offset, f"expected a term, found {tok.text or 'end of input'!r}")
 
 
-def infer_variables(src: str) -> tuple[str, ...]:
-    """Identifiers of src except the uniformizer, in order of first appearance."""
+def _variables(tokens: list[Token]) -> tuple[str, ...]:
     seen: list[str] = []
-    for tok in tokenize(src):
+    for tok in tokens:
         if tok.kind == "ident" and tok.text != "p" and tok.text not in seen:
             seen.append(tok.text)
     return tuple(seen)
+
+
+def infer_variables(src: str) -> tuple[str, ...]:
+    """Identifiers of src except the uniformizer, in order of first appearance."""
+    return _variables(tokenize(src))
 
 
 def lower_expr(expr: PolyExpr, ctx: RingContext) -> MixedPoly:
@@ -263,9 +269,24 @@ def lower_expr(expr: PolyExpr, ctx: RingContext) -> MixedPoly:
 
 def parse_poly(src: str, ctx: RingContext) -> MixedPoly:
     """Parse src against the grammar and lower it over ctx."""
+    return _parse_tokens(src, tokenize(src), ctx)
+
+
+def _parse_tokens(src: str, tokens: list[Token], ctx: RingContext) -> MixedPoly:
     if not src.strip():
         raise PolySyntaxError(0, "empty polynomial source")
-    return lower_expr(_Parser(tokenize(src)).parse(), ctx)
+    return lower_expr(_Parser(tokens).parse(), ctx)
+
+
+def parse_source(
+    src: str, prime: int, ram: int = 0, cyclotomic: bool = False
+) -> tuple[RingContext, MixedPoly]:
+    """The ring context a command reads src in, and the polynomial, from one
+    tokenize: the variables are the identifiers of src other than the
+    uniformizer, in order of first appearance, or ("x",) when there are none."""
+    tokens = tokenize(src)
+    ctx = RingContext(prime, _variables(tokens) or ("x",), ram_level=ram, cyclotomic=cyclotomic)
+    return ctx, _parse_tokens(src, tokens, ctx)
 
 
 def format_poly_src(f: MixedPoly) -> str:
@@ -296,11 +317,6 @@ def format_poly_src(f: MixedPoly) -> str:
 # Subcommand implementations.
 
 
-def _context_for(src: str, prime: int, ram: int, cyclotomic: bool = False) -> RingContext:
-    vars = infer_variables(src) or ("x",)
-    return RingContext(prime, vars, ram_level=ram, cyclotomic=cyclotomic)
-
-
 def _cmd_fpt_diagonal(args: argparse.Namespace) -> int:
     exps = tuple(int(s) for s in args.exponents.split(","))
     print(format_rat(fpt_diagonal(args.prime, exps)))
@@ -308,8 +324,7 @@ def _cmd_fpt_diagonal(args: argparse.Namespace) -> int:
 
 
 def _cmd_fpt_search(args: argparse.Namespace) -> int:
-    ctx = _context_for(args.poly, args.prime, 0)
-    f = reduce_mod_pi(parse_poly(args.poly, ctx))
+    f = reduce_mod_pi(parse_source(args.poly, args.prime)[1])
     if f.is_zero():
         raise ValueError("the reduction mod p is zero; no Frobenius search possible")
     bracket = oracle_bracket(f, args.level)
@@ -368,8 +383,7 @@ def _print_certificate(cert) -> None:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    ctx = _context_for(args.poly, args.prime, args.ram, args.cyclotomic)
-    f = parse_poly(args.poly, ctx)
+    ctx, f = parse_source(args.poly, args.prime, args.ram, args.cyclotomic)
     cert = certify(f, ctx, family=args.family)
     if args.json:
         print(cert.to_json())
@@ -387,8 +401,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_limit_profile(args: argparse.Namespace) -> int:
-    ctx = _context_for(args.poly, args.prime, 0)
-    f = parse_poly(args.poly, ctx)
+    _, f = parse_source(args.poly, args.prime)
     profile = limit_profile(f, args.max_level)
     if args.json:
         print(profile.to_json())

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from threshold_lab.certify import (
     ELLIPTIC_FAMILIES,
+    _intersect,
     Bound,
     InternalInconsistencyError,
+    ProfileStep,
     RingContext,
     RuleResult,
     analyze,
@@ -31,6 +33,7 @@ from threshold_lab.certify import (
     rule_ramified_upper,
     rule_threshold_cap,
 )
+from threshold_lab.exact import format_rat
 from threshold_lab.poly import MixedPoly, SparsePolyFp
 from threshold_lab.verify import golden_cases, mixed_diagonal_poly, random_diagonal_instance
 
@@ -433,6 +436,80 @@ def test_limit_profile_analyses_level_zero_once(monkeypatch, f):
     assert calls == expected
 
 
+# p^2 + x^3 + y^3 at p = 5: its profile reads the residue's closed form and a
+# pure-power diagonal at every level.
+CUBIC_P5 = MixedPoly(5, 0, ("x", "y"), {(2, (0, 0)): 1, (0, (3, 0)): 1, (0, (0, 3)): 1})
+# x*y + x^2*y^2 at p = 2: its residue has no closed form, so the rules ask the
+# Frobenius oracle.
+CROSS_P2 = MixedPoly(2, 0, ("x", "y"), {(0, (1, 1)): 1, (0, (2, 2)): 1})
+
+
+def test_limit_profile_formats_no_rule_text(monkeypatch):
+    """A profile keeps only each level's bounds, so until it is rendered no
+    rule formats a hypothesis or a note."""
+    calls = count_calls(monkeypatch, ("format_rat",))
+    profile = limit_profile(CUBIC_P5, 3)
+    assert calls["format_rat"] == 0
+    assert [s.exact for s in profile.steps] == [F(1), F(3, 5), F(3, 5), F(3, 5)]
+
+
+def test_limit_profile_reads_each_diagonal_fpt_once(monkeypatch):
+    """rule_blowup_diagonal and rule_diagonal_ramified read one diagonal fpt
+    per level: fpt_diagonal runs once for the residue x^3 + y^3 and once
+    for each of the four levels."""
+    calls = count_calls(monkeypatch, ("fpt_diagonal",))
+    limit_profile(CUBIC_P5, 3)
+    assert calls["fpt_diagonal"] == 5
+
+
+def _count_oracle_levels(monkeypatch, nu) -> list[int]:
+    """Replace fpt.frobenius_nu by nu, recording the level e of each call."""
+    import sys
+
+    levels: list[int] = []
+
+    def counted(g, e):
+        levels.append(e)
+        return nu(g, e)
+
+    monkeypatch.setattr(sys.modules["threshold_lab.fpt"], "frobenius_nu", counted)
+    return levels
+
+
+def test_limit_profile_asks_the_oracle_once_per_level_e(monkeypatch):
+    """rule_fpt_lower asks for the level-2 bracket at every ram level and
+    rule_ramified_upper for level min(a, 2); the levels of one profile share
+    their brackets, so the oracle runs once for e = 1 and once for e = 2."""
+    import sys
+
+    levels = _count_oracle_levels(monkeypatch, sys.modules["threshold_lab.fpt"].frobenius_nu)
+    assert limit_profile(CROSS_P2, 3).to_json() == (
+        '{"steps":[{"ram_level":0,"lower":"3/4","upper":"1","exact":null},'
+        '{"ram_level":1,"lower":"3/4","upper":"1","exact":null},'
+        '{"ram_level":2,"lower":"3/4","upper":"1","exact":null},'
+        '{"ram_level":3,"lower":"3/4","upper":"1","exact":null}],'
+        '"limit":null,"attained":null,'
+        '"notes":["limit not computed in closed form (reduction is not diagonal)"]}'
+    )
+    assert sorted(levels) == [1, 2]
+
+
+def test_oracle_refusal_is_remembered(monkeypatch):
+    """A bracket the oracle refuses is a remembered abstention: it is not
+    asked again at a later ram level."""
+    import sys
+
+    fpt = sys.modules["threshold_lab.fpt"]
+
+    def refuse(g, e):
+        raise fpt.ResourceGuardError(f"level {e} is over budget")
+
+    levels = _count_oracle_levels(monkeypatch, refuse)
+    steps = limit_profile(CROSS_P2, 3).steps
+    assert sorted(levels) == [1, 2]
+    assert [(s.lower, s.upper) for s in steps] == [(None, F(1))] * 4
+
+
 def _bogus_cap(monkeypatch, bounds: dict[int, dict]) -> MixedPoly:
     """Replace the threshold cap by a rule that certifies bounds[a] at ram
     level a and nothing elsewhere; returns an f whose own bounds are [3/4, 1]
@@ -481,6 +558,95 @@ def test_cross_level_bounds_may_touch(monkeypatch):
     assert [(s.lower, s.upper) for s in steps] == [
         (F(3, 4), F(4, 5)), (F(4, 5), F(1)), (F(3, 4), F(1)),
     ]
+
+
+def _list_intersection(results):
+    """The list-based intersection certify made before the one-scan
+    _intersect: max and min over (value, strict, rule id) lists."""
+    lowers, uppers = [], []
+    for res in results:
+        if res.exact is not None:
+            lowers.append((res.exact, False, res.rule_id))
+            uppers.append((res.exact, False, res.rule_id))
+        if res.lower is not None:
+            lowers.append((res.lower.value, res.lower.strict, res.rule_id))
+        if res.upper is not None:
+            uppers.append((res.upper.value, res.upper.strict, res.rule_id))
+    lower = lower_strict = upper = upper_strict = None
+    if lowers:
+        lower = max(v for (v, _s, _r) in lowers)
+        lower_strict = any(s for (v, s, _r) in lowers if v == lower)
+    if uppers:
+        upper = min(v for (v, _s, _r) in uppers)
+        upper_strict = any(s for (v, s, _r) in uppers if v == upper)
+    if lower is not None and upper is not None:
+        if lower > upper or (lower == upper and (lower_strict or upper_strict)):
+            lo_rules = sorted({r for (v, _s, r) in lowers if v == lower})
+            hi_rules = sorted({r for (v, _s, r) in uppers if v == upper})
+            raise InternalInconsistencyError(
+                f"certified lower {format_rat(lower)}"
+                f"{' (strict)' if lower_strict else ''} from {lo_rules} excludes "
+                f"certified upper {format_rat(upper)}"
+                f"{' (strict)' if upper_strict else ''} from {hi_rules}"
+            )
+    exact = None
+    if lower is not None and lower == upper and not lower_strict and not upper_strict:
+        exact = lower
+    return lower, bool(lower_strict), upper, bool(upper_strict), exact
+
+
+BOUND_VALUES = st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)])
+BOUNDS = st.none() | st.builds(Bound, BOUND_VALUES, st.booleans())
+RULE_RESULTS = st.lists(
+    st.builds(
+        lambda rule_id, lower, upper, exact: RuleResult(
+            rule_id, "s", "q", lower=lower, upper=upper, exact=exact
+        ),
+        st.sampled_from(["alpha", "beta", "gamma"]),
+        BOUNDS,
+        BOUNDS,
+        st.none() | BOUND_VALUES,
+    ),
+    max_size=6,
+)
+
+
+@given(RULE_RESULTS)
+@settings(max_examples=300, deadline=None)
+def test_intersect_matches_the_list_intersection(results):
+    """The one-scan intersection returns the list-based bounds, strictness
+    and exact value, and raises the same alarm text when they collide."""
+    try:
+        expected = _list_intersection(results)
+    except InternalInconsistencyError as ex:
+        with pytest.raises(InternalInconsistencyError) as alarm:
+            _intersect(results)
+        assert str(alarm.value) == str(ex)
+    else:
+        assert tuple(_intersect(results)) == expected
+
+
+def test_intersect_alarm_names_rules_tied_at_the_lower_bound():
+    results = [
+        RuleResult("zeta", "s", "q", lower=Bound(F(1, 2))),
+        RuleResult("cap", "s", "q", upper=Bound(F(1, 3))),
+        RuleResult("alpha", "s", "q", lower=Bound(F(1, 2), strict=True)),
+    ]
+    with pytest.raises(InternalInconsistencyError) as alarm:
+        _intersect(results)
+    assert str(alarm.value) == (
+        "certified lower 1/2 (strict) from ['alpha', 'zeta'] excludes "
+        "certified upper 1/3 from ['cap']"
+    )
+
+
+def test_profile_step_checks_its_bounds():
+    """A profile level keeps the certificate's consistency checks."""
+    with pytest.raises(AssertionError):
+        ProfileStep(0, F(1), False, F(1, 2), False, None)
+    with pytest.raises(AssertionError):
+        ProfileStep(0, F(1, 2), True, F(1, 2), False, F(1, 2))
+    ProfileStep(0, F(1, 2), False, F(1, 2), False, F(1, 2))
 
 
 def test_certificate_json_shape():

@@ -23,6 +23,7 @@ from threshold_lab.cli import (
     infer_variables,
     main,
     parse_poly,
+    parse_source,
     tokenize,
 )
 from threshold_lab.poly import MixedPoly, pow_mixed
@@ -415,6 +416,37 @@ def test_cli_certify_text(capsys):
     assert lines[2] == "exact = none"
     assert lines[3].startswith("rules = fpt_lower, blowup_diagonal, extremal_strict")
     assert any(line.startswith("note: ") for line in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "--prime", "3", "--poly", "x^2 + y^3"),
+    ("limit-profile", "--prime", "3", "--poly", "p + x^2 + y^3", "--max-level", "1"),
+    ("fpt-search", "--prime", "3", "--poly", "x^2 + y^3", "--level", "1"),
+], ids=lambda argv: argv[0])
+def test_cli_tokenizes_each_source_once(capsys, monkeypatch, argv):
+    """The command reads its variables and its polynomial off one tokenize."""
+    mod = sys.modules["threshold_lab.cli"]
+    calls = []
+
+    def counted(src):
+        calls.append(src)
+        return tokenize(src)
+
+    monkeypatch.setattr(mod, "tokenize", counted)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert calls == [argv[4]]
+
+
+def test_parse_source_reads_variables_and_polynomial():
+    ctx, f = parse_source("y*x + p^2", 5, ram=1)
+    assert ctx == RingContext(5, ("y", "x"), ram_level=1)
+    assert f == parse_poly("y*x + p^2", ctx)
+    ctx, f = parse_source("p^2", 3, cyclotomic=True)
+    assert ctx == RingContext(3, ("x",), cyclotomic=True)
+    assert f == parse_poly("p^2", ctx)
+    with pytest.raises(PolySyntaxError, match="byte 2"):
+        parse_source("x $ y", 3)
 
 
 def test_cli_certify_exact_text(capsys):
