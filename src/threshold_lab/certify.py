@@ -28,8 +28,9 @@ bound, or an exact value, and intersects everything it can prove:
 Each input is analysed once: :func:`analyze` builds a frozen :class:`Facts`
 holding f, the ring context, the requested elliptic family, the residue
 f mod pi with its closed-form fpt, the pure-power diagonal match and the base
-ring level; it also reads the diagonal's fpt and the oracle brackets of the
-residue on demand, once each.  Every rule takes that one argument and
+ring level; it also reads the diagonal's digit level and fpt (from one digit
+walk), the oracle brackets of the residue and the containment powers f^b on
+demand, once each.  Every rule takes that one argument and
 returns a :class:`RuleResult` or None (abstention): its bounds at once, its
 hypotheses and notes only when they are read.  :func:`_run_rules` runs the
 ten rules above plus ``rule_threshold_cap`` (ppt <= 1, always) from one
@@ -41,7 +42,9 @@ the rules' hypotheses and notes.  A limit profile is analysed once too:
 :func:`limit_profile` validates and analyses f at level 0 only, derives every
 level's :class:`Facts` from that with :func:`relevel_facts`, and keeps only
 the intersected bounds of each level, so it builds no certificate and
-renders no rule text.
+renders no rule text.  The levels share the oracle brackets and the
+containment powers: each f^b is expanded once per profile, at level 0, and
+each level relevels it, since :func:`relevel` is a ring map.
 
 Every certified bound is sound on its own, so the combined max-of-lowers /
 min-of-uppers can only collide if the implementation is wrong; that collision
@@ -72,11 +75,14 @@ from .exact import Rat, format_rat
 # require_prime is not called here; it stays a module attribute because
 # bench/run.py counts its calls by wrapping it in every engine module.
 from .exact import require_prime  # noqa: F401
+# compute_L is not called here; it stays a module attribute because
+# bench/run.py times it by wrapping certify.compute_L.
+from .fpt import compute_L  # noqa: F401
 from .fpt import (
     INFINITE,
     FptBracket,
     ResourceGuardError,
-    compute_L,
+    diagonal_level_fpt,
     fpt_diagonal,
     lct_diagonal,
     oracle_bracket,
@@ -330,9 +336,12 @@ class Facts:
     :func:`base_ring_level`.  ``family`` is the elliptic family the caller
     asked for, if any.
 
-    ``brackets`` memoizes :meth:`bracket`.  It holds no fact of its own, so
-    it is left out of equality, and the levels of one limit profile share it:
-    their residue is the same.
+    ``brackets`` memoizes :meth:`bracket` and ``powers`` memoizes
+    :meth:`power`.  They hold no fact of their own, so they are left out of
+    equality, and the levels of one limit profile share them: their residue
+    is the same, and ``powers`` holds the powers of the level-0 f, ``level0``,
+    which each level relevels.  ``level0`` is None on an analysis that
+    :func:`analyze` made, whose ``powers`` hold the powers of f itself.
     """
 
     f: MixedPoly
@@ -345,12 +354,25 @@ class Facts:
     brackets: dict[int, FptBracket | None] = field(
         default_factory=dict, compare=False, repr=False
     )
+    powers: dict[int, MixedPoly] = field(default_factory=dict, compare=False, repr=False)
+    level0: MixedPoly | None = field(default=None, compare=False, repr=False)
 
     @cached_property
-    def diag_fpt(self) -> Rat:
-        """fpt_diagonal of the pure-power diagonal's exponents, pi-slot
-        included; read only when ``diag`` is set and no exponent is 1."""
-        return fpt_diagonal(self.ctx.p, self.diag.exponents())
+    def diag_digits(self) -> tuple[int | float, Rat]:
+        """The digit level L and the fpt of the pure-power diagonal's
+        exponents, pi-slot included, from one digit walk; read only when
+        ``diag`` is set and no exponent is 1."""
+        return diagonal_level_fpt(self.ctx.p, self.diag.exponents())
+
+    def power(self, b: int) -> MixedPoly:
+        """f^b, expanded once per b.  On a level derived by
+        :func:`relevel_facts` it is the level-0 f^b relevelled: relevel is a
+        ring map, so relevel(f, a)^b = relevel(f^b, a), coefficients included."""
+        level0, a = self.level0, self.ctx.ram_level
+        fb = self.powers.get(b)
+        if fb is None:
+            fb = self.powers[b] = pow_mixed(self.f if level0 is None else level0, b)
+        return fb if level0 is None or a == 0 else relevel(fb, a)
 
     def bracket(self, e: int) -> FptBracket | None:
         """The oracle bracket of the residue at level e, or None when the
@@ -387,7 +409,8 @@ def relevel_facts(facts: Facts, a: int) -> Facts:
     reads each term's shape and the unit part of its pi-term, and every
     positive pi-exponent of relevel(f, a) is divisible by p^a, so the base
     ring level is 0.  The residue being the same, the derived facts share
-    the oracle brackets of ``facts``.
+    the oracle brackets of ``facts``; they share its memo of the powers of
+    the level-0 f too, so each f^b is expanded once across the levels.
     """
     ctx = facts.ctx
     if ctx.ram_level != 0 or ctx.cyclotomic:
@@ -404,6 +427,8 @@ def relevel_facts(facts: Facts, a: int) -> Facts:
         diag=diag,
         base_level=0,
         brackets=facts.brackets,
+        powers=facts.powers,
+        level0=facts.f,
     )
 
 
@@ -457,7 +482,7 @@ def rule_blowup_diagonal(facts: Facts) -> RuleResult | None:
     if linear:
         lower = lct = Rat(1)
     else:
-        lower = facts.diag_fpt
+        lower = facts.diag_digits[1]
         lct = lct_diagonal(exps)
 
     def text():
@@ -538,7 +563,7 @@ def rule_exact_ramified(facts: Facts) -> RuleResult | None:
     containment f^b in (pi^{p^e}, x_i^{p^e}) certifies the upper side even
     when f itself uses the full ramification.
     """
-    f, ctx, q = facts.f, facts.ctx, facts.residue_fpt
+    ctx, q = facts.ctx, facts.residue_fpt
     if ctx.cyclotomic or q is None:
         return None
     den = q.denominator
@@ -558,7 +583,7 @@ def rule_exact_ramified(facts: Facts) -> RuleResult | None:
             return None
         b = q * ctx.p**e
         assert b.denominator == 1
-        if not weighted_membership(pow_mixed(f, int(b)), ctx, ctx.p**e):
+        if not weighted_membership(facts.power(int(b)), ctx, ctx.p**e):
             return None
 
     def text():
@@ -603,7 +628,7 @@ def rule_diagonal_ramified(facts: Facts) -> RuleResult | None:
     The bound is re-verified by the containment f^b in (pi^{p^L}, x_i^{p^L});
     disagreement raises the internal-inconsistency alarm.
     """
-    f, ctx, diag = facts.f, facts.ctx, facts.diag
+    ctx, diag = facts.ctx, facts.diag
     if ctx.cyclotomic:
         return None
     if diag is None or diag.pi_order is None or not diag.entries:
@@ -614,14 +639,13 @@ def rule_diagonal_ramified(facts: Facts) -> RuleResult | None:
     n = len(exps)
     if n >= ctx.p or any(s < 2 for s in exps):
         return None
-    level = compute_L(ctx.p, exps)
+    level, value = facts.diag_digits
     if level == INFINITE or level > ctx.ram_level:
         return None
     level = int(level)
-    value = facts.diag_fpt
     b = value * ctx.p**level
     assert b.denominator == 1
-    contained = weighted_membership(pow_mixed(f, int(b)), ctx, ctx.p**level)
+    contained = weighted_membership(facts.power(int(b)), ctx, ctx.p**level)
     if not contained:
         raise InternalInconsistencyError(
             "diagonal_ramified: the digit formula promised "
@@ -1034,15 +1058,19 @@ def known_values_registry(facts: Facts) -> RuleResult | None:
     return None
 
 
+_THRESHOLD_CAP = RuleResult(
+    rule_id="threshold_cap",
+    statement="threshold bounded by one on the maximal ideal",
+    quote="ppt(f) <= 1 for f in (pi, x_1, ..., x_n)",
+    hypotheses=["f lies in the maximal ideal"],
+    upper=Bound(Rat(1), strict=False),
+)
+
+
 def rule_threshold_cap(facts: Facts) -> RuleResult:
-    """ppt(f) <= 1 for f in the maximal ideal (always fires)."""
-    return RuleResult(
-        rule_id="threshold_cap",
-        statement="threshold bounded by one on the maximal ideal",
-        quote="ppt(f) <= 1 for f in (pi, x_1, ..., x_n)",
-        hypotheses=["f lies in the maximal ideal"],
-        upper=Bound(Rat(1), strict=False),
-    )
+    """ppt(f) <= 1 for f in the maximal ideal (always fires).  The result is
+    the same for every input, so it is built once, at import."""
+    return _THRESHOLD_CAP
 
 
 # --------------------------------------------------------------------------

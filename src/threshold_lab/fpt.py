@@ -126,12 +126,18 @@ def _reciprocal_sum(exps: tuple[int, ...]) -> Rat:
 
 def fpt_diagonal(p: int, exponents: tuple[int, ...]) -> Rat:
     """Exact F-pure threshold of x_1^{s_1} + ... + x_n^{s_n} over F_p."""
+    return diagonal_level_fpt(p, exponents)[1]
+
+
+def diagonal_level_fpt(p: int, exponents: tuple[int, ...]) -> tuple[int | float, Rat]:
+    """:func:`compute_L` and :func:`fpt_diagonal` of one diagonal, read off
+    one digit walk."""
     exps = DiagonalData(p, tuple(exponents)).exponents
     level = _digit_level(p, exps)
     if level == INFINITE:
-        return _reciprocal_sum(exps)
+        return level, _reciprocal_sum(exps)
     q = p**level
-    return Rat(sum((q - 1) // s for s in exps) + 1, q)
+    return level, Rat(sum((q - 1) // s for s in exps) + 1, q)
 
 
 def fpt_fermat(p: int, d: int) -> Rat:

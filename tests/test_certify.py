@@ -34,7 +34,7 @@ from threshold_lab.certify import (
     rule_threshold_cap,
 )
 from threshold_lab.exact import format_rat
-from threshold_lab.poly import MixedPoly, SparsePolyFp
+from threshold_lab.poly import MixedPoly, SparsePolyFp, pow_mixed, weighted_membership
 from threshold_lab.verify import golden_cases, mixed_diagonal_poly, random_diagonal_instance
 
 F = Fraction
@@ -269,7 +269,7 @@ def test_diagonal_ramified_alarm_names_the_witness(monkeypatch):
 
     mod = sys.modules["threshold_lab.certify"]
     f = mixed_diagonal_poly(5, 1, 3, (3,))  # pi^3 + x^3, digit level L = 1
-    monkeypatch.setattr(mod, "fpt_diagonal", lambda p, exps: F(1, 5))
+    monkeypatch.setattr(mod, "diagonal_level_fpt", lambda p, exps: (1, F(1, 5)))
     with pytest.raises(InternalInconsistencyError) as alarm:
         rule_diagonal_ramified(analyze(f, ctx_of(f)))
     assert str(alarm.value) == (
@@ -455,11 +455,69 @@ def test_limit_profile_formats_no_rule_text(monkeypatch):
 
 def test_limit_profile_reads_each_diagonal_fpt_once(monkeypatch):
     """rule_blowup_diagonal and rule_diagonal_ramified read one diagonal fpt
-    per level: fpt_diagonal runs once for the residue x^3 + y^3 and once
-    for each of the four levels."""
-    calls = count_calls(monkeypatch, ("fpt_diagonal",))
+    and digit level per level, from one digit walk: fpt._digit_level runs
+    once for the residue x^3 + y^3 and once for each of the four levels."""
+    import sys
+
+    mod = sys.modules["threshold_lab.fpt"]
+    walks = Counter()
+    walk = mod._digit_level
+
+    def counted(p, exps):
+        walks[exps] += 1
+        return walk(p, exps)
+
+    monkeypatch.setattr(mod, "_digit_level", counted)
     limit_profile(CUBIC_P5, 3)
-    assert calls["fpt_diagonal"] == 5
+    assert walks == Counter({(3, 3): 1, **{(2 * 5**a, 3, 3): 1 for a in range(4)}})
+
+
+# p + x^5 + y^5 at p = 7: levels 1 to 3 check containments of f^3, f^19 and
+# f^19 again.
+QUINTIC_P7 = MixedPoly(7, 0, ("x", "y"), {(1, (0, 0)): 1, (0, (5, 0)): 1, (0, (0, 5)): 1})
+
+
+def test_limit_profile_expands_each_containment_power_once(monkeypatch):
+    """The levels of a profile share the level-0 powers of f: f^3 (level 1)
+    and f^19 (levels 2 and 3) are each expanded once."""
+    import sys
+
+    mod = sys.modules["threshold_lab.certify"]
+    powers = Counter()
+    expand = mod.pow_mixed
+
+    def counted(f, b):
+        powers[b] += 1
+        return expand(f, b)
+
+    monkeypatch.setattr(mod, "pow_mixed", counted)
+    profile = limit_profile(QUINTIC_P7, 3)
+    assert powers == Counter({3: 1, 19: 1})
+    assert [s.exact for s in profile.steps] == [F(1), F(3, 7), F(19, 49), F(19, 49)]
+
+
+def test_shared_power_alarm_names_the_level_witness(monkeypatch):
+    """A digit formula forced to promise f^19 in (pi^343, x_i^343) at level 3
+    fails on the f^19 that level 2 expanded, and the alarm names the same
+    witness as a fresh level-3 expansion."""
+    import sys
+
+    mod = sys.modules["threshold_lab.certify"]
+    digits = mod.diagonal_level_fpt
+    monkeypatch.setattr(
+        mod,
+        "diagonal_level_fpt",
+        lambda p, exps: (3, F(19, 343)) if exps[0] == 343 else digits(p, exps),
+    )
+    f3 = relevel(QUINTIC_P7, 3)
+    fresh = weighted_membership(pow_mixed(f3, 19), ctx_of(f3), 343)
+    assert not fresh
+    with pytest.raises(InternalInconsistencyError) as alarm:
+        limit_profile(QUINTIC_P7, 3)
+    assert str(alarm.value) == (
+        "diagonal_ramified: the digit formula promised f^19 in (pi^343, x_i^343) "
+        f"but the containment fails at term {fresh.failure}"
+    )
 
 
 def _count_oracle_levels(monkeypatch, nu) -> list[int]:

@@ -9,7 +9,8 @@ tripping the inconsistency alarm, and its bounds, strictness and rule ids
 must not depend on the order of the ring's variables.  Read at level 0 and
 joined by diagonals with a pi-slot, the same shapes check that a limit
 profile's levels, derived from one analysis of f, match a fresh analysis
-and a fresh certificate at each level.
+and a fresh certificate at each level, and that the containment powers the
+levels share equal a fresh expansion at each level.
 """
 
 from typing import NamedTuple
@@ -27,6 +28,7 @@ from threshold_lab.certify import (
     relevel_facts,
 )
 from threshold_lab.cli import infer_variables, parse_poly
+from threshold_lab.poly import pow_mixed
 
 VARS = ("x", "y", "z")
 
@@ -174,3 +176,24 @@ def test_profile_levels_match_a_fresh_analysis(shape, family):
         fa, ctx_a = relevel(f, a), RingContext(shape.p, vars, ram_level=a)
         assert relevel_facts(base, a) == analyze(fa, ctx_a, family)
         assert _bounds(step) == _bounds(certify(fa, ctx_a, family))
+
+
+@given(
+    shape=st.one_of(SHAPES, pi_slot_diagonal()).filter(lambda shape: shape.p <= 5),
+    a=st.integers(0, 3),
+    b=st.integers(0, 6),
+)
+@settings(max_examples=150, deadline=None)
+def test_profile_levels_share_the_level_zero_powers(shape, a, b):
+    """relevel is a ring map, so relevel(f^b, a) = relevel(f, a)^b; the
+    power each derived level reads from the shared memo is a fresh
+    expansion of that level's f."""
+    vars = infer_variables(shape.src)
+    ctx = RingContext(shape.p, vars)
+    f = parse_poly(shape.src, ctx)
+    assert relevel(pow_mixed(f, b), a) == pow_mixed(relevel(f, a), b)
+    base = analyze(f, ctx)
+    for level in range(4):
+        facts = relevel_facts(base, level)
+        assert facts.power(b) == pow_mixed(facts.f, b)
+    assert base.power(b) == pow_mixed(f, b)
