@@ -41,7 +41,6 @@ from .fpt import (
     compute_L,
     diagonal_poly,
     fpt_diagonal,
-    fpt_fermat,
     frobenius_nu,
     lct_diagonal,
     oracle_bracket,
@@ -51,7 +50,6 @@ from .poly import (
     MixedPoly,
     RingContext,
     SparsePolyFp,
-    mul_truncated,
     pow_mixed,
     pth_root_mod_fp,
     reduce_mod_pi,
@@ -84,7 +82,6 @@ __all__ = [
     "expand_base_p",
     "format_rat",
     "fpt_diagonal",
-    "fpt_fermat",
     "frobenius_nu",
     "is_prime",
     "kummer_valuation",
@@ -92,7 +89,6 @@ __all__ = [
     "limit_profile",
     "lucas_residue",
     "magic_expansions",
-    "mul_truncated",
     "multiplicative_order",
     "oracle_bracket",
     "padic_valuation",

@@ -964,10 +964,8 @@ def _lift_pth_root(
         for k, v in enumerate(_cyclo_pi_power(pi, p)):
             acc[k] += c * v
     for (pi, exps), c in hp.terms.items():
-        assert pi == 0
-        acc = by_monomial.setdefault(exps, [0] * max(1, p - 1))
-        for k, v in enumerate(_cyclo_pi_power(0, p)):
-            acc[k] -= c * v
+        assert pi == 0  # so the term is c * (t - 1)^0 = c
+        by_monomial.setdefault(exps, [0] * max(1, p - 1))[0] -= c
     for coeffs in by_monomial.values():
         if not _in_varpi_pth(_cyclo_reduce(coeffs, p), p):
             return None
@@ -1077,7 +1075,7 @@ def rule_threshold_cap(facts: Facts) -> RuleResult:
 # Orchestration.
 
 
-def _validate_input(f: MixedPoly, ctx: RingContext, family: str | None) -> None:
+def _validate_input(f: MixedPoly, ctx: RingContext, family: str | None = None) -> None:
     if f.p != ctx.p or f.ram_level != ctx.ram_level or f.vars != ctx.vars:
         raise ValueError("polynomial and ring context disagree")
     if f.is_zero():
@@ -1282,9 +1280,7 @@ def relevel(f: MixedPoly, a: int) -> MixedPoly:
     )
 
 
-def limit_profile(
-    f: MixedPoly, e_max: int, family: str | None = None
-) -> LimitProfile:
+def limit_profile(f: MixedPoly, e_max: int) -> LimitProfile:
     """Certified bounds for the same element viewed at ram levels 0..e_max.
 
     The best upper bounds form a nonincreasing sequence whose limit is the
@@ -1304,8 +1300,8 @@ def limit_profile(
     if f.ram_level != 0:
         raise ValueError("limit_profile expects a polynomial written at level 0")
     ctx = RingContext(f.p, f.vars)
-    _validate_input(f, ctx, family)
-    base = analyze(f, ctx, family)
+    _validate_input(f, ctx)
+    base = analyze(f, ctx)
     steps: list[ProfileStep] = []
     for a in range(e_max + 1):
         step = ProfileStep(a, *_intersect(_run_rules(relevel_facts(base, a))))

@@ -418,7 +418,7 @@ def _cmd_limit_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    ok, lines = run_suite(args.suite, prime_max=args.prime_max)
+    ok, lines = run_suite(args.suite)
     for line in lines:
         print(line)
     return 0 if ok else 1
@@ -487,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a property suite")
     sp.add_argument("--suite", choices=sorted(SUITES), required=True)
-    sp.add_argument("--prime-max", type=int, default=None)
     sp.set_defaults(func=_cmd_verify)
 
     return parser

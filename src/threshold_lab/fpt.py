@@ -74,12 +74,18 @@ class DiagonalData:
 
     def __post_init__(self) -> None:
         require_prime(self.p)
-        if not self.exponents:
-            raise ValueError("at least one exponent is required")
-        for s in self.exponents:
-            if not isinstance(s, int) or s < 2:
-                raise ValueError(f"diagonal exponents must be integers >= 2, got {s}")
-        object.__setattr__(self, "exponents", tuple(self.exponents))
+        object.__setattr__(self, "exponents", _check_exponents(self.exponents))
+
+
+def _check_exponents(exponents: tuple[int, ...]) -> tuple[int, ...]:
+    """The exponents of a diagonal as a tuple: at least one, each an integer >= 2."""
+    exponents = tuple(exponents)
+    if not exponents:
+        raise ValueError("at least one exponent is required")
+    for s in exponents:
+        if not isinstance(s, int) or s < 2:
+            raise ValueError(f"diagonal exponents must be integers >= 2, got {s}")
+    return exponents
 
 
 def compute_L(p: int, exponents: tuple[int, ...]) -> int | float:
@@ -140,31 +146,9 @@ def diagonal_level_fpt(p: int, exponents: tuple[int, ...]) -> tuple[int | float,
     return level, Rat(sum((q - 1) // s for s in exps) + 1, q)
 
 
-def fpt_fermat(p: int, d: int) -> Rat:
-    """F-pure threshold of the d-variable Fermat diagonal x_1^d + ... + x_d^d.
-
-    Two regimes: for d >= p it is 1/p^s with p^s <= d < p^{s+1}; for
-    2 <= d < p it is 1 - (a - 1)/p where a = p mod d.  Degree 1 fits
-    neither regime and is rejected.
-    """
-    require_prime(p)
-    if d < 2:
-        raise ValueError(f"degree must be >= 2, got {d}")
-    if d >= p:
-        s = 0
-        while p ** (s + 1) <= d:
-            s += 1
-        return Rat(1, p**s)
-    a = p % d
-    return 1 - Rat(a - 1, p)
-
-
 def lct_diagonal(exponents: tuple[int, ...]) -> Rat:
     """Log canonical threshold of a diagonal: min(1, sum_i 1/s_i)."""
-    for s in exponents:
-        if not isinstance(s, int) or s < 2:
-            raise ValueError(f"diagonal exponents must be integers >= 2, got {s}")
-    return min(Rat(1), _reciprocal_sum(exponents))
+    return min(Rat(1), _reciprocal_sum(_check_exponents(exponents)))
 
 
 def _max_terms_budget() -> int:
@@ -270,13 +254,11 @@ def oracle_bracket(f: SparsePolyFp, e: int) -> FptBracket:
     return FptBracket(e=e, nu=nu, lower=Rat(nu, q), upper=Rat(nu + 1, q))
 
 
-def diagonal_poly(
-    p: int, exponents: tuple[int, ...], vars: tuple[str, ...] | None = None
-) -> SparsePolyFp:
-    """The diagonal x_1^{s_1} + ... + x_n^{s_n} as a SparsePolyFp."""
+def diagonal_poly(p: int, exponents: tuple[int, ...]) -> SparsePolyFp:
+    """The diagonal x_1^{s_1} + ... + x_n^{s_n} as a SparsePolyFp, in the
+    variables x, y, z, or x1..xn past three."""
     n = len(exponents)
-    if vars is None:
-        vars = tuple(f"x{i}" for i in range(1, n + 1)) if n > 3 else ("x", "y", "z")[:n]
+    vars = tuple(f"x{i}" for i in range(1, n + 1)) if n > 3 else ("x", "y", "z")[:n]
     terms = {}
     for i, s in enumerate(exponents):
         exps = [0] * n

@@ -4,7 +4,8 @@ Two term-level representations, the ring context of the second, and one ideal
 test:
 
 * :class:`SparsePolyFp` - polynomials over the prime field, coefficients
-  normalized to {1, ..., p-1}, used by the Frobenius-power oracle.
+  normalized to {1, ..., p-1}: a validated term container with no
+  arithmetic of its own, read by the Frobenius-power oracle.
 * :class:`MixedPoly` - polynomials over Z with an extra uniformizer symbol pi,
   modelling W[pi]/(pi^{p^a} = p) with ramification level ``ram_level = a``.
   The pi-exponent of a term is an integer counted in units of p^{-a}.
@@ -19,21 +20,21 @@ ideal the certification rules ask about.
 
 The public constructors check the prime, the variable names and every
 exponent vector, and over F_p reduce coefficients mod p.  Arithmetic results
-(``+``, ``*``, powers, :func:`reduce_mod_pi`, :func:`pth_root_mod_fp`) are
-valid by construction and go through the private ``_of`` constructor, which
-checks nothing; the parser in :mod:`.cli` also lowers a source through it and
-validates only the finished polynomial.
+(:meth:`MixedPoly.__mul__`, :func:`pow_mixed`, :func:`reduce_mod_pi`,
+:func:`pth_root_mod_fp`) are valid by construction and go through the private
+``_of`` constructor, which checks nothing; the parser in :mod:`.cli` also
+lowers a source through it and validates only the finished polynomial.
 
 Coefficients of :class:`MixedPoly` are exact integers and are never reduced;
 all soundness arguments downstream rely on termwise effective pi-orders, so no
-information may be lost here.  Serialization is byte-deterministic: terms are
-emitted in descending graded-lexicographic order with pi treated as the
-leading variable, and coefficients are rendered as decimal strings.
+information may be lost here.  :meth:`MixedPoly.to_doc`, which certificates
+render their input through, is byte-deterministic: terms are emitted in
+descending graded-lexicographic order with pi treated as the leading
+variable, and coefficients are rendered as decimal strings.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .digits import padic_valuation
@@ -82,23 +83,11 @@ class SparsePolyFp:
         f.p, f.vars, f.terms = p, vars, terms
         return f
 
-    @classmethod
-    def zero(cls, p: int, vars: tuple[str, ...]) -> SparsePolyFp:
-        return cls(p, vars, {})
-
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def sorted_terms(self) -> list[tuple[Exps, int]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-
-    def _same_ring(self, other: SparsePolyFp) -> None:
-        if self.p != other.p or self.vars != other.vars:
-            raise ValueError("polynomials live in different rings")
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -110,44 +99,6 @@ class SparsePolyFp:
 
     def __hash__(self) -> int:
         return hash((self.p, self.vars, frozenset(self.terms.items())))
-
-    def __add__(self, other: SparsePolyFp) -> SparsePolyFp:
-        self._same_ring(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        p = self.p
-        terms = {e: r for e, c in out.items() if (r := c % p)}
-        return SparsePolyFp._of(p, self.vars, terms)
-
-    def __mul__(self, other: SparsePolyFp) -> SparsePolyFp:
-        self._same_ring(other)
-        out: dict[Exps, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        p = self.p
-        terms = {e: r for e, c in out.items() if (r := c % p)}
-        return SparsePolyFp._of(p, self.vars, terms)
-
-    def __pow__(self, n: int) -> SparsePolyFp:
-        if n < 0:
-            raise ValueError("negative power")
-        out = SparsePolyFp._of(self.p, self.vars, {(0,) * len(self.vars): 1})
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def truncate(self, cap: int) -> SparsePolyFp:
-        """Drop every term with some exponent >= cap (reduction mod (x_i^cap))."""
-        return SparsePolyFp._of(
-            self.p, self.vars, {e: c for e, c in self.terms.items() if max(e) < cap}
-        )
 
     def __str__(self) -> str:
         if not self.terms:
@@ -164,46 +115,6 @@ class SparsePolyFp:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-    def to_json(self) -> str:
-        doc = {
-            "p": self.p,
-            "vars": list(self.vars),
-            "terms": [
-                {"exps": list(e), "coeff": str(c)} for e, c in self.sorted_terms()
-            ],
-        }
-        return json.dumps(doc, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> SparsePolyFp:
-        doc = json.loads(text)
-        return cls(
-            doc["p"],
-            tuple(doc["vars"]),
-            {tuple(t["exps"]): int(t["coeff"]) for t in doc["terms"]},
-        )
-
-
-def mul_truncated(f: SparsePolyFp, g: SparsePolyFp, cap: int) -> SparsePolyFp:
-    """Product of f and g in F_p[x]/(x_1^cap, ..., x_n^cap).
-
-    Terms acquiring any exponent >= cap are discarded as they are formed, so
-    the cost is bounded by the number of surviving monomials, not the full
-    product size.
-    """
-    f._same_ring(g)
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    out: dict[Exps, int] = {}
-    for e1, c1 in f.terms.items():
-        if max(e1, default=0) >= cap:
-            continue
-        for e2, c2 in g.terms.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            if max(e, default=0) < cap:
-                out[e] = out.get(e, 0) + c1 * c2
-    return SparsePolyFp(f.p, f.vars, out)
 
 
 def pth_root_mod_fp(f: SparsePolyFp) -> SparsePolyFp | None:
@@ -310,10 +221,6 @@ class MixedPoly:
         f.p, f.ram_level, f.vars, f.terms = p, ram_level, vars, terms
         return f
 
-    @classmethod
-    def zero(cls, p: int, ram_level: int, vars: tuple[str, ...]) -> MixedPoly:
-        return cls(p, ram_level, vars, {})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -345,14 +252,6 @@ class MixedPoly:
         return hash(
             (self.p, self.ram_level, self.vars, frozenset(self.terms.items()))
         )
-
-    def __add__(self, other: MixedPoly) -> MixedPoly:
-        self._same_ring(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        terms = {k: c for k, c in out.items() if c}
-        return MixedPoly._of(self.p, self.ram_level, self.vars, terms)
 
     def __mul__(self, other: MixedPoly) -> MixedPoly:
         self._same_ring(other)
@@ -387,7 +286,7 @@ class MixedPoly:
     __repr__ = __str__
 
     def to_doc(self) -> dict:
-        """The JSON document of :meth:`to_json`, as a fresh dict."""
+        """f as a JSON document, in a fresh dict: ring data and sorted terms."""
         return {
             "p": self.p,
             "ram_level": self.ram_level,
@@ -397,19 +296,6 @@ class MixedPoly:
                 for (pi, e), c in self.sorted_terms()
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> MixedPoly:
-        doc = json.loads(text)
-        return cls(
-            doc["p"],
-            doc["ram_level"],
-            tuple(doc["vars"]),
-            {(t["pi"], tuple(t["exps"])): int(t["coeff"]) for t in doc["terms"]},
-        )
 
 
 def pow_mixed(f: MixedPoly, n: int) -> MixedPoly:

@@ -79,19 +79,17 @@ def mixed_diagonal_poly(
     return MixedPoly(p, ram_level, vars, terms)
 
 
-def diagonal_multisets(
-    n_max: int = 3, lo: int = 2, hi: int = 6
-) -> list[tuple[int, ...]]:
-    """All exponent multisets with 1..n_max entries drawn from [lo, hi]."""
+def diagonal_multisets() -> list[tuple[int, ...]]:
+    """All exponent multisets with 1 to 3 entries drawn from [2, 6]."""
     out: list[tuple[int, ...]] = []
-    for n in range(1, n_max + 1):
-        out.extend(combinations_with_replacement(range(lo, hi + 1), n))
+    for n in range(1, 4):
+        out.extend(combinations_with_replacement(range(2, 7), n))
     return out
 
 
-def random_diagonal_instance(rng: random.Random, prime_max: int = 7):
+def random_diagonal_instance(rng: random.Random):
     """A randomized mixed diagonal with a random ramification level."""
-    p = rng.choice([q for q in (2, 3, 5, 7) if q <= prime_max])
+    p = rng.choice((2, 3, 5, 7))
     a = rng.randrange(0, 4)
     n = rng.randrange(1, 4)
     vars = _DEFAULT_VARS[:n]
@@ -206,10 +204,10 @@ def golden_cases() -> list[GoldenCase]:
 # Suites.
 
 
-def suite_combinatorics(prime_max: int | None = None) -> list[CheckResult]:
+def suite_combinatorics() -> list[CheckResult]:
     results: list[CheckResult] = []
 
-    primes = _primes_upto(min(13, prime_max or 13))
+    primes = _primes_upto(13)
     bad = None
     pairs = 0
     for n in range(0, 301):
@@ -231,7 +229,7 @@ def suite_combinatorics(prime_max: int | None = None) -> list[CheckResult]:
 
     bad = None
     count = 0
-    for p in _primes_upto(prime_max or 200):
+    for p in _primes_upto(200):
         if p <= 3 or p % 3 != 2:
             continue
         k = (p * p - 1) // 3
@@ -247,7 +245,7 @@ def suite_combinatorics(prime_max: int | None = None) -> list[CheckResult]:
     )
 
     bad = None
-    for p in _primes_upto(min(7, prime_max or 7)):
+    for p in _primes_upto(7):
         for e in range(0, 5):
             for i in range(1, p**e + 1):
                 want = padic_valuation(math.comb(p**e, i), p) if math.comb(p**e, i) > 1 else 0
@@ -257,7 +255,7 @@ def suite_combinatorics(prime_max: int | None = None) -> list[CheckResult]:
     results.append(CheckResult("prime-power-binomial-valuation", bad is None, bad or "p <= 7, e <= 4"))
 
     bad = None
-    for p in _primes_upto(min(11, prime_max or 11)):
+    for p in _primes_upto(11):
         for n in range(0, 101):
             for m in range(0, n + 1):
                 if lucas_residue(n, m, p) != math.comb(n, m) % p and bad is None:
@@ -266,7 +264,7 @@ def suite_combinatorics(prime_max: int | None = None) -> list[CheckResult]:
 
     bad = None
     count = 0
-    for p in _primes_upto(min(53, prime_max or 53)):
+    for p in _primes_upto(53):
         if p % 3 != 2:
             continue
         count += 1
@@ -281,16 +279,16 @@ def suite_combinatorics(prime_max: int | None = None) -> list[CheckResult]:
     return results
 
 
-def suite_oracle(prime_max: int | None = None, e_max: int = 3) -> list[CheckResult]:
+def suite_oracle() -> list[CheckResult]:
     results: list[CheckResult] = []
-    for p in [q for q in (2, 3, 5, 7) if q <= (prime_max or 7)]:
+    for p in (2, 3, 5, 7):
         bad = None
         count = 0
         for exps in diagonal_multisets():
             f = diagonal_poly(p, exps)
             value = fpt_diagonal(p, exps)
             count += 1
-            for e in range(1, e_max + 1):
+            for e in (1, 2, 3):
                 bracket = oracle_bracket(f, e)
                 if not (bracket.lower <= value <= bracket.upper):
                     bad = bad or f"s={exps}, e={e}: {value} outside {bracket}"
@@ -303,7 +301,7 @@ def suite_oracle(prime_max: int | None = None, e_max: int = 3) -> list[CheckResu
             CheckResult(
                 f"oracle-formula-agreement-p{p}",
                 bad is None,
-                bad or f"{count} diagonals, e <= {e_max}",
+                bad or f"{count} diagonals, e <= 3",
             )
         )
 
@@ -328,7 +326,7 @@ def suite_oracle(prime_max: int | None = None, e_max: int = 3) -> list[CheckResu
     return results
 
 
-def suite_certify(prime_max: int | None = None, trials: int = 100) -> list[CheckResult]:
+def suite_certify() -> list[CheckResult]:
     results: list[CheckResult] = []
     for case in golden_cases():
         cert = certify(case.poly, case.ctx)
@@ -382,8 +380,8 @@ def suite_certify(prime_max: int | None = None, trials: int = 100) -> list[Check
 
     rng = random.Random(20260823)
     bad = None
-    for _ in range(trials):
-        f, ctx = random_diagonal_instance(rng, prime_max=prime_max or 7)
+    for _ in range(100):
+        f, ctx = random_diagonal_instance(rng)
         try:
             cert = certify(f, ctx)
         except Exception as ex:  # noqa: BLE001 - the alarm itself is the failure
@@ -392,7 +390,7 @@ def suite_certify(prime_max: int | None = None, trials: int = 100) -> list[Check
         if cert.lower is not None and cert.upper is not None and cert.lower > cert.upper:
             bad = bad or f"{f} at a={ctx.ram_level}: crossed bounds"
     results.append(
-        CheckResult("randomized-no-alarm", bad is None, bad or f"{trials} instances")
+        CheckResult("randomized-no-alarm", bad is None, bad or "100 instances")
     )
     return results
 
@@ -404,11 +402,11 @@ SUITES = {
 }
 
 
-def run_suite(name: str, prime_max: int | None = None) -> tuple[bool, list[str]]:
+def run_suite(name: str) -> tuple[bool, list[str]]:
     """Run a named suite; returns overall success and the printable lines."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}")
-    checks = SUITES[name](prime_max=prime_max)
+    checks = SUITES[name]()
     lines = [c.line() for c in checks]
     passed = sum(1 for c in checks if c.ok)
     lines.append(f"{passed}/{len(checks)} checks passed")

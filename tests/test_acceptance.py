@@ -180,7 +180,7 @@ def test_criterion_9_no_false_alarms(capsys):
     rng = random.Random(20260823)
     problems = []
     for k in range(500):
-        f, ctx = random_diagonal_instance(rng, prime_max=7)
+        f, ctx = random_diagonal_instance(rng)
         try:
             cert = certify(f, ctx)
         except InternalInconsistencyError as ex:

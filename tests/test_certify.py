@@ -354,7 +354,7 @@ def test_certify_input_validation():
     with pytest.raises(ValueError):
         certify(f, RingContext(2, ("x", "y", "z")))       # variable mismatch
     with pytest.raises(ValueError):
-        certify(MixedPoly.zero(2, 0, ("x",)), RingContext(2, ("x",)))
+        certify(MixedPoly(2, 0, ("x",), {}), RingContext(2, ("x",)))
     unit = MixedPoly(2, 0, ("x",), {(0, (0,)): 1, (0, (1,)): 1})
     with pytest.raises(ValueError):
         certify(unit, RingContext(2, ("x",)))

@@ -188,12 +188,18 @@ def test_print_parse_round_trip_corpus():
 
 def reference_lowering(src, ctx):
     """The lowering on public MixedPoly arithmetic only: every node is a
-    validated MixedPoly, sums and differences use +, products *, powers
-    pow_mixed."""
+    validated MixedPoly, sums and differences add the terms of signed parts
+    into a fresh MixedPoly, products use *, powers pow_mixed."""
     zero = (0,) * ctx.n_vars
 
     def poly(pi, exps, c):
         return MixedPoly(ctx.p, ctx.ram_level, ctx.vars, {(pi, exps): c})
+
+    def add(f, g):
+        terms = dict(f.terms)
+        for k, c in g.terms.items():
+            terms[k] = terms.get(k, 0) + c
+        return MixedPoly(ctx.p, ctx.ram_level, ctx.vars, terms)
 
     def go(node):
         if isinstance(node, IntLit):
@@ -206,7 +212,7 @@ def reference_lowering(src, ctx):
         if isinstance(node, Sum):
             acc = poly(0, zero, 0)
             for sign, part in node.parts:
-                acc = acc + poly(0, zero, sign) * go(part)
+                acc = add(acc, poly(0, zero, sign) * go(part))
             return acc
         if isinstance(node, Product):
             acc = poly(0, zero, 1)
@@ -545,10 +551,15 @@ def test_cli_limit_profile_json(capsys):
 
 
 def test_cli_verify_suite(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "combinatorics",
-                           "--prime-max", "3")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "combinatorics")
     assert code == 0
     assert "checks passed" in out
+
+
+def test_cli_verify_takes_no_prime_max(capsys):
+    code, _, err = run_cli(capsys, "verify", "--suite", "certify", "--prime-max", "1")
+    assert code == 2
+    assert "unrecognized arguments: --prime-max" in err
 
 
 def test_cli_verify_unknown_suite(capsys):

@@ -17,12 +17,11 @@ from threshold_lab.fpt import (
     compute_L,
     diagonal_poly,
     fpt_diagonal,
-    fpt_fermat,
     frobenius_nu,
     lct_diagonal,
     oracle_bracket,
 )
-from threshold_lab.poly import SparsePolyFp, mul_truncated
+from threshold_lab.poly import SparsePolyFp
 
 F = Fraction
 
@@ -128,6 +127,17 @@ def test_diagonal_kernel_matches_expansions(p, exps):
     assert_matches_reference(p, exps)
 
 
+def fermat_reference(p, d):
+    """fpt of the d-variable Fermat diagonal in closed form: 1/p^s with
+    p^s <= d < p^(s+1) when d >= p, else 1 - (a - 1)/p with a = p mod d."""
+    if d >= p:
+        s = 0
+        while p ** (s + 1) <= d:
+            s += 1
+        return F(1, p**s)
+    return 1 - F(p % d - 1, p)
+
+
 @pytest.mark.parametrize("p, d, value", [
     (2, 3, F(1, 2)),
     (3, 9, F(1, 9)),
@@ -140,12 +150,9 @@ def test_diagonal_kernel_matches_expansions(p, exps):
     (2, 100, F(1, 64)),
 ])
 def test_fpt_fermat_values(p, d, value):
-    assert fpt_fermat(p, d) == value
-
-
-def test_fpt_fermat_rejects_degree_one():
-    with pytest.raises(ValueError):
-        fpt_fermat(5, 1)
+    """The d-variable Fermat diagonal x_1^d + ... + x_d^d."""
+    assert fpt_diagonal(p, (d,) * d) == value
+    assert fermat_reference(p, d) == value
 
 
 @pytest.mark.parametrize("exps, value", [
@@ -157,6 +164,15 @@ def test_fpt_fermat_rejects_degree_one():
 ])
 def test_lct_diagonal(exps, value):
     assert lct_diagonal(exps) == value
+
+
+@pytest.mark.parametrize("exps", [(), (1,), (2, 1), (2, 2.0)])
+def test_diagonal_exponents_checked_alike(exps):
+    """lct_diagonal and fpt_diagonal reject the same exponent tuples."""
+    with pytest.raises(ValueError):
+        lct_diagonal(exps)
+    with pytest.raises(ValueError):
+        fpt_diagonal(3, exps)
 
 
 # -- Frobenius oracle ------------------------------------------------------
@@ -186,7 +202,7 @@ def test_frobenius_nu_quartic_cone():
 
 def test_frobenius_nu_rejects_units_and_zero():
     with pytest.raises(ValueError):
-        frobenius_nu(SparsePolyFp.zero(3, ("x",)), 1)
+        frobenius_nu(SparsePolyFp(3, ("x",), {}), 1)
     with pytest.raises(ValueError):
         frobenius_nu(SparsePolyFp(3, ("x",), {(0,): 1, (1,): 1}), 1)
     with pytest.raises(ValueError):
@@ -235,12 +251,19 @@ def test_resource_guard_env(monkeypatch):
 
 
 def nu_reference(f, e):
-    """nu_e by brute force: multiply by f, truncating at p^e, until zero."""
+    """nu_e by brute force: multiply by f, dropping every term with an
+    exponent >= p^e, until the product is zero."""
     q = f.p**e
-    g, nu = f.truncate(q), 0
-    while not g.is_zero():
+    g, nu = {(0,) * len(f.vars): 1}, -1
+    while g:
         nu += 1
-        g = mul_truncated(g, f, q)
+        out = {}
+        for e1, c1 in g.items():
+            for e2, c2 in f.terms.items():
+                k = tuple(a + b for a, b in zip(e1, e2))
+                if max(k) < q:
+                    out[k] = out.get(k, 0) + c1 * c2
+        g = {k: r for k, c in out.items() if (r := c % f.p)}
     return nu
 
 
@@ -353,7 +376,7 @@ def test_fpt_at_most_lct(p, exps):
 )
 @settings(max_examples=80, deadline=None)
 def test_fermat_matches_diagonal_formula(p, d):
-    assert fpt_fermat(p, d) == fpt_diagonal(p, (d,) * d)
+    assert fermat_reference(p, d) == fpt_diagonal(p, (d,) * d)
 
 
 @given(
