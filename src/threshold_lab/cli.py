@@ -13,21 +13,31 @@ with ``--ram A`` the exponent is read in units of p^{1/p^A}, so "p^3" at
 the ring context (the CLI infers them from the source in order of first
 appearance).  Fractional exponents are rejected rather than parsed.
 
-A source is validated once: it is tokenized and parsed in full (so a syntax
-error anywhere wins over an unknown variable), then :func:`lower_expr`
-evaluates the tree into one term dict {(pi, E): c} and hands it to the
-validating ``MixedPoly`` constructor.  The commands read a source through
-:func:`parse_source`, which takes the variables and the syntax tree off one
-tokenize.
+A source is read in three steps.  :func:`tokenize` scans it once with one
+regular expression and rejects any character outside the grammar's
+alphabet.  The parser then builds the whole syntax tree, so a syntax error
+anywhere wins over an unknown variable and over a power past its budget.
+Last, :func:`lower_expr` evaluates the tree into one term dict
+{(pi, E): c}, refusing a power whose expansion could take more than
+MAX_POWER_PRODUCTS term products, and wraps the dict with
+``MixedPoly._of``.  Every key is valid by construction, and the ring
+context has already checked the prime and the variable names.  The
+commands read a source through :func:`parse_source`, which takes the
+variables and the syntax tree off one tokenize.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, chain, filterfalse, repeat
+from math import comb
+from operator import add, mul
 from typing import NamedTuple
 
 from .certify import (
@@ -55,56 +65,93 @@ class PolySyntaxError(ValueError):
 # --------------------------------------------------------------------------
 # Tokenizer and recursive-descent parser.
 
+# One findall scan reads every token with the whitespace before it: a run of
+# ASCII digits, an identifier (a letter or "_", then letters, "_" and ASCII
+# digits) or any other single character, an operator or a stray.  The scan
+# runs on the source without its trailing whitespace, so it consumes every
+# character.  \w also matches the non-ASCII digits and numerals ("²",
+# "٣") that str.isdigit and str.isnumeric accept but int() rejects or
+# misreads; no such character belongs to the alphabet, so tokenize rejects
+# them with the other strays.
+_TOKEN = re.compile(r"(\s*)([0-9]+|[^\W\d]\w*|\S)")
 # '/' is tokenized but accepted nowhere, so "x^(1/2)" reaches the dedicated
 # fractional-exponent error instead of dying at the character level.
-_OPERATORS = set("+-*^()/")
-# str.isdigit also accepts "²" and "٣", which int() rejects or reads as 3.
-_DIGITS = set("0123456789")
+_OPERATORS = frozenset("+-*^()/")
+_ALPHABET = _OPERATORS | frozenset("0123456789_")
+# Deleting these from the token texts of a source leaves its letters.
+_NON_LETTERS = str.maketrans("", "", "".join(_ALPHABET))
+# Token texts that are not variables: the operators, the end token's "" and
+# the uniformizer.
+_NOT_VARIABLES = (*_OPERATORS, "", "p")
 
 
 class Token(NamedTuple):
-    kind: str  # "uint" | "ident" | one of + - * ^ ( ) | "end"
+    kind: str  # "uint" | "ident" | one of + - * ^ ( ) / | "end"
     text: str
     offset: int  # UTF-8 byte offset into the source
 
 
-def _byte_offsets(src: str) -> list[int]:
-    """The UTF-8 byte offset of each character index of src, and of len(src).
+def _kind(text: str) -> str:
+    if text in _OPERATORS:
+        return text
+    if text.isdigit():
+        return "uint"
+    return "ident" if text else "end"
 
-    Undecodable argv bytes arrive as lone surrogates; surrogateescape counts
-    each as the one byte it stands for.
+
+def _utf8(text: str) -> bytes:
+    # Undecodable argv bytes arrive as lone surrogates; surrogateescape turns
+    # each back into the one byte it stands for.
+    return text.encode("utf-8", "surrogateescape")
+
+
+class Tokens(Sequence[Token]):
+    """The tokens of one source, closed by an "end" token whose text is "".
+
+    The parser reads ``texts``: a token's kind follows from its text.  The
+    UTF-8 byte offsets are summed from the scan when first read, by a syntax
+    error or by indexing, which yields :class:`Token` values.
     """
-    sizes = (len(c.encode("utf-8", "surrogateescape")) for c in src)
-    return list(accumulate(sizes, initial=0))
+
+    def __init__(self, src: str, pieces: list[tuple[str, str]]) -> None:
+        self.src = src
+        self.pieces = pieces  # (whitespace, text) of each token but the end
+        self.texts = [text for _, text in pieces]
+        self.texts.append("")
+
+    @cached_property
+    def offsets(self) -> list[int]:
+        """The UTF-8 byte offset of each token, the end token's included."""
+        ascii = self.src.isascii()  # then every character is one byte
+        chunks = chain.from_iterable(self.pieces)
+        sizes = map(len, chunks if ascii else map(_utf8, chunks))
+        starts = list(accumulate(sizes, initial=0))[1::2]
+        starts.append(len(self.src if ascii else _utf8(self.src)))
+        return starts
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(self, i: int) -> Token:
+        text = self.texts[i]
+        return Token(_kind(text), text, self.offsets[i])
 
 
-def tokenize(src: str) -> list[Token]:
-    tokens: list[Token] = []
-    # In an ASCII source every character is one byte.
-    at = range(len(src) + 1) if src.isascii() else _byte_offsets(src)
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-        elif c in _DIGITS:
-            j = i
-            while j < n and src[j] in _DIGITS:
-                j += 1
-            tokens.append(Token("uint", src[i:j], at[i]))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalpha() or src[j] in _DIGITS or src[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", src[i:j], at[i]))
-            i = j
-        elif c in _OPERATORS:
-            tokens.append(Token(c, c, at[i]))
-            i += 1
-        else:
-            raise PolySyntaxError(at[i], f"unexpected character {c!r}")
-    tokens.append(Token("end", "", at[n]))
+def _first_stray(src: str) -> int:
+    """The index of the first character of src that is not whitespace, a
+    letter, an ASCII digit, "_" or an operator."""
+    classes = zip(map(str.isspace, src), map(str.isalpha, src), map(_ALPHABET.__contains__, src))
+    return list(map(any, classes)).index(False)
+
+
+def tokenize(src: str) -> Tokens:
+    """The tokens of src; a character outside the alphabet raises
+    PolySyntaxError at its UTF-8 byte offset."""
+    tokens = Tokens(src, _TOKEN.findall(src.rstrip()))
+    letters = "".join(tokens.texts).translate(_NON_LETTERS)
+    if letters and not letters.isalpha():
+        i = _first_stray(src)
+        raise PolySyntaxError(len(_utf8(src[:i])), f"unexpected character {src[i]!r}")
     return tokens
 
 
@@ -135,83 +182,85 @@ class Power(NamedTuple):
 
 PolyExpr = IntLit | VarRef | Sum | Product | Power
 
+_SIGNS = {"+": 1, "-": -1}
+
 
 class _Parser:
-    def __init__(self, tokens: list[Token]) -> None:
+    """Recursive descent over the token texts, one method per grammar rule
+    (factor also reads the base), each indexing the texts directly."""
+
+    def __init__(self, tokens: Tokens) -> None:
         self.tokens = tokens
+        self.texts = tokens.texts
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def error(self, pos: int, message: str) -> PolySyntaxError:
+        return PolySyntaxError(self.tokens.offsets[pos], message)
 
     def parse(self) -> PolyExpr:
         expr = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise PolySyntaxError(tok.offset, f"unexpected {tok.text!r}")
+        text = self.texts[self.pos]
+        if text:
+            raise self.error(self.pos, f"unexpected {text!r}")
         return expr
 
     def expr(self) -> PolyExpr:
-        parts = [(1, self.term())]
-        while self.peek().kind in ("+", "-"):
-            sign = 1 if self.advance().kind == "+" else -1
-            parts.append((sign, self.term()))
-        if len(parts) == 1:
-            return parts[0][1]
+        first = self.term()
+        texts = self.texts
+        if texts[self.pos] not in _SIGNS:
+            return first
+        parts = [(1, first)]
+        while (text := texts[self.pos]) in _SIGNS:
+            self.pos += 1
+            parts.append((_SIGNS[text], self.term()))
         return Sum(tuple(parts))
 
     def term(self) -> PolyExpr:
-        factors = [self.factor()]
-        while self.peek().kind == "*":
-            self.advance()
+        first = self.factor()
+        texts = self.texts
+        if texts[self.pos] != "*":
+            return first
+        factors = [first]
+        while texts[self.pos] == "*":
+            self.pos += 1
             factors.append(self.factor())
-        if len(factors) == 1:
-            return factors[0]
         return Product(tuple(factors))
 
     def factor(self) -> PolyExpr:
-        base = self.base()
-        if self.peek().kind != "^":
+        """base ('^' uint)?, with base := uint | ident | '(' expr ')'."""
+        texts, pos = self.texts, self.pos
+        text = texts[pos]
+        self.pos = pos + 1
+        if text == "(":
+            base = self.expr()
+            if texts[self.pos] != ")":
+                raise self.error(self.pos, "expected ')'")
+            self.pos += 1
+        elif text.isdigit():
+            base = IntLit(int(text))
+        elif text and text not in _OPERATORS:
+            base = VarRef(text)
+        else:
+            raise self.error(pos, f"expected a term, found {text or 'end of input'!r}")
+        pos = self.pos
+        if texts[pos] != "^":
             return base
-        self.advance()
-        tok = self.peek()
-        if tok.kind == "uint":
-            self.advance()
-            return Power(base, int(tok.text))
-        if tok.kind == "(":
-            raise PolySyntaxError(
-                tok.offset, "fractional or compound exponents are not allowed"
-            )
-        if tok.kind == "-":
-            raise PolySyntaxError(tok.offset, "negative exponents are not allowed")
-        raise PolySyntaxError(tok.offset, "expected an unsigned integer exponent")
-
-    def base(self) -> PolyExpr:
-        tok = self.advance()
-        if tok.kind == "uint":
-            return IntLit(int(tok.text))
-        if tok.kind == "ident":
-            return VarRef(tok.text)
-        if tok.kind == "(":
-            inner = self.expr()
-            closing = self.advance()
-            if closing.kind != ")":
-                raise PolySyntaxError(closing.offset, "expected ')'")
-            return inner
-        raise PolySyntaxError(tok.offset, f"expected a term, found {tok.text or 'end of input'!r}")
+        text = texts[pos + 1]
+        if text.isdigit():
+            self.pos = pos + 2
+            return Power(base, int(text))
+        if text == "(":
+            raise self.error(pos + 1, "fractional or compound exponents are not allowed")
+        if text == "-":
+            raise self.error(pos + 1, "negative exponents are not allowed")
+        raise self.error(pos + 1, "expected an unsigned integer exponent")
 
 
-def _variables(tokens: list[Token]) -> tuple[str, ...]:
-    seen: list[str] = []
-    for tok in tokens:
-        if tok.kind == "ident" and tok.text != "p" and tok.text not in seen:
-            seen.append(tok.text)
-    return tuple(seen)
+def _variables(tokens: Tokens) -> tuple[str, ...]:
+    names = dict.fromkeys(filterfalse(str.isdigit, tokens.texts))
+    for text in _NOT_VARIABLES:
+        names.pop(text, None)
+    return tuple(names)
 
 
 def infer_variables(src: str) -> tuple[str, ...]:
@@ -219,13 +268,45 @@ def infer_variables(src: str) -> tuple[str, ...]:
     return _variables(tokenize(src))
 
 
+# The most term products that expanding one power in a source may take, as
+# bounded by power_products: about a second of pow_mixed.  A source with a
+# power over it is refused before anything is expanded.
+MAX_POWER_PRODUCTS = 500_000
+
+
+def power_products(terms: int, n: int) -> int:
+    """An upper bound on the term products pow_mixed makes for f^n, where f
+    has `terms` >= 1 terms, found without expanding anything.
+
+    f^k has at most C(k + t - 1, t - 1) terms (the monomials of degree k in
+    the t terms of f), and pow_mixed's binary powering multiplies each
+    square f^(2^i) by itself and, for each set bit, into the result.  The
+    count stops once it is past MAX_POWER_PRODUCTS.
+    """
+    def size(k: int) -> int:
+        return comb(k + terms - 1, terms - 1)
+
+    products, out, square = 0, 0, 1
+    while n and products <= MAX_POWER_PRODUCTS:
+        if n & 1:
+            products += size(out) * size(square)
+            out += square
+        products += size(square) ** 2
+        square *= 2
+        n >>= 1
+    return products
+
+
 def lower_expr(expr: PolyExpr, ctx: RingContext) -> MixedPoly:
     """Evaluate an AST into a MixedPoly over the given ring context.
 
     Each node evaluates to one term dict {(pi, E): c} without zero
-    coefficients: sums accumulate signed coefficients, products go through
-    ``MixedPoly.__mul__`` and powers through ``pow_mixed``.  Every key is valid by construction, so only
-    the final dict goes through the validating ``MixedPoly`` constructor.
+    coefficients.  Sums accumulate signed coefficients.  A product of two
+    monomials and a power of a monomial are formed on the dicts; only a
+    product or power with a multi-term operand goes through
+    ``MixedPoly.__mul__`` or ``pow_mixed``, and such a power only when
+    power_products keeps it within MAX_POWER_PRODUCTS.  Every key is valid
+    by construction, so the result is wrapped by ``MixedPoly._of``.
     """
     p, ram_level, vars = ctx.p, ctx.ram_level, ctx.vars
     zero_exps = (0,) * len(vars)
@@ -250,11 +331,27 @@ def lower_expr(expr: PolyExpr, ctx: RingContext) -> MixedPoly:
         if kind is IntLit:
             return {(0, zero_exps): node.value} if node.value else {}
         if kind is Power:
-            return pow_mixed(poly(go(node.base)), node.exponent).terms
+            base, n = go(node.base), node.exponent
+            if len(base) == 1:
+                ((pi, exps), c), = base.items()
+                return {(pi * n, tuple(map(mul, exps, repeat(n)))): c**n}
+            if len(base) > 1 and power_products(len(base), n) > MAX_POWER_PRODUCTS:
+                raise ValueError(
+                    f"expanding a {len(base)}-term polynomial to the power {n} may"
+                    f" take more than {MAX_POWER_PRODUCTS} term products, the"
+                    " budget of one power in a source"
+                )
+            return pow_mixed(poly(base), n).terms
         if kind is Product:
             acc = go(node.factors[0])
             for factor in node.factors[1:]:
-                acc = (poly(acc) * poly(go(factor))).terms
+                terms = go(factor)
+                if len(acc) == 1 and len(terms) == 1:
+                    ((pi1, e1), c1), = acc.items()
+                    ((pi2, e2), c2), = terms.items()
+                    acc = {(pi1 + pi2, tuple(map(add, e1, e2))): c1 * c2}
+                else:
+                    acc = (poly(acc) * poly(terms)).terms
             return acc
         if kind is Sum:
             acc = {}
@@ -264,16 +361,16 @@ def lower_expr(expr: PolyExpr, ctx: RingContext) -> MixedPoly:
             return {key: c for key, c in acc.items() if c}
         raise TypeError(f"unhandled node {node!r}")
 
-    return MixedPoly(p, ram_level, vars, go(expr))
+    return poly(go(expr))
 
 
 def parse_poly(src: str, ctx: RingContext) -> MixedPoly:
     """Parse src against the grammar and lower it over ctx."""
-    return _parse_tokens(src, tokenize(src), ctx)
+    return _parse_tokens(tokenize(src), ctx)
 
 
-def _parse_tokens(src: str, tokens: list[Token], ctx: RingContext) -> MixedPoly:
-    if not src.strip():
+def _parse_tokens(tokens: Tokens, ctx: RingContext) -> MixedPoly:
+    if len(tokens.texts) == 1:
         raise PolySyntaxError(0, "empty polynomial source")
     return lower_expr(_Parser(tokens).parse(), ctx)
 
@@ -286,7 +383,7 @@ def parse_source(
     uniformizer, in order of first appearance, or ("x",) when there are none."""
     tokens = tokenize(src)
     ctx = RingContext(prime, _variables(tokens) or ("x",), ram_level=ram, cyclotomic=cyclotomic)
-    return ctx, _parse_tokens(src, tokens, ctx)
+    return ctx, _parse_tokens(tokens, ctx)
 
 
 def format_poly_src(f: MixedPoly) -> str:

@@ -19,11 +19,13 @@ f termwise against the Frobenius power (pi^q, x_1^q, ..., x_n^q), the only
 ideal the certification rules ask about.
 
 The public constructors check the prime, the variable names and every
-exponent vector, and over F_p reduce coefficients mod p.  Arithmetic results
-(:meth:`MixedPoly.__mul__`, :func:`pow_mixed`, :func:`reduce_mod_pi`,
+exponent vector, and over F_p reduce coefficients mod p; a
+:class:`RingContext` checks its prime and its variable names.  Arithmetic
+results (:meth:`MixedPoly.__mul__`, :func:`pow_mixed`, :func:`reduce_mod_pi`,
 :func:`pth_root_mod_fp`) are valid by construction and go through the private
-``_of`` constructor, which checks nothing; the parser in :mod:`.cli` also
-lowers a source through it and validates only the finished polynomial.
+``_of`` constructor, which checks nothing.  So does the parser in
+:mod:`.cli`: it reads a source in a ring context that is already checked and
+forms every term key itself.
 
 Coefficients of :class:`MixedPoly` are exact integers and are never reduced;
 all soundness arguments downstream rely on termwise effective pi-orders, so no
@@ -150,6 +152,8 @@ class RingContext:
         require_prime(self.p)
         if not self.vars:
             raise ValueError("at least one x-variable is required")
+        # The parser builds polynomials on these names without a check.
+        object.__setattr__(self, "vars", _check_vars(self.vars))
         if self.ram_level < 0:
             raise ValueError(f"ram_level must be >= 0, got {self.ram_level}")
         if self.cyclotomic and self.ram_level > 0:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from threshold_lab.certify import InternalInconsistencyError, RingContext
 from threshold_lab.cli import (
+    MAX_POWER_PRODUCTS,
     IntLit,
     PolySyntaxError,
     Power,
@@ -24,6 +26,7 @@ from threshold_lab.cli import (
     main,
     parse_poly,
     parse_source,
+    power_products,
     tokenize,
 )
 from threshold_lab.poly import MixedPoly, pow_mixed
@@ -124,6 +127,155 @@ def test_syntax_errors_carry_byte_offsets(src, byte, fragment):
 def test_token_offsets_count_utf8_bytes():
     src = "\u00fc + x^(1/2)"
     assert [t.offset for t in tokenize(src)] == [0, 3, 5, 6, 7, 8, 9, 10, 11, 12]
+
+
+# Today's tokenizer is one regular-expression scan.  These are the character
+# loop and the recursive-descent parser over its Token objects that it
+# replaced, kept as the reference for every token, byte offset and error.
+_REF_OPERATORS = set("+-*^()/")
+_REF_DIGITS = set("0123456789")
+
+
+def reference_tokenize(src):
+    at = [0]
+    for c in src:
+        at.append(at[-1] + len(c.encode("utf-8", "surrogateescape")))
+    tokens = []
+    i, n = 0, len(src)
+    while i < n:
+        c = src[i]
+        if c.isspace():
+            i += 1
+        elif c in _REF_DIGITS:
+            j = i
+            while j < n and src[j] in _REF_DIGITS:
+                j += 1
+            tokens.append(("uint", src[i:j], at[i]))
+            i = j
+        elif c.isalpha() or c == "_":
+            j = i
+            while j < n and (src[j].isalpha() or src[j] in _REF_DIGITS or src[j] == "_"):
+                j += 1
+            tokens.append(("ident", src[i:j], at[i]))
+            i = j
+        elif c in _REF_OPERATORS:
+            tokens.append((c, c, at[i]))
+            i += 1
+        else:
+            raise PolySyntaxError(at[i], f"unexpected character {c!r}")
+    tokens.append(("end", "", at[n]))
+    return tokens
+
+
+def reference_parse(tokens):
+    pos = 0
+
+    def advance():
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def expr():
+        parts = [(1, term())]
+        while tokens[pos][0] in ("+", "-"):
+            parts.append((1 if advance()[0] == "+" else -1, term()))
+        return parts[0][1] if len(parts) == 1 else Sum(tuple(parts))
+
+    def term():
+        factors = [factor()]
+        while tokens[pos][0] == "*":
+            advance()
+            factors.append(factor())
+        return factors[0] if len(factors) == 1 else Product(tuple(factors))
+
+    def factor():
+        b = base()
+        if tokens[pos][0] != "^":
+            return b
+        advance()
+        kind, text, offset = tokens[pos]
+        if kind == "uint":
+            advance()
+            return Power(b, int(text))
+        if kind == "(":
+            raise PolySyntaxError(offset, "fractional or compound exponents are not allowed")
+        if kind == "-":
+            raise PolySyntaxError(offset, "negative exponents are not allowed")
+        raise PolySyntaxError(offset, "expected an unsigned integer exponent")
+
+    def base():
+        kind, text, offset = advance()
+        if kind == "uint":
+            return IntLit(int(text))
+        if kind == "ident":
+            return VarRef(text)
+        if kind == "(":
+            inner = expr()
+            closing = advance()
+            if closing[0] != ")":
+                raise PolySyntaxError(closing[2], "expected ')'")
+            return inner
+        raise PolySyntaxError(offset, f"expected a term, found {text or 'end of input'!r}")
+
+    tree = expr()
+    if tokens[pos][0] != "end":
+        raise PolySyntaxError(tokens[pos][2], f"unexpected {tokens[pos][1]!r}")
+    return tree
+
+
+def outcome(run, *args):
+    """run(*args), or the offset and message of the PolySyntaxError it raised."""
+    try:
+        return run(*args)
+    except PolySyntaxError as ex:
+        return ex.offset, str(ex)
+
+
+def _argv_char(c):
+    """Whether c can reach the command line: a lone surrogate can only stand
+    for an undecodable argv byte, U+DC80..U+DCFF."""
+    return not ("\ud800" <= c <= "\udfff") or "\udc80" <= c <= "\udcff"
+
+
+# Any character, whitespace (ASCII, no-break and em space), letters with 1-,
+# 2- and 3-byte encodings, digits and numerals that str.isdigit or
+# str.isnumeric accepts but the grammar does not ("\u00b2", "\u0663",
+# "\u2167"), undecodable argv bytes and the grammar's own symbols.
+_SOURCE_CHARS = st.one_of(
+    st.characters(codec=None, exclude_categories=()).filter(_argv_char),
+    st.sampled_from("xyzp_09+-*^()/ \t\n\x1c\u00a0\u2003\u00fc\u03c0\u4e00"
+                    "\u00b2\u0663\u2167\udc80\udcff"),
+)
+_GRAMMAR_CHARS = st.sampled_from("xyp_0123456789+-*^()/ \u00fc")
+
+
+@given(src=st.text() | st.text(_SOURCE_CHARS, max_size=40))
+@settings(max_examples=500, deadline=None)
+def test_tokenize_matches_the_character_loop(src):
+    def scan(src):
+        return [(t.kind, t.text, t.offset) for t in tokenize(src)]
+
+    assert outcome(scan, src) == outcome(reference_tokenize, src)
+
+
+@given(src=st.text(_GRAMMAR_CHARS, min_size=1, max_size=20) | st.text(_SOURCE_CHARS, min_size=1))
+@settings(max_examples=500, deadline=None)
+def test_parser_matches_the_reference_parser(src):
+    """The same syntax tree, or the same syntax error at the same byte."""
+    def parse(src):
+        return _Parser(tokenize(src)).parse()
+
+    def reference(src):
+        return reference_parse(reference_tokenize(src))
+
+    assert outcome(parse, src) == outcome(reference, src)
+
+
+def test_unescapable_surrogate_is_a_syntax_error():
+    """A lone surrogate outside U+DC80..U+DCFF has no UTF-8 bytes; the
+    character loop raised UnicodeEncodeError on it, tokenize reports it."""
+    with pytest.raises(PolySyntaxError, match="at byte 4: unexpected character '\\\\ud800'"):
+        tokenize("x + \ud800")
 
 
 def test_unknown_variable_is_rejected():
@@ -260,6 +412,82 @@ def test_parse_matches_reference_lowering(data, p, ram):
     f = parse_poly(src, ctx)
     assert f == reference_lowering(src, ctx), src
     assert all(f.terms.values())
+
+
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
+@settings(max_examples=100, deadline=None)
+def test_parse_matches_sympy_expansion(data, p):
+    """parse_poly's coefficients are sympy's, reading the uniformizer p as a
+    plain symbol: the pi-exponent of a term is its degree in p."""
+    sympy = pytest.importorskip("sympy")
+    src = data.draw(sources(p))
+    ctx = ctx_for(src, p=p)
+    names = ("p", *ctx.vars)
+    symbols = sympy.symbols(names)
+    expr = sympy.parse_expr(src.replace("^", "**"), local_dict=dict(zip(names, symbols)))
+    want = {(m[0], m[1:]): int(c) for m, c in sympy.Poly(expr, *symbols).terms() if c}
+    assert parse_poly(src, ctx).terms == want, src
+
+
+# -- the power budget ------------------------------------------------------
+
+
+def binary_powering_products(f, n):
+    """The term products pow_mixed's binary powering makes for f^n, counted
+    on the same powering with MixedPoly products."""
+    products, out, base = 0, MixedPoly(f.p, f.ram_level, f.vars, {(0, (0,) * len(f.vars)): 1}), f
+    while n:
+        if n & 1:
+            products += len(out.terms) * len(base.terms)
+            out = out * base
+        products += len(base.terms) ** 2
+        base = base * base
+        n >>= 1
+    return products
+
+
+@given(
+    terms=st.dictionaries(
+        st.tuples(st.integers(0, 2), st.tuples(st.integers(0, 2), st.integers(0, 2))),
+        st.integers(-3, 3).filter(bool), min_size=2, max_size=5,
+    ),
+    n=st.integers(0, 9),
+)
+@settings(max_examples=100, deadline=None)
+def test_power_products_bounds_binary_powering(terms, n):
+    f = MixedPoly(3, 0, ("x", "y"), terms)
+    assert binary_powering_products(f, n) <= power_products(len(f.terms), n)
+
+
+@pytest.mark.parametrize("t, n", [(2, 1), (2, 13), (3, 8), (4, 5), (5, 2)])
+def test_power_products_is_exact_on_distinct_variables(t, n):
+    """A sum of t distinct variables has the most terms at every power."""
+    names = tuple("abcde"[:t])
+    f = MixedPoly(2, 0, names, {(0, tuple(int(i == j) for j in range(t))): 1 for i in range(t)})
+    assert binary_powering_products(f, n) == power_products(t, n)
+
+
+def test_power_budget_refuses_before_expanding():
+    """(x + y + z)^120 has 7,381 terms, but its binary powering takes about
+    9M term products: the command exits 2 at once, naming the budget."""
+    start = time.perf_counter()
+    code, out, err = run_module_cli("certify", "--prime", "5", "--poly", "(x + y + z)^120")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert f"more than {MAX_POWER_PRODUCTS} term products" in err and "budget" in err
+
+
+def test_power_budget_follows_the_syntax_check():
+    """A syntax error anywhere wins over a power over the budget, and a
+    power within it is expanded."""
+    ctx = RingContext(5, ("x", "y", "z"))
+    with pytest.raises(ValueError, match="budget") as info:
+        parse_poly("(x + y + z)^120", ctx)
+    assert not isinstance(info.value, PolySyntaxError)
+    with pytest.raises(PolySyntaxError, match="at byte 18"):
+        parse_poly("(x + y + z)^120 + )", ctx)
+    assert power_products(3, 20) <= MAX_POWER_PRODUCTS
+    assert len(parse_poly("(x + y + z)^20", ctx).terms) == 231
 
 
 # -- CLI subcommands -------------------------------------------------------

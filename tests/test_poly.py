@@ -140,6 +140,14 @@ def test_mixed_rejects_bad_input():
         MixedPoly(3, 0, ("x",), {(-1, (1,)): 1})
 
 
+def test_ring_context_checks_variable_names():
+    """The parser builds through MixedPoly._of, so the ring context is where a
+    parsed polynomial's variable names are checked, and made a tuple."""
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        RingContext(3, ("x", "y", "x"))
+    assert RingContext(3, ["x", "y"]).vars == ("x", "y")
+
+
 def test_mixed_drops_zero_coefficients():
     f = MixedPoly(3, 0, ("x",), {(0, (1,)): 0, (2, (0,)): 3})
     assert set(f.terms) == {(2, (0,))}
@@ -179,6 +187,25 @@ def test_pow_mixed_one_term_matches_repeated_product(p, key, c):
     for n in range(8):
         assert pow_mixed(f, n) == acc
         acc = acc * f
+
+
+@given(
+    terms=st.dictionaries(
+        st.tuples(st.integers(0, 2), st.tuples(st.integers(0, 2), st.integers(0, 2))),
+        st.integers(-4, 4), max_size=3,
+    ),
+    n=st.integers(0, 12),
+)
+@settings(max_examples=100, deadline=None)
+def test_pow_mixed_matches_sympy(terms, n):
+    """f^n against sympy's expansion, with pi a plain symbol."""
+    sympy = pytest.importorskip("sympy")
+    pi, x, y = sympy.symbols("pi x y")
+    f = MixedPoly(5, 0, ("x", "y"), terms)
+    expr = sum((c * pi**k * x**a * y**b for (k, (a, b)), c in f.terms.items()), sympy.Integer(0))
+    poly = sympy.Poly(sympy.expand(expr**n), pi, x, y)
+    want = {(m[0], m[1:]): int(c) for m, c in poly.terms() if c}
+    assert pow_mixed(f, n).terms == want
 
 
 def test_reduce_mod_pi():

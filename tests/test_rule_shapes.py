@@ -5,8 +5,10 @@ generators (``CertifySweep._extremal`` through ``_cross_term`` in
 ``bench/workloads.py``) and add the registry rows: extremal forms, elliptic
 cubic cones and their cross terms, p-th powers modulo p^2, the cyclotomic
 base, and residues with a mixed monomial.  Each input must certify without
-tripping the inconsistency alarm, and its bounds, strictness and rule ids
-must not depend on the order of the ring's variables.  Read at level 0 and
+tripping the inconsistency alarm.  Its bounds, strictness and rule ids must
+not depend on the order of the ring's variables, its bounds must not change
+when the ring gains a variable that f does not use, and its certificate
+must not exclude the certificate of f times a unit.  Read at level 0 and
 joined by diagonals with a pi-slot, the same shapes check that a limit
 profile's levels, derived from one analysis of f, match a fresh analysis
 and a fresh certificate at each level, and that the containment powers the
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from threshold_lab.certify import (
     ELLIPTIC_FAMILIES,
+    ORACLE_LEVEL,
     RingContext,
     analyze,
     certify,
@@ -28,6 +31,7 @@ from threshold_lab.certify import (
     relevel_facts,
 )
 from threshold_lab.cli import infer_variables, parse_poly
+from threshold_lab.fpt import _max_terms_budget
 from threshold_lab.poly import pow_mixed
 
 VARS = ("x", "y", "z")
@@ -143,6 +147,50 @@ def test_rule_shapes_certify_and_ignore_variable_order(data, shape):
         assert lower < upper or (lower == upper and not (lower_strict or upper_strict))
     permuted = tuple(data.draw(st.permutations(vars)))
     assert _summary(shape.src, shape, permuted) == summary
+
+
+def _oracle_admits(shape: Shape, n_vars: int) -> bool:
+    """Whether the rules' oracle searches f mod pi in n_vars variables: its
+    monomial space p^(e*n) at ORACLE_LEVEL stays under the budget."""
+    return shape.p ** (ORACLE_LEVEL * n_vars) <= _max_terms_budget()
+
+
+@given(
+    data=st.data(),
+    shape=SHAPES.filter(lambda shape: _oracle_admits(shape, len(infer_variables(shape.src)) + 1)),
+)
+@settings(max_examples=150, deadline=None)
+def test_unused_variable_changes_no_bound(data, shape):
+    """Adjoining a variable that f does not use, anywhere in the ring's
+    variable list, leaves every certified bound as it was."""
+    vars = infer_variables(shape.src)
+    wider = list(vars)
+    wider.insert(data.draw(st.integers(0, len(vars))), "w")
+    assert _summary(shape.src, shape, tuple(wider))[:5] == _summary(shape.src, shape, vars)[:5]
+
+
+def _excludes(a, b) -> bool:
+    """Whether a's lower bound lies above b's upper bound (or on it, with
+    either bound strict), so that no value satisfies both certificates."""
+    if a.lower is None or b.upper is None:
+        return False
+    return a.lower > b.upper or (a.lower == b.upper and (a.lower_strict or b.upper_strict))
+
+
+@given(shape=SHAPES, u=st.integers(1, 60), negate=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_unit_multiple_bounds_never_exclude(shape, u, negate):
+    """u*f and f generate the same ideal when p does not divide u, so their
+    certificates never exclude each other.  They may differ: the rules that
+    need a monic f abstain on u*f."""
+    if u % shape.p == 0:
+        u += 1
+    scaled = f"{'0 - ' if negate else ''}{u}*({shape.src})"
+    vars = infer_variables(shape.src)
+    ctx = RingContext(shape.p, vars, ram_level=shape.ram, cyclotomic=shape.cyclotomic)
+    plain = certify(parse_poly(shape.src, ctx), ctx)
+    unit = certify(parse_poly(scaled, ctx), ctx)
+    assert not _excludes(plain, unit) and not _excludes(unit, plain)
 
 
 @st.composite
