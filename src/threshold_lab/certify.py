@@ -26,9 +26,8 @@ bound, or an exact value, and intersects everything it can prove:
 * ``known_values_registry`` - a small curated table of exactly known values.
 
 Each input is analysed once: :func:`analyze` builds a frozen :class:`Facts`
-holding f, the ring context, the requested elliptic family, the residue
-f mod pi with its closed-form fpt, the pure-power diagonal match and the base
-ring level; it also reads the diagonal's digit level and fpt (from one digit
+holding f, the ring context, the residue f mod pi with its closed-form fpt,
+the pure-power diagonal match and the base ring level; it also reads the diagonal's digit level and fpt (from one digit
 walk), the oracle brackets of the residue and the containment powers f^b on
 demand, once each.  Every rule takes that one argument and
 returns a :class:`RuleResult` or None (abstention): its bounds at once, its
@@ -333,8 +332,7 @@ class Facts:
     ``residue`` is f mod pi and ``residue_fpt`` its closed-form fpt (None
     when the residue is zero or has no closed form); ``diag`` is the
     pure-power diagonal decomposition of f, or None; ``base_level`` is
-    :func:`base_ring_level`.  ``family`` is the elliptic family the caller
-    asked for, if any.
+    :func:`base_ring_level`.
 
     ``brackets`` memoizes :meth:`bracket` and ``powers`` memoizes
     :meth:`power`.  They hold no fact of their own, so they are left out of
@@ -346,7 +344,6 @@ class Facts:
 
     f: MixedPoly
     ctx: RingContext
-    family: str | None
     residue: SparsePolyFp
     residue_fpt: Rat | None
     diag: MixedDiagonal | None
@@ -385,14 +382,13 @@ class Facts:
         return self.brackets[e]
 
 
-def analyze(f: MixedPoly, ctx: RingContext, family: str | None = None) -> Facts:
+def analyze(f: MixedPoly, ctx: RingContext) -> Facts:
     """Compute the residue, its closed-form fpt, the diagonal match and the
     base ring level of f, once for all rules."""
     residue = reduce_mod_pi(f)
     return Facts(
         f=f,
         ctx=ctx,
-        family=family,
         residue=residue,
         residue_fpt=exact_fpt_of_reduction(residue),
         diag=match_mixed_diagonal(f, ctx),
@@ -421,7 +417,6 @@ def relevel_facts(facts: Facts, a: int) -> Facts:
     return Facts(
         f=relevel(facts.f, a),
         ctx=RingContext(ctx.p, ctx.vars, ram_level=a),
-        family=facts.family,
         residue=facts.residue,
         residue_fpt=facts.residue_fpt,
         diag=diag,
@@ -794,9 +789,6 @@ def rule_frobenius_diagonal_strict(facts: Facts) -> RuleResult | None:
     )
 
 
-ELLIPTIC_FAMILIES = ("diag_cubic_p3", "h_xy_linear")
-
-
 def _match_elliptic(facts: Facts) -> tuple[str, int, int] | None:
     """Recognize pi^3 + X^3 + Y^3 or pi^3 + (unit X^2 Y + unit X Y^2); returns
     the family and the indices of X and Y."""
@@ -839,8 +831,8 @@ def rule_elliptic(facts: Facts) -> RuleResult | None:
 
     Applies to pi^3 + X^3 + Y^3 and to pi^3 + XY(uX + vY); the lower side is
     left to the residual and blow-up rules (for p > 2 whether 1 - 1/p is
-    strict is an open question, recorded as a note).  When the caller asked
-    for a family, any other matched form abstains.
+    strict is an open question, recorded as a note).  The hypotheses name
+    the matched form.
     """
     ctx = facts.ctx
     if ctx.ram_level != 0 or ctx.cyclotomic or ctx.p % 3 != 2:
@@ -849,8 +841,6 @@ def rule_elliptic(facts: Facts) -> RuleResult | None:
     if matched is None:
         return None
     form, i, j = matched
-    if facts.family is not None and facts.family != form:
-        return None
     value = 1 - Rat(1, ctx.p**2)
 
     def text():
@@ -918,38 +908,28 @@ def _in_varpi_pth(coeffs: list[int], p: int) -> bool:
     return sum(c // p for c in coeffs) % p == 0
 
 
-def pth_root_modulo(
-    f: MixedPoly, ctx: RingContext, t: int
-) -> MixedPoly | None:
-    """A witness h with h^p = f modulo p^t (or modulo varpi^t cyclotomically).
+def pth_root_modulo(f: MixedPoly, ctx: RingContext) -> MixedPoly | None:
+    """A witness h with h^p = f modulo the ring's modulus: p^2 over the
+    unramified base, varpi^p over the cyclotomic base.
 
-    Only the moduli the upper-bound rules need are supported: t in {1, 2}
-    over the unramified base and t = p over the cyclotomic base.  The residue
-    of any root is pinned down mod p (mod varpi) by the Frobenius on F_p, and
-    h^p at these moduli depends only on that residue, so checking the single
-    canonical lift (coefficients in [0, p-1]) decides existence.
+    These are the moduli of ``rule_pth_root_upper``'s two bounds.  The
+    residue of any root is pinned down mod p (mod varpi) by the Frobenius on
+    F_p, and h^p at these moduli depends only on that residue, so checking
+    the single canonical lift (coefficients in [0, p-1]) decides existence.
+    The root modulo p alone is ``pth_root_mod_fp(reduce_mod_pi(f))``.
     """
-    return _lift_pth_root(f, reduce_mod_pi(f), ctx, t)
+    return _lift_pth_root(f, reduce_mod_pi(f), ctx)
 
 
-def _lift_pth_root(
-    f: MixedPoly, g: SparsePolyFp, ctx: RingContext, t: int
-) -> MixedPoly | None:
+def _lift_pth_root(f: MixedPoly, g: SparsePolyFp, ctx: RingContext) -> MixedPoly | None:
     """:func:`pth_root_modulo` for f with residue g = f mod pi."""
     if ctx.ram_level != 0:
         raise ValueError("pth_root_modulo requires an unramified or cyclotomic base")
     p = ctx.p
-    if ctx.cyclotomic:
-        if t != p:
-            raise ValueError(f"cyclotomic roots are checked modulo varpi^p only, got t={t}")
-    elif t not in (1, 2):
-        raise ValueError(f"unramified roots are checked modulo p or p^2 only, got t={t}")
     root_bar = pth_root_mod_fp(g)
     if root_bar is None:
         return None
     h = MixedPoly(p, 0, ctx.vars, {(0, e): c for e, c in root_bar.terms.items()})
-    if not ctx.cyclotomic and t == 1:
-        return h
     hp = pow_mixed(h, p)
     if not ctx.cyclotomic:
         for key in set(f.terms) | set(hp.terms):
@@ -978,8 +958,7 @@ def rule_pth_root_upper(facts: Facts) -> RuleResult | None:
     if ctx.ram_level != 0:
         return None
     p = ctx.p
-    t = p if ctx.cyclotomic else 2
-    h = _lift_pth_root(facts.f, facts.residue, ctx, t)
+    h = _lift_pth_root(facts.f, facts.residue, ctx)
     if h is None:
         return None
     if ctx.cyclotomic:
@@ -1075,7 +1054,7 @@ def rule_threshold_cap(facts: Facts) -> RuleResult:
 # Orchestration.
 
 
-def _validate_input(f: MixedPoly, ctx: RingContext, family: str | None = None) -> None:
+def _validate_input(f: MixedPoly, ctx: RingContext) -> None:
     if f.p != ctx.p or f.ram_level != ctx.ram_level or f.vars != ctx.vars:
         raise ValueError("polynomial and ring context disagree")
     if f.is_zero():
@@ -1083,10 +1062,6 @@ def _validate_input(f: MixedPoly, ctx: RingContext, family: str | None = None) -
     for (pi, exps), c in f.terms.items():
         if not any(exps) and ctx.pi_order(pi, c) == 0:
             raise ValueError("f must lie in the maximal ideal (unit term found)")
-    if family is not None and family not in ELLIPTIC_FAMILIES:
-        raise ValueError(
-            f"unknown family {family!r}; expected one of {ELLIPTIC_FAMILIES}"
-        )
 
 
 def _cmp(a: Rat, b: Rat) -> int:
@@ -1105,21 +1080,17 @@ def _excludes(lower: Rat, lower_strict: bool, upper: Rat, upper_strict: bool) ->
     return c > 0 or (c == 0 and (lower_strict or upper_strict))
 
 
-def certify(
-    f: MixedPoly, ctx: RingContext, family: str | None = None
-) -> BoundCertificate:
+def certify(f: MixedPoly, ctx: RingContext) -> BoundCertificate:
     """Run every applicable rule on f and intersect the certified bounds.
 
     Raises :class:`InternalInconsistencyError` when two rules exclude each
     other (max lower above min upper, or touching with a strict side) - the
     engine's cross-validation alarm.
     """
-    _validate_input(f, ctx, family)
-    results = _run_rules(analyze(f, ctx, family))
+    _validate_input(f, ctx)
+    results = _run_rules(analyze(f, ctx))
     bounds = _intersect(results)
     notes = [note for res in results for note in res.notes]
-    if family is not None and not any(r.rule_id == "elliptic" for r in results):
-        notes.append(f"family {family} requested but the shape did not match; abstained")
     if bounds.lower_strict and bounds.upper is not None:
         m = math.floor(ctx.p * bounds.lower)
         if m >= 1 and ctx.p * bounds.upper <= m + bounds.lower:
@@ -1127,9 +1098,7 @@ def certify(
                 "p*ppt is not a jumping number: p*ppt lies in "
                 f"({m}, {m} + ppt), an interval free of jumping numbers"
             )
-    seen: set[str] = set()
-    deduped = [n for n in notes if not (n in seen or seen.add(n))]
-    return BoundCertificate(*bounds, rules=results, notes=deduped, poly=f, ctx=ctx)
+    return BoundCertificate(*bounds, rules=results, notes=notes, poly=f, ctx=ctx)
 
 
 def _run_rules(facts: Facts) -> list[RuleResult]:

@@ -18,11 +18,10 @@ regular expression and rejects any character outside the grammar's
 alphabet.  The parser then builds the whole syntax tree, so a syntax error
 anywhere wins over an unknown variable and over a power past its budget.
 Last, :func:`lower_expr` evaluates the tree into one term dict
-{(pi, E): c}, refusing a power whose expansion could take more than
-MAX_POWER_PRODUCTS term products, and wraps the dict with
-``MixedPoly._of``.  Every key is valid by construction, and the ring
-context has already checked the prime and the variable names.  The
-commands read a source through :func:`parse_source`, which takes the
+{(pi, E): c} within the budgets of its powers, products and coefficients,
+and wraps the dict with ``MixedPoly._of``.  Every key is valid by
+construction, and the ring context has already checked the prime and the
+variable names.  The commands read a source through :func:`parse_source`, which takes the
 variables and the syntax tree off one tokenize.
 """
 
@@ -40,13 +39,7 @@ from math import comb
 from operator import add, mul
 from typing import NamedTuple
 
-from .certify import (
-    ELLIPTIC_FAMILIES,
-    InternalInconsistencyError,
-    RingContext,
-    certify,
-    limit_profile,
-)
+from .certify import InternalInconsistencyError, RingContext, certify, limit_profile
 from .digits import kummer_valuation, lucas_residue, magic_expansions
 from .exact import MAX_EXPANSION_DIGITS, expand_base_p, format_rat
 from .fpt import fpt_diagonal, oracle_bracket
@@ -269,9 +262,13 @@ def infer_variables(src: str) -> tuple[str, ...]:
 
 
 # The most term products that expanding one power in a source may take, as
-# bounded by power_products: about a second of pow_mixed.  A source with a
-# power over it is refused before anything is expanded.
+# bounded by power_products (about a second of pow_mixed), or one product of
+# factors.  A power over it is refused before anything is expanded.
 MAX_POWER_PRODUCTS = 500_000
+
+# The largest coefficient in a source: 14,000 bits are at most 4,215 decimal
+# digits, within the 4,300 that CPython prints, so every output mode can.
+MAX_COEFFICIENT_BITS = 14_000
 
 
 def power_products(terms: int, n: int) -> int:
@@ -297,6 +294,17 @@ def power_products(terms: int, n: int) -> int:
     return products
 
 
+def _max_bits(terms: dict) -> int:
+    return max(map(int.bit_length, terms.values()), default=0)
+
+
+def _coefficient_budget(what: str) -> ValueError:
+    return ValueError(
+        f"{what} has more than {MAX_COEFFICIENT_BITS} bits, the budget of a"
+        " coefficient in a source"
+    )
+
+
 def lower_expr(expr: PolyExpr, ctx: RingContext) -> MixedPoly:
     """Evaluate an AST into a MixedPoly over the given ring context.
 
@@ -304,9 +312,13 @@ def lower_expr(expr: PolyExpr, ctx: RingContext) -> MixedPoly:
     coefficients.  Sums accumulate signed coefficients.  A product of two
     monomials and a power of a monomial are formed on the dicts; only a
     product or power with a multi-term operand goes through
-    ``MixedPoly.__mul__`` or ``pow_mixed``, and such a power only when
-    power_products keeps it within MAX_POWER_PRODUCTS.  Every key is valid
-    by construction, so the result is wrapped by ``MixedPoly._of``.
+    ``MixedPoly.__mul__`` or ``pow_mixed``, within MAX_POWER_PRODUCTS:
+    such a power by power_products, such a product by len(acc) *
+    len(terms) summed over its multiplications.  A power f^n is refused
+    when (bits of f's largest coefficient - 1) * n, the fewest bits of c^n
+    for a monomial c x^E, is past MAX_COEFFICIENT_BITS, and each
+    multiplication and the result are checked against it.  Every key is
+    valid by construction, so the result is wrapped by ``MixedPoly._of``.
     """
     p, ram_level, vars = ctx.p, ctx.ram_level, ctx.vars
     zero_exps = (0,) * len(vars)
@@ -332,6 +344,9 @@ def lower_expr(expr: PolyExpr, ctx: RingContext) -> MixedPoly:
             return {(0, zero_exps): node.value} if node.value else {}
         if kind is Power:
             base, n = go(node.base), node.exponent
+            bits = _max_bits(base)
+            if (bits - 1) * n > MAX_COEFFICIENT_BITS:
+                raise _coefficient_budget(f"a {bits}-bit coefficient^{n}")
             if len(base) == 1:
                 ((pi, exps), c), = base.items()
                 return {(pi * n, tuple(map(mul, exps, repeat(n)))): c**n}
@@ -344,14 +359,26 @@ def lower_expr(expr: PolyExpr, ctx: RingContext) -> MixedPoly:
             return pow_mixed(poly(base), n).terms
         if kind is Product:
             acc = go(node.factors[0])
+            products = 0
             for factor in node.factors[1:]:
                 terms = go(factor)
                 if len(acc) == 1 and len(terms) == 1:
                     ((pi1, e1), c1), = acc.items()
                     ((pi2, e2), c2), = terms.items()
-                    acc = {(pi1 + pi2, tuple(map(add, e1, e2))): c1 * c2}
+                    c = c1 * c2
+                    if c.bit_length() > MAX_COEFFICIENT_BITS:
+                        raise _coefficient_budget("a coefficient")
+                    acc = {(pi1 + pi2, tuple(map(add, e1, e2))): c}
                 else:
+                    products += len(acc) * len(terms)
+                    if products > MAX_POWER_PRODUCTS:
+                        raise ValueError(
+                            f"a product of factors may take more than {MAX_POWER_PRODUCTS}"
+                            " term products, the budget of one product in a source"
+                        )
                     acc = (poly(acc) * poly(terms)).terms
+                    if _max_bits(acc) > MAX_COEFFICIENT_BITS:
+                        raise _coefficient_budget("a coefficient")
             return acc
         if kind is Sum:
             acc = {}
@@ -361,7 +388,10 @@ def lower_expr(expr: PolyExpr, ctx: RingContext) -> MixedPoly:
             return {key: c for key, c in acc.items() if c}
         raise TypeError(f"unhandled node {node!r}")
 
-    return poly(go(expr))
+    terms = go(expr)
+    if _max_bits(terms) > MAX_COEFFICIENT_BITS:
+        raise _coefficient_budget("a coefficient")
+    return poly(terms)
 
 
 def parse_poly(src: str, ctx: RingContext) -> MixedPoly:
@@ -481,7 +511,7 @@ def _print_certificate(cert) -> None:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     ctx, f = parse_source(args.poly, args.prime, args.ram, args.cyclotomic)
-    cert = certify(f, ctx, family=args.family)
+    cert = certify(f, ctx)
     if args.json:
         print(cert.to_json())
     else:
@@ -566,7 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ram", type=int, default=0, help="ramification level a")
     sp.add_argument("--cyclotomic", action="store_true")
     sp.add_argument("--poly", required=True)
-    sp.add_argument("--family", choices=ELLIPTIC_FAMILIES)
     sp.add_argument("--json", action="store_true")
     sp.add_argument(
         "--require-bound",

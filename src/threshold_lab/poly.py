@@ -303,17 +303,13 @@ class MixedPoly:
 
 
 def pow_mixed(f: MixedPoly, n: int) -> MixedPoly:
-    """f^n with exact integer coefficients (no reduction).
+    """f^n with exact integer coefficients (no reduction), by binary powering.
 
-    A one-term base is scaled, (c pi^k x^E)^n = c^n pi^(kn) x^(nE); any other
-    base goes through binary powering.
+    Its callers are the parser, on multi-term bases only (it scales a power
+    of one term itself), the containment checks and the p-th-root lift.
     """
     if n < 0:
         raise ValueError("negative power")
-    if len(f.terms) == 1:
-        ((pi, exps), c), = f.terms.items()
-        scaled = {(pi * n, tuple(e * n for e in exps)): c**n}
-        return MixedPoly._of(f.p, f.ram_level, f.vars, scaled)
     out = MixedPoly._of(f.p, f.ram_level, f.vars, {(0, (0,) * len(f.vars)): 1})
     base = f
     while n:

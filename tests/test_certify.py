@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshold_lab.certify import (
-    ELLIPTIC_FAMILIES,
     _intersect,
     Bound,
     InternalInconsistencyError,
@@ -34,7 +33,14 @@ from threshold_lab.certify import (
     rule_threshold_cap,
 )
 from threshold_lab.exact import format_rat
-from threshold_lab.poly import MixedPoly, SparsePolyFp, pow_mixed, weighted_membership
+from threshold_lab.poly import (
+    MixedPoly,
+    SparsePolyFp,
+    pow_mixed,
+    pth_root_mod_fp,
+    reduce_mod_pi,
+    weighted_membership,
+)
 from threshold_lab.verify import golden_cases, mixed_diagonal_poly, random_diagonal_instance
 
 F = Fraction
@@ -197,16 +203,12 @@ def test_elliptic_upper():
     assert rule_elliptic(analyze(g, ctx_of(g))) is None
 
 
-def test_elliptic_families_constant():
-    assert ELLIPTIC_FAMILIES == ("diag_cubic_p3", "h_xy_linear")
-
-
 def test_pth_root_witness():
     # (x+y)^2 + 4y^3: the square root x + y survives modulo p^2
     f = MixedPoly(2, 0, ("x", "y"),
                   {(0, (2, 0)): 1, (0, (1, 1)): 2, (0, (0, 2)): 1, (0, (0, 3)): 4})
     ctx = ctx_of(f)
-    h = pth_root_modulo(f, ctx, 2)
+    h = pth_root_modulo(f, ctx)
     assert h is not None
     assert h.terms == {(0, (1, 0)): 1, (0, (0, 1)): 1}
     res = rule_pth_root_upper(analyze(f, ctx))
@@ -215,17 +217,18 @@ def test_pth_root_witness():
 
 def test_pth_root_no_witness():
     f = mixed_diagonal_poly(2, 0, None, (3, 3))
-    assert pth_root_modulo(f, ctx_of(f), 1) is None
+    assert pth_root_mod_fp(reduce_mod_pi(f)) is None
+    assert pth_root_modulo(f, ctx_of(f)) is None
     # x^3 is a cube mod 3 but x^3 + 3x is not a cube mod 9
     g = MixedPoly(3, 0, ("x",), {(0, (3,)): 1, (0, (1,)): 3})
-    assert pth_root_modulo(g, ctx_of(g), 1) is not None
-    assert pth_root_modulo(g, ctx_of(g), 2) is None
+    assert pth_root_mod_fp(reduce_mod_pi(g)) is not None
+    assert pth_root_modulo(g, ctx_of(g)) is None
 
 
 def test_pth_root_cyclotomic():
     ctx = RingContext(3, ("x",), cyclotomic=True)
     f = MixedPoly(3, 0, ("x",), {(0, (3,)): 1, (3, (0,)): 1})
-    h = pth_root_modulo(f, ctx, 3)
+    h = pth_root_modulo(f, ctx)
     assert h is not None
     res = rule_pth_root_upper(analyze(f, ctx))
     assert res is not None and res.upper == Bound(F(1, 3))
@@ -334,17 +337,6 @@ def test_certify_ramified_power_diagonals():
         assert cert.exact == F(1, p)
         fired = [r for r in cert.rules if r.rule_id == "exact_ramified"]
         assert fired and any("termwise" in h for h in fired[0].hypotheses)
-
-
-def test_certify_family_request():
-    f = mixed_diagonal_poly(2, 0, 3, (3, 3))
-    cert = certify(f, ctx_of(f), family="diag_cubic_p3")
-    assert cert.upper == F(3, 4)
-    g = mixed_diagonal_poly(2, 0, None, (2, 2))
-    cert = certify(g, ctx_of(g), family="diag_cubic_p3")
-    assert any("did not match" in n for n in cert.notes)
-    with pytest.raises(ValueError):
-        certify(f, ctx_of(f), family="no_such_family")
 
 
 def test_certify_input_validation():

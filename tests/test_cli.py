@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from threshold_lab.certify import InternalInconsistencyError, RingContext
 from threshold_lab.cli import (
+    MAX_COEFFICIENT_BITS,
     MAX_POWER_PRODUCTS,
     IntLit,
     PolySyntaxError,
@@ -490,6 +491,74 @@ def test_power_budget_follows_the_syntax_check():
     assert len(parse_poly("(x + y + z)^20", ctx).terms) == 231
 
 
+def test_product_budget_refuses_a_chain_of_factors():
+    """Each factor is within the power budget, but the third multiplication,
+    1,891 terms by 496, takes the product past the budget: exit 2."""
+    factor = "(x + y + z)^30"
+    start = time.perf_counter()
+    code, out, err = run_module_cli(
+        "fpt-search", "--prime", "5", "--level", "1", "--poly", "*".join([factor] * 4)
+    )
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert f"more than {MAX_POWER_PRODUCTS} term products" in err and "budget" in err
+
+
+def test_product_budget_charges_each_multiplication(monkeypatch):
+    """3 * x * (x + y)^2 * (x + y)^2 * (x + y) takes 0 + 1*3 + 3*3 + 5*2 = 22
+    term products: a product of two monomials is not charged."""
+    ctx = RingContext(5, ("x", "y"))
+    src = "3 * x * (x + y)^2 * (x + y)^2 * (x + y)"
+    monkeypatch.setattr(sys.modules["threshold_lab.cli"], "MAX_POWER_PRODUCTS", 22)
+    assert len(parse_poly(src, ctx).terms) == 6
+    monkeypatch.setattr(sys.modules["threshold_lab.cli"], "MAX_POWER_PRODUCTS", 21)
+    with pytest.raises(ValueError, match="budget of one product"):
+        parse_poly(src, ctx)
+    assert 496 * 496 <= MAX_POWER_PRODUCTS  # two factors (x + y + z)^30 parse
+
+
+def test_coefficient_budget_boundaries():
+    ctx = RingContext(5, ("x",))
+    assert parse_poly("2^13999*x", ctx).terms == {(0, (1,)): 2**13999}
+    with pytest.raises(ValueError, match=f"more than {MAX_COEFFICIENT_BITS} bits"):
+        parse_poly("x + 2^14000", ctx)  # computed, then refused by the scan
+    with pytest.raises(ValueError, match="budget of a coefficient"):
+        parse_poly("2^14000*x", ctx)  # refused after the multiplication
+    with pytest.raises(ValueError, match="a 2-bit coefficient\\^14001"):
+        parse_poly("3^14001*x", ctx)  # refused before it is computed
+    with pytest.raises(ValueError, match="budget of a coefficient"):
+        parse_poly("(2^7000*x + 1)^2", ctx)  # refused by the scan
+
+
+def test_coefficient_budget_bounds_the_work_of_every_operation():
+    """A power of a multi-term base is checked before it is expanded, and
+    each multiplication of a product chain after it is made, so none of
+    these sources runs for long before exit 2."""
+    ctx = RingContext(5, ("x", "y"))
+    with pytest.raises(ValueError, match="a 14000-bit coefficient\\^100 has more than"):
+        parse_poly("(2^13999*x + y)^100", ctx)
+    for src in ("*".join(["2^13000"] * 1000) + "*x", "*".join(["(2^13000*x + y)"] * 300)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="budget of a coefficient"):
+            parse_poly(src, ctx)
+        assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("src", ["3^10000000 + x^2", "5^7000*x^2 + y^2"])
+def test_coefficient_budget_refuses_in_both_output_modes(src):
+    """3^10000000 is refused before it is computed, and 5^7000 (4,893
+    decimal digits) would not print as JSON: text and JSON mode both exit 2
+    with the same message."""
+    start = time.perf_counter()
+    text = run_module_cli("certify", "--prime", "5", "--poly", src)
+    as_json = run_module_cli("certify", "--prime", "5", "--json", "--poly", src)
+    assert time.perf_counter() - start < 4.0
+    assert text == as_json
+    code, out, err = text
+    assert (code, out) == (2, "")
+    assert f"more than {MAX_COEFFICIENT_BITS} bits" in err and "budget" in err
+
+
 # -- CLI subcommands -------------------------------------------------------
 
 
@@ -747,7 +816,7 @@ def test_cli_syntax_error_message(capsys):
 def test_cli_internal_inconsistency_exits_3(capsys, monkeypatch):
     mod = sys.modules["threshold_lab.cli"]
 
-    def boom(f, ctx, family=None):
+    def boom(f, ctx):
         raise InternalInconsistencyError("mutually exclusive certified bounds")
 
     monkeypatch.setattr(mod, "certify", boom)
@@ -788,6 +857,14 @@ def test_cli_verify_takes_no_prime_max(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "certify", "--prime-max", "1")
     assert code == 2
     assert "unrecognized arguments: --prime-max" in err
+
+
+def test_cli_certify_takes_no_family(capsys):
+    code, _, err = run_cli(
+        capsys, "certify", "--prime", "2", "--poly", "p^3 + x^3 + y^3", "--family", "diag_cubic_p3"
+    )
+    assert code == 2
+    assert "unrecognized arguments: --family" in err
 
 
 def test_cli_verify_unknown_suite(capsys):

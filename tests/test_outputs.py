@@ -26,28 +26,28 @@ from threshold_lab.verify import golden_cases
 
 PINNED = Path(__file__).parent / "data" / "pinned_outputs.jsonl"
 
-# (src, p, ram_level, cyclotomic, family, what it exercises)
+# (src, p, ram_level, cyclotomic, what it exercises)
 CERTIFY_INPUTS = (
-    ("x^3 + y^3 + z^3", 7, 1, False, None, "known_values at p = 1 (mod 3)"),
-    ("x^2*y + x*y^2 + x^5", 3, 0, False, None, "fpt_lower through the oracle"),
-    ("p^2 + x^3 + y^4", 5, 0, False, None, "blowup_diagonal"),
-    ("x^3*y + x*y^3 + z^3", 3, 0, False, None, "extremal_strict, {X^q Y, X Y^q}"),
-    ("x^3 + y^3 + p^2*z", 2, 0, False, None, "extremal_strict, {X^(q+1), Y^(q+1)}"),
-    ("x^3 + y^3 + z", 2, 0, False, None, "extremal cofactor outside (pi^2, x_i^2)"),
-    ("p^3 + x^3 + y^3", 3, 0, False, None, "frobenius_diagonal_strict"),
-    ("p^3 + x^2*y + 2*x*y^2", 5, 0, False, "h_xy_linear", "elliptic, cross term"),
-    ("125 + x^3 + y^3", 5, 0, False, None, "elliptic, pi^3 written as p^3 = 125"),
-    ("2*p^3 + x^3 + y^3", 5, 0, False, None, "pi-term with unit 2: not monic"),
-    ("(x + 2*y)^3 + p^2*x", 3, 0, False, None, "pth_root_upper mod p^2"),
-    ("(x + y)^3 + p^3*x*y", 3, 0, True, None, "pth_root_upper mod varpi^p"),
-    ("x^2 + p*y", 3, 0, True, None, "cyclotomic base, no p-th root"),
-    ("p^3 + x^2*y + x*y^2 + y^5", 3, 1, False, None, "ramified_upper via the oracle"),
-    ("p^3 + x^2 + y^2", 3, 1, False, None, "exact_ramified route (a)"),
-    ("p^6 + x^3 + y^3", 5, 2, False, None, "exact_ramified route (b), contained"),
-    ("p + x^2 + y^5", 5, 2, False, None, "exact_ramified route (b), not contained"),
-    ("p + x^5 + y^5", 7, 2, False, None, "route (b) fails after expanding f^19"),
-    ("p^2 + x^2 + y^3", 5, 2, False, None, "diagonal_ramified cross-check"),
-    ("p^2 + x^5 + y^5", 7, 3, False, None, "diagonal_ramified at p = 7, a = 3"),
+    ("x^3 + y^3 + z^3", 7, 1, False, "known_values at p = 1 (mod 3)"),
+    ("x^2*y + x*y^2 + x^5", 3, 0, False, "fpt_lower through the oracle"),
+    ("p^2 + x^3 + y^4", 5, 0, False, "blowup_diagonal"),
+    ("x^3*y + x*y^3 + z^3", 3, 0, False, "extremal_strict, {X^q Y, X Y^q}"),
+    ("x^3 + y^3 + p^2*z", 2, 0, False, "extremal_strict, {X^(q+1), Y^(q+1)}"),
+    ("x^3 + y^3 + z", 2, 0, False, "extremal cofactor outside (pi^2, x_i^2)"),
+    ("p^3 + x^3 + y^3", 3, 0, False, "frobenius_diagonal_strict"),
+    ("p^3 + x^2*y + 2*x*y^2", 5, 0, False, "elliptic, cross term"),
+    ("125 + x^3 + y^3", 5, 0, False, "elliptic, pi^3 written as p^3 = 125"),
+    ("2*p^3 + x^3 + y^3", 5, 0, False, "pi-term with unit 2: not monic"),
+    ("(x + 2*y)^3 + p^2*x", 3, 0, False, "pth_root_upper mod p^2"),
+    ("(x + y)^3 + p^3*x*y", 3, 0, True, "pth_root_upper mod varpi^p"),
+    ("x^2 + p*y", 3, 0, True, "cyclotomic base, no p-th root"),
+    ("p^3 + x^2*y + x*y^2 + y^5", 3, 1, False, "ramified_upper via the oracle"),
+    ("p^3 + x^2 + y^2", 3, 1, False, "exact_ramified route (a)"),
+    ("p^6 + x^3 + y^3", 5, 2, False, "exact_ramified route (b), contained"),
+    ("p + x^2 + y^5", 5, 2, False, "exact_ramified route (b), not contained"),
+    ("p + x^5 + y^5", 7, 2, False, "route (b) fails after expanding f^19"),
+    ("p^2 + x^2 + y^3", 5, 2, False, "diagonal_ramified cross-check"),
+    ("p^2 + x^5 + y^5", 7, 3, False, "diagonal_ramified at p = 7, a = 3"),
 )
 
 # (src, p, e_max)
@@ -58,9 +58,9 @@ PROFILE_INPUTS = (
 )
 
 
-def _certify_case(src, p, ram, cyclotomic, family):
+def _certify_case(src, p, ram, cyclotomic):
     ctx = RingContext(p, infer_variables(src) or ("x",), ram_level=ram, cyclotomic=cyclotomic)
-    return lambda: certify(parse_poly(src, ctx), ctx, family=family).to_json()
+    return lambda: certify(parse_poly(src, ctx), ctx).to_json()
 
 
 def _profile_case(src, p, e_max):
@@ -75,9 +75,9 @@ def cases() -> dict:
         out[f"golden {case.name}"] = (
             lambda case=case: certify(case.poly, case.ctx).to_json()
         )
-    for src, p, ram, cyc, family, _why in CERTIFY_INPUTS:
+    for src, p, ram, cyc, _why in CERTIFY_INPUTS:
         name = f"certify {src} @ p={p}, a={ram}{', cyclotomic' if cyc else ''}"
-        out[name] = _certify_case(src, p, ram, cyc, family)
+        out[name] = _certify_case(src, p, ram, cyc)
     for src, p, e_max in PROFILE_INPUTS:
         out[f"limit_profile {src} @ p={p}, e_max={e_max}"] = _profile_case(src, p, e_max)
     return out

@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshold_lab.certify import (
-    ELLIPTIC_FAMILIES,
     ORACLE_LEVEL,
     RingContext,
     analyze,
@@ -208,23 +207,20 @@ def _bounds(c):
     return c.lower, c.lower_strict, c.upper, c.upper_strict, c.exact
 
 
-@given(
-    shape=st.one_of(SHAPES, pi_slot_diagonal()),
-    family=st.sampled_from((None, *ELLIPTIC_FAMILIES)),
-)
+@given(shape=st.one_of(SHAPES, pi_slot_diagonal()))
 @settings(max_examples=150, deadline=None)
-def test_profile_levels_match_a_fresh_analysis(shape, family):
-    """Each derived level equals a fresh analysis, with or without a
-    requested family, and the profile's bounds equal a certificate's."""
+def test_profile_levels_match_a_fresh_analysis(shape):
+    """Each derived level equals a fresh analysis, and the profile's
+    bounds equal a certificate's."""
     vars = infer_variables(shape.src)
     ctx = RingContext(shape.p, vars)
     f = parse_poly(shape.src, ctx)
-    base = analyze(f, ctx, family)
+    base = analyze(f, ctx)
     steps = limit_profile(f, 3).steps
     assert [s.level for s in steps] == [0, 1, 2, 3]
     for a, step in enumerate(steps):
         fa, ctx_a = relevel(f, a), RingContext(shape.p, vars, ram_level=a)
-        assert relevel_facts(base, a) == analyze(fa, ctx_a, family)
+        assert relevel_facts(base, a) == analyze(fa, ctx_a)
         assert _bounds(step) == _bounds(certify(fa, ctx_a))
 
 
