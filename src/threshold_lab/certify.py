@@ -64,8 +64,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -107,8 +107,7 @@ class InternalInconsistencyError(RuntimeError):
     """Two certified bounds exclude each other.  Must never fire on sound rules."""
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(NamedTuple):
     value: Rat
     strict: bool = False
 
@@ -178,21 +177,28 @@ def _check_bounds(b: BoundCertificate | ProfileStep) -> None:
         assert not b.lower_strict and not b.upper_strict
 
 
-@dataclass
 class BoundCertificate:
     """The intersected output of every rule that fired on one input."""
 
-    lower: Rat | None
-    lower_strict: bool
-    upper: Rat | None
-    upper_strict: bool
-    exact: Rat | None
-    rules: list[RuleResult]
-    notes: list[str]
-    poly: MixedPoly
-    ctx: RingContext
+    __slots__ = (
+        "lower", "lower_strict", "upper", "upper_strict", "exact", "rules", "notes", "poly", "ctx"
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        lower: Rat | None,
+        lower_strict: bool,
+        upper: Rat | None,
+        upper_strict: bool,
+        exact: Rat | None,
+        rules: list[RuleResult],
+        notes: list[str],
+        poly: MixedPoly,
+        ctx: RingContext,
+    ) -> None:
+        self.lower, self.lower_strict, self.upper = lower, lower_strict, upper
+        self.upper_strict, self.exact, self.rules = upper_strict, exact, rules
+        self.notes, self.poly, self.ctx = notes, poly, ctx
         _check_bounds(self)
 
     def to_doc(self) -> dict:
@@ -220,8 +226,7 @@ class BoundCertificate:
 # Structural analysis shared by the rules.
 
 
-@dataclass(frozen=True)
-class MixedDiagonal:
+class MixedDiagonal(NamedTuple):
     """Decomposition f = u_0 pi^t + sum_i u_i x_{j_i}^{s_i} (pure-power terms).
 
     ``pi_order`` is the effective pi-order t of the pi-pure term (None when f
@@ -325,8 +330,7 @@ def base_ring_level(f: MixedPoly, ctx: RingContext) -> int:
     return a - min(a, v)
 
 
-@dataclass(frozen=True)
-class Facts:
+class Facts(namedtuple("Facts", "f ctx residue residue_fpt diag base_level")):
     """The analysis of one input that every rule reads, made once by :func:`analyze`.
 
     ``residue`` is f mod pi and ``residue_fpt`` its closed-form fpt (None
@@ -335,24 +339,31 @@ class Facts:
     :func:`base_ring_level`.
 
     ``brackets`` memoizes :meth:`bracket` and ``powers`` memoizes
-    :meth:`power`.  They hold no fact of their own, so they are left out of
-    equality, and the levels of one limit profile share them: their residue
-    is the same, and ``powers`` holds the powers of the level-0 f, ``level0``,
-    which each level relevels.  ``level0`` is None on an analysis that
-    :func:`analyze` made, whose ``powers`` hold the powers of f itself.
+    :meth:`power`.  They hold no fact of their own, so they live in the
+    instance dict, outside the tuple of six facts that equality reads, and
+    the levels of one limit profile share them: their residue is the same,
+    and ``powers`` holds the powers of the level-0 f, ``level0``, which each
+    level relevels.  ``level0`` is None on an analysis that :func:`analyze`
+    made, whose ``powers`` hold the powers of f itself.
     """
 
-    f: MixedPoly
-    ctx: RingContext
-    residue: SparsePolyFp
-    residue_fpt: Rat | None
-    diag: MixedDiagonal | None
-    base_level: int
-    brackets: dict[int, FptBracket | None] = field(
-        default_factory=dict, compare=False, repr=False
-    )
-    powers: dict[int, MixedPoly] = field(default_factory=dict, compare=False, repr=False)
-    level0: MixedPoly | None = field(default=None, compare=False, repr=False)
+    def __new__(
+        cls,
+        f: MixedPoly,
+        ctx: RingContext,
+        residue: SparsePolyFp,
+        residue_fpt: Rat | None,
+        diag: MixedDiagonal | None,
+        base_level: int,
+        brackets: dict[int, FptBracket | None] | None = None,
+        powers: dict[int, MixedPoly] | None = None,
+        level0: MixedPoly | None = None,
+    ):
+        facts = super().__new__(cls, f, ctx, residue, residue_fpt, diag, base_level)
+        facts.brackets = {} if brackets is None else brackets
+        facts.powers = {} if powers is None else powers
+        facts.level0 = level0
+        return facts
 
     @cached_property
     def diag_digits(self) -> tuple[int | float, Rat]:
@@ -1193,25 +1204,33 @@ def _intersect(results: list[RuleResult]) -> Bounds:
 # Limit profiles across ramification levels.
 
 
-@dataclass(frozen=True)
-class ProfileStep:
-    level: int
-    lower: Rat | None
-    lower_strict: bool
-    upper: Rat | None
-    upper_strict: bool
-    exact: Rat | None
+class ProfileStep(namedtuple("ProfileStep", "level lower lower_strict upper upper_strict exact")):
+    """The bounds certified at one ramification level of a limit profile."""
 
-    def __post_init__(self) -> None:
-        _check_bounds(self)
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        step = super().__new__(cls, *args, **kwargs)
+        _check_bounds(step)
+        return step
 
 
-@dataclass
 class LimitProfile:
-    steps: list[ProfileStep]
-    limit: Rat | None
-    attained: bool | None
-    notes: list[str]
+    """The bounds of each level of a limit profile, and their limit."""
+
+    __slots__ = ("steps", "limit", "attained", "notes")
+
+    def __init__(
+        self, steps: list[ProfileStep], limit: Rat | None, attained: bool | None, notes: list[str]
+    ) -> None:
+        self.steps, self.limit, self.attained, self.notes = steps, limit, attained, notes
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LimitProfile):
+            return NotImplemented
+        return (self.steps, self.limit, self.attained, self.notes) == (
+            other.steps, other.limit, other.attained, other.notes
+        )
 
     def to_doc(self) -> dict:
         return {

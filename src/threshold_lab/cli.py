@@ -16,7 +16,8 @@ appearance).  Fractional exponents are rejected rather than parsed.
 A source is read in three steps.  :func:`tokenize` scans it once with one
 regular expression and rejects any character outside the grammar's
 alphabet.  The parser then builds the whole syntax tree, so a syntax error
-anywhere wins over an unknown variable and over a power past its budget.
+anywhere wins over an unknown variable and over a power past its budget; it
+refuses a digit run past MAX_LITERAL_DIGITS as it reads it.
 Last, :func:`lower_expr` evaluates the tree into one term dict
 {(pi, E): c} within the budgets of its powers, products and coefficients,
 and wraps the dict with ``MixedPoly._of``.  Every key is valid by
@@ -27,7 +28,6 @@ variables and the syntax tree off one tokenize.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
@@ -37,7 +37,7 @@ from functools import cached_property
 from itertools import accumulate, chain, filterfalse, repeat
 from math import comb
 from operator import add, mul
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .certify import InternalInconsistencyError, RingContext, certify, limit_profile
 from .digits import kummer_valuation, lucas_residue, magic_expansions
@@ -45,6 +45,9 @@ from .exact import MAX_EXPANSION_DIGITS, expand_base_p, format_rat
 from .fpt import fpt_diagonal, oracle_bracket
 from .poly import MixedPoly, pow_mixed, reduce_mod_pi
 from .verify import SUITES, run_suite
+
+if TYPE_CHECKING:
+    import argparse
 
 
 class PolySyntaxError(ValueError):
@@ -190,6 +193,17 @@ class _Parser:
     def error(self, pos: int, message: str) -> PolySyntaxError:
         return PolySyntaxError(self.tokens.offsets[pos], message)
 
+    def uint(self, pos: int) -> int:
+        """The value of the digit run at pos, refused before int() reads it
+        when it is longer than MAX_LITERAL_DIGITS."""
+        text = self.texts[pos]
+        if len(text) > MAX_LITERAL_DIGITS:
+            raise ValueError(
+                f"a {len(text)}-digit literal is longer than {MAX_LITERAL_DIGITS} digits"
+                f" ({MAX_COEFFICIENT_BITS} bits), the budget of a literal in a source"
+            )
+        return int(text)
+
     def parse(self) -> PolyExpr:
         expr = self.expr()
         text = self.texts[self.pos]
@@ -230,7 +244,7 @@ class _Parser:
                 raise self.error(self.pos, "expected ')'")
             self.pos += 1
         elif text.isdigit():
-            base = IntLit(int(text))
+            base = IntLit(self.uint(pos))
         elif text and text not in _OPERATORS:
             base = VarRef(text)
         else:
@@ -241,7 +255,7 @@ class _Parser:
         text = texts[pos + 1]
         if text.isdigit():
             self.pos = pos + 2
-            return Power(base, int(text))
+            return Power(base, self.uint(pos + 1))
         if text == "(":
             raise self.error(pos + 1, "fractional or compound exponents are not allowed")
         if text == "-":
@@ -269,6 +283,9 @@ MAX_POWER_PRODUCTS = 500_000
 # The largest coefficient in a source: 14,000 bits are at most 4,215 decimal
 # digits, within the 4,300 that CPython prints, so every output mode can.
 MAX_COEFFICIENT_BITS = 14_000
+# The digits of 2^MAX_COEFFICIENT_BITS - 1: the parser refuses a longer digit
+# run, coefficient or exponent, before int() would meet CPython's limit.
+MAX_LITERAL_DIGITS = 4_215
 
 
 def power_products(terms: int, n: int) -> int:
@@ -552,6 +569,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Imported here, not at module level: the engine's library users never
+    # parse a command line, and argparse adds several ms to every import.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="threshold-lab",
         description="Exact F-pure and plus-pure threshold computations.",

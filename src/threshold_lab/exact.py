@@ -13,7 +13,7 @@ non-terminating convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -118,8 +118,7 @@ def _minimal_period(period: tuple[int, ...]) -> tuple[int, ...]:
     return period
 
 
-@dataclass(frozen=True)
-class BasePExpansion:
+class BasePExpansion(namedtuple("BasePExpansion", "p preperiod period")):
     """Eventually periodic, non-terminating base-p expansion of a rational in (0, 1].
 
     Represents sum_{e>=1} d_e * p^-e where the digit stream d_1, d_2, ... is
@@ -129,19 +128,17 @@ class BasePExpansion:
     never all zeros, so equal expansions compare equal structurally.
     """
 
-    p: int
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_prime(self.p)
-        if not self.period:
+    def __new__(cls, p: int, preperiod: tuple[int, ...], period: tuple[int, ...]):
+        require_prime(p)
+        if not period:
             raise ValueError("period must be nonempty")
-        for d in self.preperiod + self.period:
-            if not 0 <= d < self.p:
-                raise ValueError(f"digit {d} out of range for base {self.p}")
-        period = _minimal_period(self.period)
-        preperiod = list(self.preperiod)
+        for d in preperiod + period:
+            if not 0 <= d < p:
+                raise ValueError(f"digit {d} out of range for base {p}")
+        period = _minimal_period(period)
+        preperiod = list(preperiod)
         # Absorb preperiod digits that already follow the periodic pattern, so
         # the preperiod is as short as possible (e.g. .2(2) becomes .(2)).
         while preperiod and preperiod[-1] == period[-1]:
@@ -150,8 +147,7 @@ class BasePExpansion:
         period = _minimal_period(period)
         if set(period) == {0}:
             raise ValueError("terminating expansion: period [0] is forbidden")
-        object.__setattr__(self, "preperiod", tuple(preperiod))
-        object.__setattr__(self, "period", tuple(period))
+        return super().__new__(cls, p, tuple(preperiod), tuple(period))
 
     def digit_at(self, e: int) -> int:
         """Digit d_e of the stream, 1-indexed."""

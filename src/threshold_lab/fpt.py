@@ -43,7 +43,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .exact import Rat, require_prime
 # expand_base_p is not called here; it stays a module attribute because
@@ -61,20 +62,18 @@ class ResourceGuardError(ValueError):
     """Raised when an oracle call would exceed the configured monomial budget."""
 
 
-@dataclass(frozen=True)
-class DiagonalData:
+class DiagonalData(namedtuple("DiagonalData", "p exponents")):
     """A diagonal polynomial x_1^{s_1} + ... + x_n^{s_n} over F_p, s_i >= 2.
 
     Exponent 1 is rejected: a linear variable makes f a regular parameter up
     to the others, and neither digit formula below applies to it.
     """
 
-    p: int
-    exponents: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_prime(self.p)
-        object.__setattr__(self, "exponents", _check_exponents(self.exponents))
+    def __new__(cls, p: int, exponents: tuple[int, ...]):
+        require_prime(p)
+        return super().__new__(cls, p, _check_exponents(exponents))
 
 
 def _check_exponents(exponents: tuple[int, ...]) -> tuple[int, ...]:
@@ -153,7 +152,15 @@ def lct_diagonal(exponents: tuple[int, ...]) -> Rat:
 
 def _max_terms_budget() -> int:
     env = os.environ.get(_MAX_TERMS_ENV)
-    return int(env) if env else _DEFAULT_MAX_TERMS
+    if not env:
+        return _DEFAULT_MAX_TERMS
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"{_MAX_TERMS_ENV} must be a positive integer, got {env!r}")
+    return budget
 
 
 def frobenius_nu(f: SparsePolyFp, e: int) -> int:
@@ -231,8 +238,7 @@ def frobenius_nu(f: SparsePolyFp, e: int) -> int:
     return nu
 
 
-@dataclass(frozen=True)
-class FptBracket:
+class FptBracket(NamedTuple):
     """The two-sided oracle bound nu_e/p^e <= fpt <= (nu_e + 1)/p^e."""
 
     e: int

@@ -37,7 +37,8 @@ variable, and coefficients are rendered as decimal strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .digits import padic_valuation
 from .exact import require_prime
@@ -134,8 +135,7 @@ def pth_root_mod_fp(f: SparsePolyFp) -> SparsePolyFp | None:
     return SparsePolyFp._of(f.p, f.vars, root)
 
 
-@dataclass(frozen=True)
-class RingContext:
+class RingContext(namedtuple("RingContext", "p vars ram_level cyclotomic")):
     """The ambient ring V[[x_1..x_n]] with V = W(k)[p^{1/p^a}] (a = ram_level).
 
     With ``cyclotomic`` set, V is instead W(k)[zeta_p] with uniformizer
@@ -143,21 +143,21 @@ class RingContext:
     ram_level > 0 are mutually exclusive.
     """
 
-    p: int
-    vars: tuple[str, ...]
-    ram_level: int = 0
-    cyclotomic: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_prime(self.p)
-        if not self.vars:
+    def __new__(
+        cls, p: int, vars: tuple[str, ...], ram_level: int = 0, cyclotomic: bool = False
+    ):
+        require_prime(p)
+        if not vars:
             raise ValueError("at least one x-variable is required")
         # The parser builds polynomials on these names without a check.
-        object.__setattr__(self, "vars", _check_vars(self.vars))
-        if self.ram_level < 0:
-            raise ValueError(f"ram_level must be >= 0, got {self.ram_level}")
-        if self.cyclotomic and self.ram_level > 0:
+        vars = _check_vars(vars)
+        if ram_level < 0:
+            raise ValueError(f"ram_level must be >= 0, got {ram_level}")
+        if cyclotomic and ram_level > 0:
             raise ValueError("cyclotomic base and ram_level > 0 are mutually exclusive")
+        return super().__new__(cls, p, vars, ram_level, cyclotomic)
 
     @property
     def n_vars(self) -> int:
@@ -335,8 +335,7 @@ def in_frobenius_power(order: int, exps: Exps, q: int) -> bool:
     return order >= q or max(exps) >= q
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     """Outcome of a termwise ideal-membership test.
 
     When containment fails, ``failure`` is the key of the first term (in

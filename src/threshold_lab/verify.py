@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 from .certify import RingContext, certify, limit_profile
 from .digits import (
@@ -29,8 +29,7 @@ from .fpt import diagonal_poly, fpt_diagonal, oracle_bracket
 from .poly import MixedPoly, SparsePolyFp
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
@@ -101,8 +100,7 @@ def random_diagonal_instance(rng: random.Random):
     return f, RingContext(p, vars, ram_level=a)
 
 
-@dataclass(frozen=True)
-class GoldenCase:
+class GoldenCase(NamedTuple):
     name: str
     poly: MixedPoly
     ctx: RingContext

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from threshold_lab.certify import InternalInconsistencyError, RingContext
 from threshold_lab.cli import (
     MAX_COEFFICIENT_BITS,
+    MAX_LITERAL_DIGITS,
     MAX_POWER_PRODUCTS,
     IntLit,
     PolySyntaxError,
@@ -557,6 +558,41 @@ def test_coefficient_budget_refuses_in_both_output_modes(src):
     code, out, err = text
     assert (code, out) == (2, "")
     assert f"more than {MAX_COEFFICIENT_BITS} bits" in err and "budget" in err
+
+
+def test_literal_budget_boundaries():
+    """A digit run of MAX_LITERAL_DIGITS digits, the most that 2^14000 - 1
+    has, is read; one more digit is refused, coefficient or exponent."""
+    assert len(str(2**MAX_COEFFICIENT_BITS - 1)) == MAX_LITERAL_DIGITS
+    ctx = RingContext(5, ("x",))
+    zeros = "0" * (MAX_LITERAL_DIGITS - 1)
+    assert parse_poly(zeros + "3*x", ctx).terms == {(0, (1,)): 3}
+    assert parse_poly("x^" + zeros + "2", ctx).terms == {(0, (2,)): 1}
+    for src in ("0" + zeros + "3*x", "x^0" + zeros + "2"):
+        with pytest.raises(ValueError, match=f"longer than {MAX_LITERAL_DIGITS} digits"):
+            parse_poly(src, ctx)
+
+
+@pytest.mark.parametrize("src", ["1" * 5000 + "*x", "x^" + "1" * 5000])
+def test_literal_budget_refuses_in_both_output_modes(src):
+    """A 5,000-digit literal, past CPython's 4,300-digit limit, is refused
+    before int() reads it, with a message that names the budget."""
+    text = run_module_cli("certify", "--prime", "5", "--poly", src)
+    as_json = run_module_cli("certify", "--prime", "5", "--json", "--poly", src)
+    assert text == as_json == (
+        2,
+        "",
+        f"error: a 5000-digit literal is longer than {MAX_LITERAL_DIGITS} digits"
+        f" ({MAX_COEFFICIENT_BITS} bits), the budget of a literal in a source\n",
+    )
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "2.5"])
+def test_cli_refuses_a_bad_max_terms_value(monkeypatch, value):
+    monkeypatch.setenv("THRESHOLD_LAB_MAX_TERMS", value)
+    assert run_module_cli(
+        "fpt-search", "--prime", "5", "--poly", "x^2 + y^3", "--level", "1"
+    ) == (2, "", f"error: THRESHOLD_LAB_MAX_TERMS must be a positive integer, got {value!r}\n")
 
 
 # -- CLI subcommands -------------------------------------------------------

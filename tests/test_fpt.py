@@ -250,6 +250,19 @@ def test_resource_guard_env(monkeypatch):
     assert frobenius_nu(f, 3) == 3
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "1e6"])
+def test_resource_guard_env_must_be_a_positive_integer(monkeypatch, value):
+    """A bad value is an error of its own, not a refusal of the input."""
+    f = SparsePolyFp(2, ("x", "y"), {(2, 0): 1, (0, 2): 1})
+    monkeypatch.setenv("THRESHOLD_LAB_MAX_TERMS", value)
+    with pytest.raises(ValueError) as info:
+        frobenius_nu(f, 3)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"THRESHOLD_LAB_MAX_TERMS must be a positive integer, got {value!r}"
+    monkeypatch.setenv("THRESHOLD_LAB_MAX_TERMS", "")
+    assert frobenius_nu(f, 3) == 3
+
+
 def nu_reference(f, e):
     """nu_e by brute force: multiply by f, dropping every term with an
     exponent >= p^e, until the product is zero."""

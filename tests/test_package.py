@@ -1,6 +1,8 @@
 """The package surface: ``threshold_lab.__all__`` against what ``__init__`` imports."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import threshold_lab
@@ -32,3 +34,21 @@ def test_star_import():
     namespace: dict = {}
     exec("from threshold_lab import *", namespace)
     assert set(threshold_lab.__all__) <= set(namespace)
+
+
+def test_engine_import_leaves_out_dataclasses_inspect_and_argparse():
+    """The seven modules, imported in a fresh interpreter without site
+    packages, load none of these: the records are named tuples or plain
+    classes, and only the command line's parser imports argparse.  -I
+    ignores PYTHONDONTWRITEBYTECODE, so -B keeps the source tree clean."""
+    src = str(Path(threshold_lab.__file__).parent.parent)
+    code = (
+        "import importlib, sys; sys.path.insert(0, sys.argv[1]); "
+        "[importlib.import_module('threshold_lab.' + m) for m in "
+        "('cli', 'certify', 'poly', 'fpt', 'exact', 'digits', 'verify')]; "
+        "print(sorted({'dataclasses', 'inspect', 'argparse'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code, src], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
