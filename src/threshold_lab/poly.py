@@ -38,6 +38,7 @@ variable, and coefficients are rendered as decimal strings.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import add
 from typing import NamedTuple
 
 from .digits import padic_valuation
@@ -260,10 +261,12 @@ class MixedPoly:
     def __mul__(self, other: MixedPoly) -> MixedPoly:
         self._same_ring(other)
         out: dict[tuple[int, Exps], int] = {}
+        get = out.get
+        right = list(other.terms.items())
         for (p1, e1), c1 in self.terms.items():
-            for (p2, e2), c2 in other.terms.items():
-                k = (p1 + p2, tuple(a + b for a, b in zip(e1, e2)))
-                out[k] = out.get(k, 0) + c1 * c2
+            for (p2, e2), c2 in right:
+                k = (p1 + p2, tuple(map(add, e1, e2)))
+                out[k] = get(k, 0) + c1 * c2
         terms = {k: c for k, c in out.items() if c}
         return MixedPoly._of(self.p, self.ram_level, self.vars, terms)
 

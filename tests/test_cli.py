@@ -587,6 +587,41 @@ def test_literal_budget_refuses_in_both_output_modes(src):
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ("fpt-diagonal", "--prime", "3", "--exponents", "2,{}"),
+    ("padic", "expand", "--prime", "3", "--value", "1/{}"),
+])
+def test_integer_options_literal_budget_boundaries(capsys, argv):
+    """--exponents and --value read a digit run of MAX_LITERAL_DIGITS digits,
+    with or without underscores; one more digit is refused."""
+    zeros = "0" * (MAX_LITERAL_DIGITS - 1)
+    want = run_cli(capsys, *argv[:-1], argv[-1].format("6"))
+    assert want[0] == 0
+    assert run_cli(capsys, *argv[:-1], argv[-1].format(zeros + "6")) == want
+    assert run_cli(capsys, *argv[:-1], argv[-1].format("0_" + zeros[1:] + "6")) == want
+    for digits in ("0" + zeros + "6", "0_" + zeros + "6"):
+        code, out, err = run_cli(capsys, *argv[:-1], argv[-1].format(digits))
+        assert (code, out) == (2, "")
+        assert f"a {MAX_LITERAL_DIGITS + 1}-digit literal is longer than" in err
+
+
+@pytest.mark.parametrize("argv, where", [
+    (("fpt-diagonal", "--prime", "3", "--exponents", "2," + "1" * 5000), "--exponents"),
+    (("padic", "expand", "--prime", "3", "--value", "1/" + "1" * 5000), "--value"),
+    (("padic", "expand", "--prime", "3", "--value", "1" * 5000 + "/3"), "--value"),
+])
+def test_integer_options_refuse_long_literals(argv, where):
+    """A 5,000-digit integer in --exponents or --value, past CPython's
+    4,300-digit limit, is refused before int() or Fraction() reads it, with
+    a message that names the budget."""
+    assert run_module_cli(*argv) == (
+        2,
+        "",
+        f"error: a 5000-digit literal is longer than {MAX_LITERAL_DIGITS} digits"
+        f" ({MAX_COEFFICIENT_BITS} bits), the budget of a literal in {where}\n",
+    )
+
+
 @pytest.mark.parametrize("value", ["abc", "-5", "0", "2.5"])
 def test_cli_refuses_a_bad_max_terms_value(monkeypatch, value):
     monkeypatch.setenv("THRESHOLD_LAB_MAX_TERMS", value)

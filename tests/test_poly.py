@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threshold_lab.poly import (
@@ -189,23 +189,40 @@ def test_pow_mixed_one_term_matches_repeated_product(p, key, c):
         acc = acc * f
 
 
-@given(
-    terms=st.dictionaries(
-        st.tuples(st.integers(0, 2), st.tuples(st.integers(0, 2), st.integers(0, 2))),
-        st.integers(-4, 4), max_size=3,
-    ),
-    n=st.integers(0, 12),
-)
-@settings(max_examples=100, deadline=None)
-def test_pow_mixed_matches_sympy(terms, n):
-    """f^n against sympy's expansion, with pi a plain symbol."""
+def sympy_expr(f):
+    """f as a sympy expression, with pi a plain symbol."""
     sympy = pytest.importorskip("sympy")
-    pi, x, y = sympy.symbols("pi x y")
-    f = MixedPoly(5, 0, ("x", "y"), terms)
-    expr = sum((c * pi**k * x**a * y**b for (k, (a, b)), c in f.terms.items()), sympy.Integer(0))
-    poly = sympy.Poly(sympy.expand(expr**n), pi, x, y)
-    want = {(m[0], m[1:]): int(c) for m, c in poly.terms() if c}
-    assert pow_mixed(f, n).terms == want
+    pi, *xs = sympy.symbols(("pi", *f.vars))
+    return sum(
+        (c * pi**k * sympy.prod(x**a for x, a in zip(xs, e)) for (k, e), c in f.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+def sympy_terms(expr, vars):
+    """The nonzero terms {(pi, E): c} of sympy's expansion of expr."""
+    sympy = pytest.importorskip("sympy")
+    poly = sympy.Poly(sympy.expand(expr), *sympy.symbols(("pi", *vars)))
+    return {(m[0], m[1:]): int(c) for m, c in poly.terms() if c}
+
+
+@st.composite
+def small_polys(draw):
+    """A MixedPoly at p = 5 in 1-3 variables with up to 3 terms; its
+    coefficients may be negative or p-divisible."""
+    n = draw(st.integers(1, 3))
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.tuples(*[st.integers(0, 2)] * n)),
+        st.integers(-10, 10), max_size=3,
+    ))
+    return MixedPoly(5, 0, tuple("xyz"[:n]), terms)
+
+
+@given(f=small_polys(), n=st.integers(0, 12))
+@settings(max_examples=100, deadline=None)
+def test_pow_mixed_matches_sympy(f, n):
+    """f^n against sympy's expansion."""
+    assert pow_mixed(f, n).terms == sympy_terms(sympy_expr(f) ** n, f.vars)
 
 
 def test_reduce_mod_pi():
@@ -377,3 +394,16 @@ def test_arithmetic_results_revalidate(pair, n):
     results += [fp, reduce_mod_pi(g), reduce_mod_pi(f * g), pth_root_mod_fp(frobenius(fp))]
     for h in results:
         assert_revalidates(h)
+
+
+@example(pair=(
+    MixedPoly(5, 1, ("x", "y"), {(1, (1, 0)): 1, (0, (0, 1)): -5, (0, (0, 0)): 10}),
+    MixedPoly(5, 1, ("x", "y"), {(1, (1, 0)): 1, (0, (0, 1)): 5, (0, (0, 0)): 10}),
+))
+@given(pair=mixed_pairs())
+@settings(max_examples=150, deadline=None)
+def test_product_matches_sympy(pair):
+    """f * g against sympy's expansion, term for term: pi-exponents, negative
+    and p-divisible coefficients, and cross terms that cancel to no term."""
+    f, g = pair
+    assert (f * g).terms == sympy_terms(sympy_expr(f) * sympy_expr(g), f.vars)
