@@ -296,7 +296,8 @@ def _literal_too_long(digits: int, where: str) -> ValueError:
 
 def _check_literals(text: str, where: str) -> None:
     """Refuse a digit run of text longer than MAX_LITERAL_DIGITS before int()
-    or Fraction() reads it; both skip underscores between digits."""
+    or Fraction() reads it.  Underscores between digits do not split a run:
+    int() reads them, and Fraction() does from Python 3.11 on."""
     digits = max(map(len, re.findall(r"\d+", text.replace("_", ""))), default=0)
     if digits > MAX_LITERAL_DIGITS:
         raise _literal_too_long(digits, where)

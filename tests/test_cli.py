@@ -593,12 +593,15 @@ def test_literal_budget_refuses_in_both_output_modes(src):
 ])
 def test_integer_options_literal_budget_boundaries(capsys, argv):
     """--exponents and --value read a digit run of MAX_LITERAL_DIGITS digits,
-    with or without underscores; one more digit is refused."""
+    with or without underscores; one more digit is refused.  Fraction()
+    reads underscores between digits only from Python 3.11 on, so the
+    underscored run that --value admits is read there alone."""
     zeros = "0" * (MAX_LITERAL_DIGITS - 1)
     want = run_cli(capsys, *argv[:-1], argv[-1].format("6"))
     assert want[0] == 0
     assert run_cli(capsys, *argv[:-1], argv[-1].format(zeros + "6")) == want
-    assert run_cli(capsys, *argv[:-1], argv[-1].format("0_" + zeros[1:] + "6")) == want
+    if argv[0] == "fpt-diagonal" or sys.version_info >= (3, 11):
+        assert run_cli(capsys, *argv[:-1], argv[-1].format("0_" + zeros[1:] + "6")) == want
     for digits in ("0" + zeros + "6", "0_" + zeros + "6"):
         code, out, err = run_cli(capsys, *argv[:-1], argv[-1].format(digits))
         assert (code, out) == (2, "")
