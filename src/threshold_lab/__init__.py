@@ -30,12 +30,10 @@ from .exact import (
     expand_base_p,
     format_rat,
     is_prime,
-    multiplicative_order,
     require_prime,
 )
 from .fpt import (
     INFINITE,
-    DiagonalData,
     FptBracket,
     ResourceGuardError,
     compute_L,
@@ -61,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BasePExpansion",
     "BoundCertificate",
-    "DiagonalData",
     "FptBracket",
     "INFINITE",
     "InternalInconsistencyError",
@@ -89,7 +86,6 @@ __all__ = [
     "limit_profile",
     "lucas_residue",
     "magic_expansions",
-    "multiplicative_order",
     "oracle_bracket",
     "padic_valuation",
     "pow_mixed",

@@ -65,7 +65,7 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from functools import cached_property
 from typing import NamedTuple
 
@@ -115,35 +115,32 @@ class Bound(NamedTuple):
 class RuleResult:
     """One rule's contribution: bounds plus the checked-hypothesis trail.
 
-    The bounds are computed when the rule runs.  The trail (hypotheses and
-    notes) is either passed in, or produced on first read by ``text``, a
-    zero-argument function returning (hypotheses, notes): a limit profile
-    keeps only the bounds of each level, so it never formats rule text.
+    A rule that proves an equality certifies the value as both bounds,
+    neither strict.  The bounds are computed when the rule runs; the trail
+    is produced on first read by ``text``, a zero-argument function
+    returning (hypotheses, notes): a limit profile keeps only the bounds of
+    each level, so it never formats rule text.
     """
 
-    __slots__ = ("rule_id", "statement", "quote", "lower", "upper", "exact", "_text", "_trail")
+    __slots__ = ("rule_id", "statement", "quote", "lower", "upper", "_text", "_trail")
 
     def __init__(
         self,
         rule_id: str,
         statement: str,
         quote: str,
-        hypotheses: Sequence[str] = (),
         lower: Bound | None = None,
         upper: Bound | None = None,
-        exact: Rat | None = None,
-        notes: Sequence[str] = (),
         *,
-        text: Callable[[], tuple[list[str], list[str]]] | None = None,
+        text: Callable[[], tuple[list[str], list[str]]],
     ) -> None:
         self.rule_id = rule_id
         self.statement = statement
         self.quote = quote
         self.lower = lower
         self.upper = upper
-        self.exact = exact
         self._text = text
-        self._trail = None if text is not None else (list(hypotheses), list(notes))
+        self._trail = None
 
     def _read_trail(self) -> tuple[list[str], list[str]]:
         if self._trail is None:
@@ -620,7 +617,8 @@ def rule_exact_ramified(facts: Facts) -> RuleResult | None:
         rule_id="exact_ramified",
         statement="equality at terminating residual thresholds over ramified bases",
         quote=quote,
-        exact=q,
+        lower=Bound(q),
+        upper=Bound(q),
         text=text,
     )
 
@@ -670,25 +668,18 @@ def rule_diagonal_ramified(facts: Facts) -> RuleResult | None:
             hyp.append("n = 2 or equal exponents: the comparison is an equality")
         return hyp, []
 
-    if exact:
-        return RuleResult(
-            rule_id="diagonal_ramified",
-            statement="ramified diagonal comparison at digit level L",
-            quote=(
-                "ppt(pi^{s_1} + x_2^{s_2} + ...) equals the full diagonal fpt "
-                "once ram_level >= L, for n = 2 or equal exponents"
-            ),
-            exact=value,
-            text=text,
-        )
     return RuleResult(
         rule_id="diagonal_ramified",
         statement="ramified diagonal comparison at digit level L",
         quote=(
+            "ppt(pi^{s_1} + x_2^{s_2} + ...) equals the full diagonal fpt "
+            "once ram_level >= L, for n = 2 or equal exponents"
+            if exact else
             "ppt(pi^{s_1} + x_2^{s_2} + ...) <= fpt of the full diagonal "
             "once ram_level >= L"
         ),
-        upper=Bound(value, strict=False),
+        lower=Bound(value) if exact else None,
+        upper=Bound(value),
         text=text,
     )
 
@@ -1001,8 +992,9 @@ def known_values_registry(facts: Facts) -> RuleResult | None:
             rule_id="known_values",
             statement="curated exact value for a registry family",
             quote=quote,
-            hypotheses=[f"matched registry shape {shape}"],
-            exact=value,
+            lower=Bound(value),
+            upper=Bound(value),
+            text=lambda: ([f"matched registry shape {shape}"], []),
         )
 
     p = ctx.p
@@ -1050,8 +1042,8 @@ _THRESHOLD_CAP = RuleResult(
     rule_id="threshold_cap",
     statement="threshold bounded by one on the maximal ideal",
     quote="ppt(f) <= 1 for f in (pi, x_1, ..., x_n)",
-    hypotheses=["f lies in the maximal ideal"],
     upper=Bound(Rat(1), strict=False),
+    text=lambda: (["f lies in the maximal ideal"], []),
 )
 
 
@@ -1149,19 +1141,13 @@ class Bounds(NamedTuple):
 def _intersect(results: list[RuleResult]) -> Bounds:
     """The max lower and the min upper bound of the results, in one scan.
 
-    An exact value counts as a lower and an upper bound, neither strict; a
-    side is strict when any bound at its extreme is.  Raises
+    A side is strict when any bound at its extreme is.  Raises
     :class:`InternalInconsistencyError` when the two sides exclude each
     other, naming every rule with a bound at either extreme.
     """
     lower = upper = None
     lower_strict = upper_strict = False
     for res in results:
-        if res.exact is not None:
-            if lower is None or _cmp(res.exact, lower) > 0:
-                lower, lower_strict = res.exact, False
-            if upper is None or _cmp(res.exact, upper) < 0:
-                upper, upper_strict = res.exact, False
         if res.lower is not None:
             value = res.lower.value
             assert value.numerator > 0
@@ -1185,8 +1171,7 @@ def _intersect(results: list[RuleResult]) -> Bounds:
         def rules_at(value: Rat, side: str) -> list[str]:
             return sorted({
                 r.rule_id for r in results
-                if r.exact == value
-                or (getattr(r, side) is not None and getattr(r, side).value == value)
+                if getattr(r, side) is not None and getattr(r, side).value == value
             })
 
         raise InternalInconsistencyError(

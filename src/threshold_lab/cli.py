@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, filterfalse, repeat
@@ -81,32 +80,18 @@ _NON_LETTERS = str.maketrans("", "", "".join(_ALPHABET))
 _NOT_VARIABLES = (*_OPERATORS, "", "p")
 
 
-class Token(NamedTuple):
-    kind: str  # "uint" | "ident" | one of + - * ^ ( ) / | "end"
-    text: str
-    offset: int  # UTF-8 byte offset into the source
-
-
-def _kind(text: str) -> str:
-    if text in _OPERATORS:
-        return text
-    if text.isdigit():
-        return "uint"
-    return "ident" if text else "end"
-
-
 def _utf8(text: str) -> bytes:
     # Undecodable argv bytes arrive as lone surrogates; surrogateescape turns
     # each back into the one byte it stands for.
     return text.encode("utf-8", "surrogateescape")
 
 
-class Tokens(Sequence[Token]):
-    """The tokens of one source, closed by an "end" token whose text is "".
+class Tokens:
+    """The tokens of one source, closed by an end token whose text is "".
 
     The parser reads ``texts``: a token's kind follows from its text.  The
     UTF-8 byte offsets are summed from the scan when first read, by a syntax
-    error or by indexing, which yields :class:`Token` values.
+    error.
     """
 
     def __init__(self, src: str, pieces: list[tuple[str, str]]) -> None:
@@ -118,19 +103,10 @@ class Tokens(Sequence[Token]):
     @cached_property
     def offsets(self) -> list[int]:
         """The UTF-8 byte offset of each token, the end token's included."""
-        ascii = self.src.isascii()  # then every character is one byte
-        chunks = chain.from_iterable(self.pieces)
-        sizes = map(len, chunks if ascii else map(_utf8, chunks))
+        sizes = map(len, map(_utf8, chain.from_iterable(self.pieces)))
         starts = list(accumulate(sizes, initial=0))[1::2]
-        starts.append(len(self.src if ascii else _utf8(self.src)))
+        starts.append(len(_utf8(self.src)))
         return starts
-
-    def __len__(self) -> int:
-        return len(self.texts)
-
-    def __getitem__(self, i: int) -> Token:
-        text = self.texts[i]
-        return Token(_kind(text), text, self.offsets[i])
 
 
 def _first_stray(src: str) -> int:
@@ -152,7 +128,7 @@ def tokenize(src: str) -> Tokens:
 
 
 # Abstract syntax, lowered by :func:`lower_expr`.  A parse builds one node per
-# operand and operator, so nodes (like tokens) are plain named tuples.
+# operand and operator, so nodes are plain named tuples.
 
 
 class IntLit(NamedTuple):
@@ -301,6 +277,27 @@ def _check_literals(text: str, where: str) -> None:
     digits = max(map(len, re.findall(r"\d+", text.replace("_", ""))), default=0)
     if digits > MAX_LITERAL_DIGITS:
         raise _literal_too_long(digits, where)
+
+
+# Fraction()'s decimal form, underscores removed: digits with an optional
+# point, then an optional exponent.
+_DECIMAL = re.compile(r"\s*[-+]?(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d+))?\s*")
+
+
+def _read_value(text: str) -> Fraction:
+    """--value as a Fraction.  A digit run, or a numerator or denominator
+    that a decimal point and an exponent make, of more than
+    MAX_LITERAL_DIGITS digits is refused before Fraction() builds it."""
+    _check_literals(text, "--value")
+    if m := _DECIMAL.fullmatch(text.replace("_", "")):
+        whole, frac, exp = m[1], m[2] or "", int(m[3] or 0)
+        digits = max(len(whole + frac) + max(exp, 0), len(frac) + max(-exp, 0) + 1)
+        if digits > MAX_LITERAL_DIGITS:
+            raise _literal_too_long(digits, "--value")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("--value has a zero denominator") from None
 
 
 def power_products(terms: int, n: int) -> int:
@@ -511,8 +508,7 @@ def _cmd_padic(args: argparse.Namespace) -> int:
                 f"--digits {args.digits} is outside 0..{MAX_EXPANSION_DIGITS},"
                 f" the digit budget of {MAX_EXPANSION_DIGITS}"
             )
-        _check_literals(args.value, "--value")
-        exp = expand_base_p(Fraction(args.value), args.prime)
+        exp = expand_base_p(_read_value(args.value), args.prime)
         print(f"preperiod = {list(exp.preperiod)}")
         print(f"period = {list(exp.period)}")
         if args.digits:

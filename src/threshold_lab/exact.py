@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd
 
 Rat = Fraction
 
 # The longest expansion (preperiod plus period digits) expand_base_p builds,
-# and so the longest search for a multiplicative order; base 2 needs about
-# 5 * 10^8 digits for 1/1000000007.
+# and so the longest long division it makes; base 2 needs about 5 * 10^8
+# digits for 1/1000000007.
 MAX_EXPANSION_DIGITS = 100_000
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -74,28 +73,6 @@ def require_prime(p: int) -> int:
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"expected a prime, got {p!r}")
     return p
-
-
-def multiplicative_order(a: int, m: int) -> int:
-    """Least t >= 1 with a^t == 1 (mod m); requires gcd(a, m) == 1, m >= 2.
-
-    The search steps through the powers of a and gives up with a ValueError
-    beyond MAX_EXPANSION_DIGITS of them.
-    """
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    if gcd(a, m) != 1:
-        raise ValueError(f"{a} is not invertible modulo {m}")
-    t, x = 1, a % m
-    while x != 1:
-        if t == MAX_EXPANSION_DIGITS:
-            raise ValueError(
-                f"the order of {a} modulo {m} exceeds the digit budget"
-                f" of {MAX_EXPANSION_DIGITS}"
-            )
-        x = (x * a) % m
-        t += 1
-    return t
 
 
 def format_rat(q: Rat) -> str:
@@ -180,10 +157,12 @@ class BasePExpansion(namedtuple("BasePExpansion", "p preperiod period")):
 def expand_base_p(x: Rat, p: int) -> BasePExpansion:
     """Non-terminating base-p expansion of a rational x with 0 < x <= 1.
 
-    The preperiod has length <= v_p(den(x)) and the (minimal) period length
-    divides the multiplicative order of p modulo the p-free part of den(x).
-    An expansion that needs more than MAX_EXPANSION_DIGITS digits to reach
-    its period is refused with a ValueError.
+    One long division reads the digits.  With den(x) = p^v m, p prime to m,
+    the remainder after the v preperiod digits recurs first after ord_m(p)
+    more digits, so the walk stops there; that remainder is 0 when m = 1,
+    and the expansion terminates.  An expansion that needs more than
+    MAX_EXPANSION_DIGITS digits of preperiod plus period is refused with a
+    ValueError, before that many are read.
     """
     require_prime(p)
     x = Fraction(x)
@@ -192,32 +171,25 @@ def expand_base_p(x: Rat, p: int) -> BasePExpansion:
     if x == 1:
         return BasePExpansion(p, (), (p - 1,))
     num, den = x.numerator, x.denominator
-    v = 0
-    m = den
+    v, m = 0, den
     while m % p == 0:
         m //= p
         v += 1
-
-    def digits(count: int) -> tuple[list[int], int]:
-        out, r = [], num
-        for _ in range(count):
+    # The period has at least one digit, so v >= MAX_EXPANSION_DIGITS is over.
+    digits, r = [], num
+    if v < MAX_EXPANSION_DIGITS:
+        for _ in range(v):
             d, r = divmod(r * p, den)
-            out.append(d)
-        return out, r
-
-    # A terminating x gets the one-digit period (p - 1,).
-    order = 1 if m == 1 else multiplicative_order(p, m)
-    if v + order > MAX_EXPANSION_DIGITS:
-        raise ValueError(
-            f"the expansion of {x} in base {p} exceeds the digit budget"
-            f" of {MAX_EXPANSION_DIGITS}"
-        )
-    if m == 1:
-        # x = num / p^v terminates at position v; rewrite the tail as (p-1)s.
-        ds, r = digits(v)
-        assert r == 0 and ds[-1] > 0
-        return BasePExpansion(p, (*ds[:-1], ds[-1] - 1), (p - 1,))
-    # The long-division remainder after position v recurs with period `order`,
-    # so the digit stream from position v+1 on is purely periodic.
-    ds, _ = digits(v + order)
-    return BasePExpansion(p, tuple(ds[:v]), tuple(ds[v:]))
+            digits.append(d)
+        if r == 0:
+            # x = num / p^v terminates at position v; rewrite the tail as (p-1)s.
+            return BasePExpansion(p, (*digits[:-1], digits[-1] - 1), (p - 1,))
+        start = r
+        while len(digits) < MAX_EXPANSION_DIGITS:
+            d, r = divmod(r * p, den)
+            digits.append(d)
+            if r == start:
+                return BasePExpansion(p, tuple(digits[:v]), tuple(digits[v:]))
+    raise ValueError(
+        f"the expansion in base {p} exceeds the digit budget of {MAX_EXPANSION_DIGITS}"
+    )

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import namedtuple
 from typing import NamedTuple
 
 from .exact import Rat, require_prime
@@ -62,22 +61,10 @@ class ResourceGuardError(ValueError):
     """Raised when an oracle call would exceed the configured monomial budget."""
 
 
-class DiagonalData(namedtuple("DiagonalData", "p exponents")):
-    """A diagonal polynomial x_1^{s_1} + ... + x_n^{s_n} over F_p, s_i >= 2.
-
-    Exponent 1 is rejected: a linear variable makes f a regular parameter up
-    to the others, and neither digit formula below applies to it.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, p: int, exponents: tuple[int, ...]):
-        require_prime(p)
-        return super().__new__(cls, p, _check_exponents(exponents))
-
-
 def _check_exponents(exponents: tuple[int, ...]) -> tuple[int, ...]:
-    """The exponents of a diagonal as a tuple: at least one, each an integer >= 2."""
+    """The exponents of a diagonal as a tuple: at least one, each an integer
+    >= 2 (a linear variable makes f a regular parameter up to the others, and
+    neither digit formula below applies to it)."""
     exponents = tuple(exponents)
     if not exponents:
         raise ValueError("at least one exponent is required")
@@ -90,11 +77,12 @@ def _check_exponents(exponents: tuple[int, ...]) -> tuple[int, ...]:
 def compute_L(p: int, exponents: tuple[int, ...]) -> int | float:
     """Least L >= 0 with sum_i d_i^(L+1) >= p, or INFINITE if no digit column
     of the expansions of the 1/s_i ever sums to p or more."""
-    return _digit_level(p, DiagonalData(p, tuple(exponents)).exponents)
+    require_prime(p)
+    return _digit_level(p, _check_exponents(exponents))
 
 
 def _digit_level(p: int, exps: tuple[int, ...]) -> int | float:
-    """:func:`compute_L` for exponents already checked by :class:`DiagonalData`.
+    """:func:`compute_L` for a prime p and exponents already checked.
 
     Walks the remainders (p^j - 1) mod s_i column by column (see the module
     docstring) and stops at the first column that sums to p, or when the
@@ -137,7 +125,8 @@ def fpt_diagonal(p: int, exponents: tuple[int, ...]) -> Rat:
 def diagonal_level_fpt(p: int, exponents: tuple[int, ...]) -> tuple[int | float, Rat]:
     """:func:`compute_L` and :func:`fpt_diagonal` of one diagonal, read off
     one digit walk."""
-    exps = DiagonalData(p, tuple(exponents)).exponents
+    require_prime(p)
+    exps = _check_exponents(exponents)
     level = _digit_level(p, exps)
     if level == INFINITE:
         return level, _reciprocal_sum(exps)

@@ -50,6 +50,11 @@ def ctx_of(f, **kw):
     return RingContext(f.p, f.vars, ram_level=f.ram_level, **kw)
 
 
+def no_text():
+    """The empty trail of a test's own RuleResult: no hypotheses, no notes."""
+    return [], []
+
+
 # -- ring contexts ---------------------------------------------------------
 
 
@@ -253,7 +258,7 @@ def test_ramified_upper_gated_by_base_level():
 def test_diagonal_ramified_exact():
     f = mixed_diagonal_poly(5, 1, 3, (3,))
     res = rule_diagonal_ramified(analyze(f, ctx_of(f)))
-    assert res is not None and res.exact == F(3, 5)
+    assert res is not None and res.lower == res.upper == Bound(F(3, 5))
 
 
 def test_diagonal_ramified_abstains_when_slots_reach_p():
@@ -358,9 +363,7 @@ def test_contradiction_alarm(monkeypatch):
     mod = sys.modules["threshold_lab.certify"]
 
     def bogus_cap(facts):
-        return RuleResult(
-            "threshold_cap", "bogus", "bogus", (), None, Bound(F(1, 4)), None, (),
-        )
+        return RuleResult("threshold_cap", "bogus", "bogus", upper=Bound(F(1, 4)), text=no_text)
 
     monkeypatch.setattr(mod, "rule_threshold_cap", bogus_cap)
     f = mixed_diagonal_poly(2, 0, 3, (3, 3))
@@ -568,7 +571,7 @@ def _bogus_cap(monkeypatch, bounds: dict[int, dict]) -> MixedPoly:
 
     def rule(facts):
         level = bounds.get(facts.ctx.ram_level)
-        return level and RuleResult("threshold_cap", "bogus", "bogus", [], **level)
+        return level and RuleResult("threshold_cap", "bogus", "bogus", **level, text=no_text)
 
     monkeypatch.setattr(sys.modules["threshold_lab.certify"], "rule_threshold_cap", rule)
     return MixedPoly(2, 0, ("x", "y"), {(0, (1, 1)): 1, (0, (2, 2)): 1})
@@ -615,9 +618,6 @@ def _list_intersection(results):
     _intersect: max and min over (value, strict, rule id) lists."""
     lowers, uppers = [], []
     for res in results:
-        if res.exact is not None:
-            lowers.append((res.exact, False, res.rule_id))
-            uppers.append((res.exact, False, res.rule_id))
         if res.lower is not None:
             lowers.append((res.lower.value, res.lower.strict, res.rule_id))
         if res.upper is not None:
@@ -647,15 +647,23 @@ def _list_intersection(results):
 
 BOUND_VALUES = st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)])
 BOUNDS = st.none() | st.builds(Bound, BOUND_VALUES, st.booleans())
+RULE_IDS = st.sampled_from(["alpha", "beta", "gamma"])
+# A rule that proves an equality certifies the value as two non-strict sides.
 RULE_RESULTS = st.lists(
     st.builds(
-        lambda rule_id, lower, upper, exact: RuleResult(
-            rule_id, "s", "q", lower=lower, upper=upper, exact=exact
+        lambda rule_id, lower, upper: RuleResult(
+            rule_id, "s", "q", lower=lower, upper=upper, text=no_text
         ),
-        st.sampled_from(["alpha", "beta", "gamma"]),
+        RULE_IDS,
         BOUNDS,
         BOUNDS,
-        st.none() | BOUND_VALUES,
+    )
+    | st.builds(
+        lambda rule_id, exact: RuleResult(
+            rule_id, "s", "q", lower=Bound(exact), upper=Bound(exact), text=no_text
+        ),
+        RULE_IDS,
+        BOUND_VALUES,
     ),
     max_size=6,
 )
@@ -678,9 +686,9 @@ def test_intersect_matches_the_list_intersection(results):
 
 def test_intersect_alarm_names_rules_tied_at_the_lower_bound():
     results = [
-        RuleResult("zeta", "s", "q", lower=Bound(F(1, 2))),
-        RuleResult("cap", "s", "q", upper=Bound(F(1, 3))),
-        RuleResult("alpha", "s", "q", lower=Bound(F(1, 2), strict=True)),
+        RuleResult("zeta", "s", "q", lower=Bound(F(1, 2)), text=no_text),
+        RuleResult("cap", "s", "q", upper=Bound(F(1, 3)), text=no_text),
+        RuleResult("alpha", "s", "q", lower=Bound(F(1, 2), strict=True), text=no_text),
     ]
     with pytest.raises(InternalInconsistencyError) as alarm:
         _intersect(results)

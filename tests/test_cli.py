@@ -42,8 +42,7 @@ def ctx_for(src, p=2, ram=0):
 
 
 def test_tokenize_positions():
-    toks = tokenize("x + 12*y")
-    assert [(t.kind, t.text, t.offset) for t in toks] == [
+    assert token_triples(tokenize("x + 12*y")) == [
         ("ident", "x", 0), ("+", "+", 2), ("uint", "12", 4),
         ("*", "*", 6), ("ident", "y", 7), ("end", "", 8),
     ]
@@ -128,14 +127,27 @@ def test_syntax_errors_carry_byte_offsets(src, byte, fragment):
 
 def test_token_offsets_count_utf8_bytes():
     src = "\u00fc + x^(1/2)"
-    assert [t.offset for t in tokenize(src)] == [0, 3, 5, 6, 7, 8, 9, 10, 11, 12]
+    assert tokenize(src).offsets == [0, 3, 5, 6, 7, 8, 9, 10, 11, 12]
 
 
 # Today's tokenizer is one regular-expression scan.  These are the character
-# loop and the recursive-descent parser over its Token objects that it
+# loop and the recursive-descent parser over (kind, text, offset) tokens that it
 # replaced, kept as the reference for every token, byte offset and error.
 _REF_OPERATORS = set("+-*^()/")
 _REF_DIGITS = set("0123456789")
+
+
+def token_triples(tokens):
+    """The (kind, text, offset) of each token, the parser's view: a token's
+    kind follows from its text."""
+    def kind(text):
+        if text in _REF_OPERATORS:
+            return text
+        if text.isdigit():
+            return "uint"
+        return "ident" if text else "end"
+
+    return [(kind(text), text, at) for text, at in zip(tokens.texts, tokens.offsets)]
 
 
 def reference_tokenize(src):
@@ -255,7 +267,7 @@ _GRAMMAR_CHARS = st.sampled_from("xyp_0123456789+-*^()/ \u00fc")
 @settings(max_examples=500, deadline=None)
 def test_tokenize_matches_the_character_loop(src):
     def scan(src):
-        return [(t.kind, t.text, t.offset) for t in tokenize(src)]
+        return token_triples(tokenize(src))
 
     assert outcome(scan, src) == outcome(reference_tokenize, src)
 
@@ -702,6 +714,57 @@ def test_cli_padic_expand_refuses_long_period():
     )
     assert (code, out) == (2, "")
     assert "digit budget of 100000" in err
+
+
+def test_cli_padic_expand_budget_message_leaves_out_the_number():
+    """A 4,215-digit denominator within the literal budget, whose period is
+    past the digit budget: the refusal names the base and the budget, not
+    the number."""
+    code, out, err = run_module_cli(
+        "padic", "expand", "--prime", "3", "--value", "1/" + "1" * MAX_LITERAL_DIGITS
+    )
+    assert (code, out) == (2, "")
+    assert "digit budget of 100000" in err and "base 3" in err
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize("value, digits", [("1e-5000", 5001), ("1e-9999999", 10_000_000)])
+def test_cli_padic_expand_refuses_huge_exponent_form(value, digits):
+    """Fraction() would build 10^5000 or 10^9999999 from a short digit run:
+    the exponent is held to the literal budget before Fraction() reads it."""
+    assert run_module_cli("padic", "expand", "--prime", "3", "--value", value) == (
+        2,
+        "",
+        f"error: a {digits}-digit literal is longer than {MAX_LITERAL_DIGITS} digits"
+        f" ({MAX_COEFFICIENT_BITS} bits), the budget of a literal in --value\n",
+    )
+
+
+def test_cli_padic_expand_exponent_form_boundaries(capsys):
+    """A decimal or exponent form reads as the fraction it spells; a
+    numerator or denominator of MAX_LITERAL_DIGITS digits is read, one more
+    digit is refused, although each digit run of the source fits."""
+    want = run_cli(capsys, "padic", "expand", "--prime", "3", "--value", "1/1000")
+    assert want[0] == 0
+    for value in ("1e-3", "0.001", "1E-3", ".1e-2", "10e-4"):
+        assert run_cli(capsys, "padic", "expand", "--prime", "3", "--value", value) == want
+    edge, half = MAX_LITERAL_DIGITS - 1, MAX_LITERAL_DIGITS // 2
+    for value in (f"1e-{edge}", "0." + "0" * (edge - 1) + "1", f"1e{edge}",
+                  "1" * half + "." + "1" * (half + 1)):
+        code, out, err = run_cli(capsys, "padic", "expand", "--prime", "5", "--value", value)
+        assert (code, out) == (2, "")
+        assert "literal" not in err
+    for value in (f"1e-{edge + 1}", "0." + "0" * edge + "1", f"1e{edge + 1}",
+                  "1" * (half + 1) + "." + "1" * (half + 1)):
+        code, out, err = run_cli(capsys, "padic", "expand", "--prime", "5", "--value", value)
+        assert (code, out) == (2, "")
+        assert f"a {MAX_LITERAL_DIGITS + 1}-digit literal is longer than" in err
+
+
+def test_cli_padic_expand_names_a_zero_denominator(capsys):
+    assert run_cli(capsys, "padic", "expand", "--prime", "3", "--value", "1/0") == (
+        2, "", "error: --value has a zero denominator\n",
+    )
 
 
 @pytest.mark.parametrize("digits", ["100000000", "100001", "-5"])

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threshold_lab.digits import padic_valuation
 from threshold_lab.exact import (
     BasePExpansion,
     expand_base_p,
     format_rat,
+    MAX_EXPANSION_DIGITS,
     is_prime,
-    multiplicative_order,
     require_prime,
 )
 
@@ -72,22 +73,6 @@ def test_require_prime():
         require_prime(6)
     with pytest.raises(ValueError):
         require_prime(1)
-
-
-@pytest.mark.parametrize("a, m, expected", [
-    (2, 7, 3),
-    (3, 7, 6),
-    (2, 5, 4),
-    (5, 6, 2),
-    (10, 7, 6),
-])
-def test_multiplicative_order(a, m, expected):
-    assert multiplicative_order(a, m) == expected
-
-
-def test_multiplicative_order_requires_coprime():
-    with pytest.raises(ValueError):
-        multiplicative_order(2, 6)
 
 
 @pytest.mark.parametrize("q, text", [
@@ -157,9 +142,6 @@ def test_expansion_digit_budget(monkeypatch):
     for x in (F(1, 10), F(1, 11), F(1, 16)):   # 1 + 4, 10 and 4 + 1 digits
         with pytest.raises(ValueError, match="digit budget of 4"):
             expand_base_p(x, 2)
-    with pytest.raises(ValueError, match="digit budget of 4"):
-        multiplicative_order(2, 11)
-    assert multiplicative_order(2, 5) == 4
 
 
 def test_expand_base_p_domain():
@@ -169,6 +151,30 @@ def test_expand_base_p_domain():
         expand_base_p(F(3, 2), 3)
     with pytest.raises(ValueError):
         expand_base_p(F(1, 2), 4)
+
+
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    b=st.integers(min_value=1, max_value=10**6),
+    a=st.integers(min_value=1, max_value=10**6),
+)
+@settings(max_examples=60, deadline=None)
+def test_expansion_lengths_match_sympy(p, a, b):
+    """With den(x) = p^v m, p prime to m, the preperiod has v digits and the
+    period ord_m(p) (sympy's n_order; 1 when m = 1), and value() gives back
+    x; an expansion past the digit budget is refused."""
+    sympy = pytest.importorskip("sympy")
+    x = F(min(a, b), b)
+    v = padic_valuation(x.denominator, p)
+    m = x.denominator // p**v
+    period = 1 if m == 1 else sympy.n_order(p, m)
+    if v + period > MAX_EXPANSION_DIGITS:
+        with pytest.raises(ValueError, match=f"digit budget of {MAX_EXPANSION_DIGITS}"):
+            expand_base_p(x, p)
+        return
+    exp = expand_base_p(x, p)
+    assert (len(exp.preperiod), len(exp.period)) == (v, period)
+    assert exp.value() == x
 
 
 @given(

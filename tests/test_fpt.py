@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from threshold_lab.exact import expand_base_p, is_prime
 from threshold_lab.fpt import (
     INFINITE,
-    DiagonalData,
     ResourceGuardError,
     compute_L,
     diagonal_poly,
@@ -29,14 +28,15 @@ PRIMES = [2, 3, 5, 7]
 
 
 def test_diagonal_data_validation():
-    with pytest.raises(ValueError):
-        DiagonalData(4, (2, 2))
-    with pytest.raises(ValueError):
-        DiagonalData(3, ())
-    with pytest.raises(ValueError):
-        DiagonalData(3, (1, 2))     # linear variables are out of scope
-    d = DiagonalData(3, (2, 3))
-    assert [expand_base_p(F(1, s), d.p).value() for s in d.exponents] == [F(1, 2), F(1, 3)]
+    """compute_L and fpt_diagonal check the prime and the exponents they take."""
+    for diagonal_function in (compute_L, fpt_diagonal):
+        with pytest.raises(ValueError):
+            diagonal_function(4, (2, 2))
+        with pytest.raises(ValueError):
+            diagonal_function(3, ())
+        with pytest.raises(ValueError):
+            diagonal_function(3, (1, 2))     # linear variables are out of scope
+        assert diagonal_function(3, [2, 3]) == diagonal_function(3, (2, 3))
 
 
 @pytest.mark.parametrize("p, exps, L", [

@@ -1,5 +1,6 @@
 """The engine's records: value equality, hashing, immutability, keyword
-construction and the checks that validating records make."""
+construction and the checks that validating records make, with the same
+checks on a diagonal's prime and exponents."""
 
 from fractions import Fraction as F
 
@@ -16,7 +17,7 @@ from threshold_lab.certify import (
     limit_profile,
 )
 from threshold_lab.exact import BasePExpansion
-from threshold_lab.fpt import DiagonalData, FptBracket
+from threshold_lab.fpt import FptBracket, compute_L, fpt_diagonal
 from threshold_lab.poly import MembershipResult, MixedPoly, RingContext
 from threshold_lab.verify import CheckResult, GoldenCase, golden_cases
 
@@ -51,7 +52,6 @@ IMMUTABLE = [
         RingContext(p=5, vars=("x", "y"), ram_level=0, cyclotomic=False),
         RingContext(5, ("x", "y"), ram_level=1),
     ),
-    (DiagonalData(3, (2, 3)), DiagonalData(p=3, exponents=(2, 3)), DiagonalData(3, (3, 2))),
     (
         BasePExpansion(3, (), (1,)),
         BasePExpansion(p=3, preperiod=(), period=(1,)),
@@ -95,7 +95,6 @@ def test_membership_result_truth():
 
 def test_validating_records_normalise_their_fields():
     assert RingContext(5, ["x", "y"]).vars == ("x", "y")
-    assert DiagonalData(5, [2, 3]).exponents == (2, 3)
     assert BasePExpansion(3, (2,), (2,)) == BasePExpansion(3, (), (2,))
     assert BasePExpansion(3, (), (1, 1)).period == (1,)
 
@@ -122,11 +121,14 @@ def test_ring_context_validation_messages(args, kwargs, message):
     ((5, ()), "at least one exponent is required"),
     ((5, (2, 1)), "diagonal exponents must be integers >= 2, got 1"),
     ((5, (2, 2.5)), "diagonal exponents must be integers >= 2, got 2.5"),
+    ((6, ()), "expected a prime, got 6"),
 ])
 def test_diagonal_data_validation_messages(args, message):
-    with pytest.raises(ValueError) as info:
-        DiagonalData(*args)
-    assert str(info.value) == message
+    """compute_L and fpt_diagonal check the prime first, then the exponents."""
+    for diagonal_function in (compute_L, fpt_diagonal):
+        with pytest.raises(ValueError) as info:
+            diagonal_function(*args)
+        assert str(info.value) == message
 
 
 def test_facts_equality_ignores_the_memos():
