@@ -15,15 +15,24 @@ appearance).  Fractional exponents are rejected rather than parsed.
 
 A source is read in three steps.  :func:`tokenize` scans it once with one
 regular expression and rejects any character outside the grammar's
-alphabet.  The parser then builds the whole syntax tree, so a syntax error
-anywhere wins over an unknown variable and over a power past its budget; it
-refuses a digit run past MAX_LITERAL_DIGITS as it reads it.
-Last, :func:`lower_expr` evaluates the tree into one term dict
-{(pi, E): c} within the budgets of its powers, products and coefficients,
-and wraps the dict with ``MixedPoly._of``.  Every key is valid by
-construction, and the ring context has already checked the prime and the
-variable names.  The commands read a source through :func:`parse_source`, which takes the
-variables and the syntax tree off one tokenize.
+alphabet.  A source with no "(" among its tokens, a sum of products of
+literals, "p" and variables with their powers, then goes through a flat
+pass that builds each term's coefficient, pi-exponent and exponent vector
+in place and adds the term into one term dict {(pi, E): c}, with no syntax
+tree.  The pass never raises: it hands the tokens to the parser on anything
+it cannot lower exactly as the parser would, which is a token out of place,
+a digit run past MAX_LITERAL_DIGITS, a name that is neither "p" nor a
+variable, a literal power that lower_expr refuses and a coefficient that
+may pass MAX_COEFFICIENT_BITS.  The parser reads every other source and
+every one handed back.  It builds the whole syntax tree, so a syntax error
+anywhere wins over an unknown variable and over a budget, and it refuses a
+digit run past MAX_LITERAL_DIGITS as it reads it.  Last,
+:func:`lower_expr` evaluates the tree into one term dict within the budgets
+of its powers, products and coefficients.  Either dict is wrapped with
+``MixedPoly._of``: every key is valid by construction, and the ring context
+has already checked the prime and the variable names.  The commands read a
+source through :func:`parse_source`, which takes the variables and the
+polynomial off one tokenize.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, filterfalse, repeat
+from itertools import accumulate, filterfalse, repeat
 from math import comb
 from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple
@@ -60,15 +69,15 @@ class PolySyntaxError(ValueError):
 # --------------------------------------------------------------------------
 # Tokenizer and recursive-descent parser.
 
-# One findall scan reads every token with the whitespace before it: a run of
-# ASCII digits, an identifier (a letter or "_", then letters, "_" and ASCII
-# digits) or any other single character, an operator or a stray.  The scan
-# runs on the source without its trailing whitespace, so it consumes every
-# character.  \w also matches the non-ASCII digits and numerals ("²",
-# "٣") that str.isdigit and str.isnumeric accept but int() rejects or
-# misreads; no such character belongs to the alphabet, so tokenize rejects
-# them with the other strays.
-_TOKEN = re.compile(r"(\s*)([0-9]+|[^\W\d]\w*|\S)")
+# One findall scan reads every token: a run of ASCII digits, an identifier (a
+# letter or "_", then letters, "_" and ASCII digits) or any other single
+# character, an operator or a stray.  Whitespace matches none of the three,
+# so the scan steps over it, and the pattern has no groups, so findall
+# returns the token texts themselves.  \w also matches the non-ASCII digits
+# and numerals ("²", "٣") that str.isdigit and str.isnumeric accept but
+# int() rejects or misreads; no such character belongs to the alphabet, so
+# tokenize rejects them with the other strays.
+_TOKEN = re.compile(r"[0-9]+|[^\W\d]\w*|\S")
 # '/' is tokenized but accepted nowhere, so "x^(1/2)" reaches the dedicated
 # fractional-exponent error instead of dying at the character level.
 _OPERATORS = frozenset("+-*^()/")
@@ -90,23 +99,22 @@ class Tokens:
     """The tokens of one source, closed by an end token whose text is "".
 
     The parser reads ``texts``: a token's kind follows from its text.  The
-    UTF-8 byte offsets are summed from the scan when first read, by a syntax
-    error.
+    UTF-8 byte offsets are found again from the source when first read, by
+    a syntax error.
     """
 
-    def __init__(self, src: str, pieces: list[tuple[str, str]]) -> None:
+    def __init__(self, src: str, texts: list[str]) -> None:
         self.src = src
-        self.pieces = pieces  # (whitespace, text) of each token but the end
-        self.texts = [text for _, text in pieces]
-        self.texts.append("")
+        self.texts = texts
+        texts.append("")
 
     @cached_property
     def offsets(self) -> list[int]:
         """The UTF-8 byte offset of each token, the end token's included."""
-        sizes = map(len, map(_utf8, chain.from_iterable(self.pieces)))
-        starts = list(accumulate(sizes, initial=0))[1::2]
-        starts.append(len(_utf8(self.src)))
-        return starts
+        src = self.src
+        starts = [m.start() for m in _TOKEN.finditer(src)]
+        starts.append(len(src))
+        return list(accumulate(len(_utf8(src[i:j])) for i, j in zip([0, *starts], starts)))
 
 
 def _first_stray(src: str) -> int:
@@ -119,7 +127,7 @@ def _first_stray(src: str) -> int:
 def tokenize(src: str) -> Tokens:
     """The tokens of src; a character outside the alphabet raises
     PolySyntaxError at its UTF-8 byte offset."""
-    tokens = Tokens(src, _TOKEN.findall(src.rstrip()))
+    tokens = Tokens(src, _TOKEN.findall(src))
     letters = "".join(tokens.texts).translate(_NON_LETTERS)
     if letters and not letters.isalpha():
         i = _first_stray(src)
@@ -423,14 +431,81 @@ def lower_expr(expr: PolyExpr, ctx: RingContext) -> MixedPoly:
     return poly(terms)
 
 
+def _lower_flat(texts: list[str], ctx: RingContext) -> dict | None:
+    """The term dict that lower_expr makes of a source without parentheses,
+    read in one pass over its token texts, or None to hand the source to
+    the parser.
+
+    Each term is a product of factors, a digit run, "p" or a variable, each
+    with an optional power.  The pass multiplies up the term's coefficient,
+    pi-exponent and exponent vector in place, and adds the term into one
+    dict as lower_expr's Sum does, so the keys come in the same order.  It
+    hands back whatever the parser or lower_expr might raise on: a token
+    out of place, a digit run past MAX_LITERAL_DIGITS, a name that is
+    neither "p" nor a variable, a literal power that lower_expr refuses,
+    and a coefficient past MAX_COEFFICIENT_BITS, of a term so far or of the
+    sum.  Each bound is checked before the work it bounds, and the pass
+    never raises.
+    """
+    slots = dict(zip(ctx.vars, range(len(ctx.vars))))
+    slots["p"] = -1
+    zero_exps = [0] * len(ctx.vars)
+    terms: dict = {}
+    tokens = iter(texts)
+    sign = 1
+    while True:
+        c, pi, exps = 1, 0, zero_exps.copy()
+        while True:
+            text = next(tokens)
+            if text.isdigit():
+                if len(text) > MAX_LITERAL_DIGITS:
+                    return None
+                slot, k = None, int(text)
+            elif (slot := slots.get(text)) is None:
+                return None
+            op, n = next(tokens), 1
+            if op == "^":
+                text = next(tokens)
+                if not text.isdigit() or len(text) > MAX_LITERAL_DIGITS:
+                    return None
+                n, op = int(text), next(tokens)
+            if slot is None:
+                if (k.bit_length() - 1) * n > MAX_COEFFICIENT_BITS:
+                    return None
+                c *= k**n
+                if c.bit_length() > MAX_COEFFICIENT_BITS:
+                    return None
+            elif slot < 0:
+                pi += n
+            else:
+                exps[slot] += n
+            if op != "*":
+                break
+        if c:
+            key = (pi, tuple(exps))
+            terms[key] = terms.get(key, 0) + sign * c
+        if op not in _SIGNS:
+            break
+        sign = _SIGNS[op]
+    if op:
+        return None
+    terms = {key: c for key, c in terms.items() if c}
+    return None if _max_bits(terms) > MAX_COEFFICIENT_BITS else terms
+
+
 def parse_poly(src: str, ctx: RingContext) -> MixedPoly:
     """Parse src against the grammar and lower it over ctx."""
     return _parse_tokens(tokenize(src), ctx)
 
 
 def _parse_tokens(tokens: Tokens, ctx: RingContext) -> MixedPoly:
-    if len(tokens.texts) == 1:
+    """A source without "(" goes through the flat pass; the parser and
+    lower_expr read the rest, and every source the flat pass hands back."""
+    texts = tokens.texts
+    if len(texts) == 1:
         raise PolySyntaxError(0, "empty polynomial source")
+    if "(" not in texts and (terms := _lower_flat(texts, ctx)) is not None:
+        return MixedPoly._of(ctx.p, ctx.ram_level, ctx.vars, terms)
     return lower_expr(_Parser(tokens).parse(), ctx)
 
 

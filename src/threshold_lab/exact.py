@@ -135,24 +135,6 @@ class BasePExpansion(namedtuple("BasePExpansion", "p preperiod period")):
             return self.preperiod[e - 1]
         return self.period[(e - k - 1) % len(self.period)]
 
-    def truncation(self, L: int) -> Rat:
-        """The partial sum sum_{e=1}^{L} d_e p^-e (0 for L = 0)."""
-        if L < 0:
-            raise ValueError(f"truncation length must be >= 0, got {L}")
-        acc = 0
-        for e in range(L, 0, -1):
-            acc = Fraction(acc + self.digit_at(e), self.p)
-        return Fraction(acc)
-
-    def value(self) -> Rat:
-        """The rational this expansion represents, reconstructed exactly."""
-        p, k, m = self.p, len(self.preperiod), len(self.period)
-        head = self.truncation(k)
-        tail = 0
-        for d in self.period:
-            tail = tail * p + d
-        return head + Fraction(tail, p**k * (p**m - 1))
-
 
 def expand_base_p(x: Rat, p: int) -> BasePExpansion:
     """Non-terminating base-p expansion of a rational x with 0 < x <= 1.

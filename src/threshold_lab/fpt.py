@@ -235,12 +235,6 @@ class FptBracket(NamedTuple):
     lower: Rat
     upper: Rat
 
-    def contains(self, value: Rat) -> bool:
-        return self.lower <= value <= self.upper
-
-    def width(self) -> Rat:
-        return self.upper - self.lower
-
 
 def oracle_bracket(f: SparsePolyFp, e: int) -> FptBracket:
     """Bracket fpt(f) between nu_e/p^e and (nu_e + 1)/p^e at level e."""

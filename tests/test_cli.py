@@ -3,9 +3,12 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
+from operator import add
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +25,11 @@ from threshold_lab.cli import (
     Product,
     Sum,
     VarRef,
+    _lower_flat,
     _Parser,
     format_poly_src,
     infer_variables,
+    lower_expr,
     main,
     parse_poly,
     parse_source,
@@ -297,6 +302,147 @@ def test_unknown_variable_is_rejected():
         parse_poly("x + q", RingContext(3, ("x",)))
     assert "q" in str(info.value)
     assert not isinstance(info.value, PolySyntaxError)
+
+
+# -- the flat pass ---------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# A source in the shape of each kind of workload input without parentheses:
+# (source, prime, ram level).
+_WORKLOAD_SHAPES = [
+    ("p^3 + x^3 + y^3", 5, 0),                   # certify-sweep: golden row
+    ("x^4 + y^4 + p", 2, 3),                     # certify-sweep: diagonal
+    ("x^5*y + x*y^5 + p^6", 5, 0),               # certify-sweep: extremal
+    ("p^3 + x^2*y + x*y^2", 2, 0),               # certify-sweep: elliptic
+    ("x*y + 2*x*y^2 + p^4", 3, 1),               # certify-sweep: cross term
+    ("p^5 + x^6 + y^3 + z^3", 5, 0),             # profile-sweep
+    ("x^5*y + 3*x^4 + 3*x^2*y + 3*x*y", 5, 0),   # oracle-ladder: anchor
+    ("x*y^4 + x^3*y^2", 2, 0),                   # oracle-ladder: sparse
+    ("x^3 + y^3", 7, 0),                         # oracle-ladder: diagonal
+]
+
+
+class _ParserReached(Exception):
+    pass
+
+
+def _refusing_parser(tokens):
+    raise _ParserReached(tokens.src)
+
+
+def test_flat_sources_skip_the_parser(monkeypatch):
+    """With the parser made to raise, parse_source reads the README's --poly
+    examples and a source in each workload's shape to the same polynomial;
+    a source with parentheses still reaches the parser."""
+    readme = re.findall(r'--prime (\d+) --poly "([^"]*)"', README.read_text(encoding="utf-8"))
+    assert len(readme) >= 3
+    cases = [(src, int(p), 0) for p, src in readme] + _WORKLOAD_SHAPES
+    want = [parse_source(src, p, ram) for src, p, ram in cases]
+    monkeypatch.setattr(sys.modules["threshold_lab.cli"], "_Parser", _refusing_parser)
+    assert [parse_source(src, p, ram) for src, p, ram in cases] == want
+    with pytest.raises(_ParserReached):
+        parse_source("(x + 2*y)^3 + p^2*x*y^2", 3)
+
+
+@pytest.mark.parametrize("src, flat", [
+    ("0", True),
+    ("0^0", True),
+    ("p^0*x^0", True),
+    ("x - x", True),
+    ("3*x^2 - x^2*3 + y", True),
+    ("x\u00a0+\u2003y^2\t-\n7", True),        # Unicode whitespace
+    ("2^13999*x", True),                        # a 14,000-bit coefficient
+    ("0*3^14000*x", True),                      # zero times a 22,190-bit power
+    ("x + q", False),                           # q is not a variable
+    ("1" * (MAX_LITERAL_DIGITS + 1) + "*x", False),
+    ("x^" + "1" * (MAX_LITERAL_DIGITS + 1), False),
+    ("3^14001*x", False),                       # refused before it is computed
+    ("2^14000*x", False),                       # a 14,001-bit coefficient
+    ("2^13999 + 2^13999", False),               # a 14,001-bit sum
+    ("3^14000 - 3^14000 + x", False),           # a term past the budget, cancelled
+    ("x +", False),
+    ("- x", False),
+    ("x^-2", False),
+    ("x y", False),
+    ("x^2^3", False),
+    ("x/2", False),
+    ("x)", False),
+], ids=lambda v: f"{v[:8]}...{v[-8:]}" if isinstance(v, str) and len(v) > 40 else None)
+def test_flat_pass_cases(src, flat):
+    """The flat pass lowers these sources as lower_expr does, or hands them
+    back: a syntax error, a name that is not a variable, a literal past its
+    budget and a coefficient that may be past its budget.  The last of
+    these lower_expr reads; the parser reads every source handed back."""
+    tokens = tokenize(src)
+    ctx = RingContext(5, ("x", "y"))
+    got = _lower_flat(tokens.texts, ctx)
+    assert (got is not None) == flat
+    if flat:
+        assert list(got.items()) == list(lower_expr(_Parser(tokens).parse(), ctx).terms.items())
+
+
+# Each common entry is listed several times, so that about half of the drawn
+# sources are lowered and the rest handed back.
+_FLAT_BASES = st.sampled_from(["x", "y", "p", "0", "1", "2", "3", "7", "10"] * 5 + [
+    "q", "xy", "_1",
+    "0" * (MAX_LITERAL_DIGITS - 1) + "5",
+    "1" * MAX_LITERAL_DIGITS,
+    "1" * (MAX_LITERAL_DIGITS + 1),
+    str(2**MAX_COEFFICIENT_BITS - 1),
+])
+_FLAT_EXPONENTS = st.sampled_from(["0", "1", "2", "3", "4", "5"] * 4 + [
+    str(MAX_COEFFICIENT_BITS - 1),
+    str(MAX_COEFFICIENT_BITS),
+    str(MAX_COEFFICIENT_BITS + 1),
+    "0" * (MAX_LITERAL_DIGITS - 1) + "3",
+    "1" * (MAX_LITERAL_DIGITS + 1),
+])
+_GAPS = st.sampled_from(["", " ", " ", "  ", "\t", "\n", "\u00a0", "\u2003"])
+
+
+@st.composite
+def flat_sources(draw):
+    """Sources without parentheses from the grammar: sums of products of
+    literals, "p", variables and a name that is none ("q", "xy", "_1"),
+    with powers; long digit runs and powers at the coefficient budget;
+    terms repeated with a minus sign, so that sums cancel; now and then a
+    token out of place; ASCII and Unicode whitespace between tokens."""
+    tokens = []
+    for i in range(draw(st.integers(1, 4))):
+        if i:
+            tokens.append(draw(st.sampled_from("+-")))
+        for j in range(draw(st.integers(1, 3))):
+            if j:
+                tokens.append("*")
+            tokens.append(draw(_FLAT_BASES))
+            if draw(st.booleans()):
+                tokens += ["^", draw(_FLAT_EXPONENTS)]
+    if draw(st.booleans()):
+        first = tokens[:tokens.index("+")] if "+" in tokens else tokens[:]
+        tokens += ["-", *first]
+    if draw(st.integers(0, 4)) == 0:
+        out_of_place = draw(st.sampled_from(["+", "-", "*", "^", ")", "/", "x", "2"]))
+        tokens.insert(draw(st.integers(0, len(tokens))), out_of_place)
+    gaps = draw(st.lists(_GAPS, min_size=len(tokens), max_size=len(tokens)))
+    return "".join(map(add, gaps, tokens))
+
+
+@given(src=flat_sources(), p=st.sampled_from([2, 3, 5, 7]), ram=st.integers(0, 2))
+@settings(max_examples=500, deadline=None)
+def test_flat_pass_matches_lower_expr_or_hands_back(src, p, ram):
+    """On each source the flat pass never raises, and returns either the
+    terms of lower_expr, keys in the same order, or None; it returns None
+    on every source that the parser or lower_expr refuses."""
+    tokens = tokenize(src)
+    ctx = RingContext(p, ("x", "y"), ram_level=ram)
+    got = _lower_flat(tokens.texts, ctx)
+    try:
+        want = lower_expr(_Parser(tokens).parse(), ctx).terms
+    except ValueError:
+        assert got is None
+        return
+    assert got is None or list(got.items()) == list(want.items())
 
 
 # -- printing and round trips ----------------------------------------------

@@ -23,6 +23,33 @@ F = Fraction
 PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13])
 
 
+def from_digits(digits, p):
+    """The integer whose base-p digits, most significant first, are digits.
+    The two halves are read apart and joined, so the cost is near-linear
+    where one digit-by-digit fold is quadratic."""
+    if len(digits) <= 64:
+        n = 0
+        for d in digits:
+            n = n * p + d
+        return n
+    mid = len(digits) // 2
+    return from_digits(digits[:mid], p) * p ** (len(digits) - mid) + from_digits(digits[mid:], p)
+
+
+def expansion_value(exp):
+    """The rational an expansion stands for: with its k preperiod digits
+    read as the integer A and its m period digits as B, that is
+    (A (p^m - 1) + B) / (p^k (p^m - 1))."""
+    p, k, m = exp.p, len(exp.preperiod), len(exp.period)
+    cycle = p**m - 1
+    return F(from_digits(exp.preperiod, p) * cycle + from_digits(exp.period, p), p**k * cycle)
+
+
+def truncation(exp, L):
+    """The partial sum d_1 p^-1 + ... + d_L p^-L of an expansion."""
+    return F(from_digits([exp.digit_at(e) for e in range(1, L + 1)], exp.p), exp.p**L)
+
+
 @pytest.mark.parametrize("n, expected", [
     (2, True), (3, True), (4, False), (5, True), (6, False),
     (1, False), (0, False), (-3, False), (97, True), (91, False),
@@ -109,12 +136,12 @@ def test_expansion_digit_and_truncation():
     exp = expand_base_p(F(1, 2), 5)
     assert exp.digit_at(1) == 2
     assert exp.digit_at(7) == 2
-    assert exp.truncation(2) == F(12, 25)
+    assert truncation(exp, 2) == F(12, 25)
 
     exp = expand_base_p(F(1, 6), 3)
     assert exp.digit_at(1) == 0
     assert exp.digit_at(2) == 1
-    assert exp.truncation(3) == F(4, 27)
+    assert truncation(exp, 3) == F(4, 27)
 
 
 def test_expansion_rejects_terminating_form():
@@ -158,11 +185,11 @@ def test_expand_base_p_domain():
     b=st.integers(min_value=1, max_value=10**6),
     a=st.integers(min_value=1, max_value=10**6),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_expansion_lengths_match_sympy(p, a, b):
     """With den(x) = p^v m, p prime to m, the preperiod has v digits and the
-    period ord_m(p) (sympy's n_order; 1 when m = 1), and value() gives back
-    x; an expansion past the digit budget is refused."""
+    period ord_m(p) (sympy's n_order; 1 when m = 1), and the digits give
+    back x; an expansion past the digit budget is refused."""
     sympy = pytest.importorskip("sympy")
     x = F(min(a, b), b)
     v = padic_valuation(x.denominator, p)
@@ -174,7 +201,7 @@ def test_expansion_lengths_match_sympy(p, a, b):
         return
     exp = expand_base_p(x, p)
     assert (len(exp.preperiod), len(exp.period)) == (v, period)
-    assert exp.value() == x
+    assert expansion_value(exp) == x
 
 
 @given(
@@ -183,12 +210,12 @@ def test_expansion_lengths_match_sympy(p, a, b):
     den=st.integers(min_value=1, max_value=499),
 )
 def test_expansion_round_trip(p, num, den):
-    """value() inverts expand_base_p on every rational in (0, 1]."""
+    """The digits of expand_base_p give back every rational in (0, 1]."""
     x = F(num, den)
     if x > 1:
         x = 1 / x
     exp = expand_base_p(x, p)
-    assert exp.value() == x
+    assert expansion_value(exp) == x
     # canonical: the period is never the all-zero word
     assert any(d != 0 for d in exp.period)
 
@@ -206,7 +233,7 @@ def test_truncation_error_bound(p, num, den, L):
     if x > 1:
         x = 1 / x
     exp = expand_base_p(x, p)
-    t = exp.truncation(L)
+    t = truncation(exp, L)
     err = x - t
     assert 0 < err <= F(1, p**L)
     assert (p**L) % t.denominator == 0 if t else True
@@ -222,4 +249,4 @@ def test_digit_prefix_matches_truncation(p, num, den):
     total = F(0)
     for e in range(1, 7):
         total += F(exp.digit_at(e), p**e)
-    assert total == exp.truncation(6)
+    assert total == truncation(exp, 6)
