@@ -58,15 +58,18 @@ through ``RingContext.pi_order``, and the containments of
 ``rule_extremal_strict`` all ask whether terms lie in the Frobenius power
 (pi^q, x_1^q, ..., x_n^q).  Where fpt(f mod pi) has no closed form, the rules
 read it from the Frobenius oracle at level :data:`ORACLE_LEVEL`.
+
+:meth:`BoundCertificate.to_json` and :meth:`LimitProfile.to_json` write the
+JSON of ``certify --json`` and ``limit-profile --json`` as text, directly.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from .digits import padic_valuation
@@ -155,14 +158,6 @@ class RuleResult:
     def notes(self) -> list[str]:
         return self._read_trail()[1]
 
-    def to_doc(self) -> dict:
-        return {
-            "id": self.rule_id,
-            "paper_ref": self.statement,
-            "quote": self.quote,
-            "hypotheses": list(self.hypotheses),
-        }
-
 
 def _check_bounds(b: BoundCertificate | ProfileStep) -> None:
     """What every intersection keeps: lower <= upper, and an exact value is
@@ -172,6 +167,24 @@ def _check_bounds(b: BoundCertificate | ProfileStep) -> None:
     if b.exact is not None:
         assert b.lower == b.upper == b.exact
         assert not b.lower_strict and not b.upper_strict
+
+
+# Pieces of the text json.dumps(doc, separators=(",", ":")) writes: keys in
+# a fixed order, integers through str, rationals through format_rat (digits,
+# "-" and "/" only), other strings through json.dumps's own ASCII escaper.
+_LITERAL = {None: "null", False: "false", True: "true"}
+
+
+def _strings(items: Iterable[str]) -> str:
+    return "[" + ",".join(map(_quote, items)) + "]"
+
+
+def _rat(q: Rat | None) -> str:
+    return "null" if q is None else f'"{format_rat(q)}"'
+
+
+def _bound(value: Rat | None, strict: bool) -> str:
+    return "null" if value is None else f'{{"value":{_rat(value)},"strict":{_LITERAL[strict]}}}'
 
 
 class BoundCertificate:
@@ -198,25 +211,26 @@ class BoundCertificate:
         self.notes, self.poly, self.ctx = notes, poly, ctx
         _check_bounds(self)
 
-    def to_doc(self) -> dict:
-        def bound_doc(value: Rat | None, strict: bool) -> dict | None:
-            if value is None:
-                return None
-            return {"value": format_rat(value), "strict": strict}
-
-        input_doc = self.poly.to_doc()
-        input_doc["ctx"] = self.ctx.to_doc()
-        return {
-            "input": input_doc,
-            "lower": bound_doc(self.lower, self.lower_strict),
-            "upper": bound_doc(self.upper, self.upper_strict),
-            "exact": None if self.exact is None else format_rat(self.exact),
-            "rules": [r.to_doc() for r in self.rules],
-            "notes": list(self.notes),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_doc(), separators=(",", ":"))
+        """Compact JSON: the input and its ring, the bounds, rules and notes."""
+        f, ctx = self.poly, self.ctx
+        terms = ",".join(
+            f'{{"pi":{pi},"exps":[{",".join(map(str, e))}],"coeff":"{c}"}}'
+            for (pi, e), c in f.sorted_terms()
+        )
+        rules = ",".join(
+            f'{{"id":{_quote(r.rule_id)},"paper_ref":{_quote(r.statement)},'
+            f'"quote":{_quote(r.quote)},"hypotheses":{_strings(r.hypotheses)}}}'
+            for r in self.rules
+        )
+        return (
+            f'{{"input":{{"p":{f.p},"ram_level":{f.ram_level},"vars":{_strings(f.vars)},'
+            f'"terms":[{terms}],"ctx":{{"p":{ctx.p},"ram_level":{ctx.ram_level},'
+            f'"cyclotomic":{_LITERAL[ctx.cyclotomic]},"vars":{_strings(ctx.vars)}}}}},'
+            f'"lower":{_bound(self.lower, self.lower_strict)},'
+            f'"upper":{_bound(self.upper, self.upper_strict)},"exact":{_rat(self.exact)},'
+            f'"rules":[{rules}],"notes":{_strings(self.notes)}}}'
+        )
 
 
 # --------------------------------------------------------------------------
@@ -297,7 +311,7 @@ def exact_fpt_of_reduction(g: SparsePolyFp) -> Rat | None:
         return None
     if len(g.terms) == 1:
         (exps,) = g.terms
-        return min(Rat(1, e) for e in exps if e)
+        return Rat(1, max(exps))
     seen: set[int] = set()
     exponents: list[int] = []
     for exps in g.terms:
@@ -366,7 +380,7 @@ class Facts(namedtuple("Facts", "f ctx residue residue_fpt diag base_level")):
     def diag_digits(self) -> tuple[int | float, Rat]:
         """The digit level L and the fpt of the pure-power diagonal's
         exponents, pi-slot included, from one digit walk; read only when
-        ``diag`` is set and no exponent is 1."""
+        ``diag`` is set and no exponent is 1, so nothing is checked again."""
         return diagonal_level_fpt(self.ctx.p, self.diag.exponents())
 
     def power(self, b: int) -> MixedPoly:
@@ -424,7 +438,7 @@ def relevel_facts(facts: Facts, a: int) -> Facts:
         diag = MixedDiagonal(diag.pi_order * ctx.p**a, diag.pi_unit_one, diag.entries)
     return Facts(
         f=relevel(facts.f, a),
-        ctx=RingContext(ctx.p, ctx.vars, ram_level=a),
+        ctx=ctx._replace(ram_level=a),
         residue=facts.residue,
         residue_fpt=facts.residue_fpt,
         diag=diag,
@@ -931,7 +945,7 @@ def _lift_pth_root(f: MixedPoly, g: SparsePolyFp, ctx: RingContext) -> MixedPoly
     root_bar = pth_root_mod_fp(g)
     if root_bar is None:
         return None
-    h = MixedPoly(p, 0, ctx.vars, {(0, e): c for e, c in root_bar.terms.items()})
+    h = MixedPoly._of(p, 0, ctx.vars, {(0, e): c for e, c in root_bar.terms.items()})
     hp = pow_mixed(h, p)
     if not ctx.cyclotomic:
         for key in set(f.terms) | set(hp.terms):
@@ -1217,24 +1231,17 @@ class LimitProfile:
             other.steps, other.limit, other.attained, other.notes
         )
 
-    def to_doc(self) -> dict:
-        return {
-            "steps": [
-                {
-                    "ram_level": s.level,
-                    "lower": None if s.lower is None else format_rat(s.lower),
-                    "upper": None if s.upper is None else format_rat(s.upper),
-                    "exact": None if s.exact is None else format_rat(s.exact),
-                }
-                for s in self.steps
-            ],
-            "limit": None if self.limit is None else format_rat(self.limit),
-            "attained": self.attained,
-            "notes": list(self.notes),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_doc(), separators=(",", ":"))
+        """Compact JSON: the bounds at each level, the limit and the notes."""
+        steps = ",".join(
+            f'{{"ram_level":{s.level},"lower":{_rat(s.lower)},"upper":{_rat(s.upper)},'
+            f'"exact":{_rat(s.exact)}}}'
+            for s in self.steps
+        )
+        return (
+            f'{{"steps":[{steps}],"limit":{_rat(self.limit)},'
+            f'"attained":{_LITERAL[self.attained]},"notes":{_strings(self.notes)}}}'
+        )
 
 
 def relevel(f: MixedPoly, a: int) -> MixedPoly:

@@ -18,6 +18,11 @@ from .exact import require_prime
 def padic_valuation(n: int, p: int) -> int:
     """v_p(n) for a nonzero integer n.  v_p(0) is undefined and rejected."""
     require_prime(p)
+    return _valuation(n, p)
+
+
+def _valuation(n: int, p: int) -> int:
+    """:func:`padic_valuation` for a prime p that is already checked."""
     if n == 0:
         raise ValueError("v_p(0) is undefined")
     n = abs(n)

@@ -111,32 +111,32 @@ def _digit_level(p: int, exps: tuple[int, ...]) -> int | float:
             saved, power, steps = rems, 2 * power, 0
 
 
-def _reciprocal_sum(exps: tuple[int, ...]) -> Rat:
-    """sum_i 1/s_i as one fraction over the least common multiple."""
+def _reciprocal_sum(exps: tuple[int, ...]) -> tuple[int, int]:
+    """sum_i 1/s_i as a numerator over the least common multiple."""
     den = math.lcm(*exps)
-    return Rat(sum(den // s for s in exps), den)
+    return sum(den // s for s in exps), den
 
 
 def fpt_diagonal(p: int, exponents: tuple[int, ...]) -> Rat:
     """Exact F-pure threshold of x_1^{s_1} + ... + x_n^{s_n} over F_p."""
-    return diagonal_level_fpt(p, exponents)[1]
-
-
-def diagonal_level_fpt(p: int, exponents: tuple[int, ...]) -> tuple[int | float, Rat]:
-    """:func:`compute_L` and :func:`fpt_diagonal` of one diagonal, read off
-    one digit walk."""
     require_prime(p)
-    exps = _check_exponents(exponents)
+    return diagonal_level_fpt(p, _check_exponents(exponents))[1]
+
+
+def diagonal_level_fpt(p: int, exps: tuple[int, ...]) -> tuple[int | float, Rat]:
+    """:func:`compute_L` and :func:`fpt_diagonal` of one diagonal, read off
+    one digit walk; p and the exponents (integers >= 2) are not checked."""
     level = _digit_level(p, exps)
     if level == INFINITE:
-        return level, _reciprocal_sum(exps)
+        return level, Rat(*_reciprocal_sum(exps))
     q = p**level
     return level, Rat(sum((q - 1) // s for s in exps) + 1, q)
 
 
 def lct_diagonal(exponents: tuple[int, ...]) -> Rat:
     """Log canonical threshold of a diagonal: min(1, sum_i 1/s_i)."""
-    return min(Rat(1), _reciprocal_sum(_check_exponents(exponents)))
+    num, den = _reciprocal_sum(_check_exponents(exponents))
+    return Rat(1) if num >= den else Rat(num, den)
 
 
 def _max_terms_budget() -> int:

@@ -29,10 +29,10 @@ forms every term key itself.
 
 Coefficients of :class:`MixedPoly` are exact integers and are never reduced;
 all soundness arguments downstream rely on termwise effective pi-orders, so no
-information may be lost here.  :meth:`MixedPoly.to_doc`, which certificates
-render their input through, is byte-deterministic: terms are emitted in
-descending graded-lexicographic order with pi treated as the leading
-variable, and coefficients are rendered as decimal strings.
+information may be lost here.  :meth:`MixedPoly.sorted_terms` gives the one
+term order that output reads, descending graded-lexicographic with pi
+treated as the leading variable; a certificate writes its input's terms in
+that order, coefficients as decimal strings.
 """
 
 from __future__ import annotations
@@ -41,7 +41,10 @@ from collections import namedtuple
 from operator import add
 from typing import NamedTuple
 
-from .digits import padic_valuation
+from .digits import _valuation
+# padic_valuation is not called here; it stays a module attribute because
+# bench/run.py times it by wrapping poly.padic_valuation.
+from .digits import padic_valuation  # noqa: F401
 from .exact import require_prime
 
 Exps = tuple[int, ...]
@@ -170,16 +173,11 @@ class RingContext(namedtuple("RingContext", "p vars ram_level cyclotomic")):
         return (self.p - 1) if self.cyclotomic else self.p**self.ram_level
 
     def pi_order(self, pi: int, c: int) -> int:
-        """Effective pi-order of a term c * pi^pi * x^E with c != 0."""
-        return pi + self.pi_multiplier * padic_valuation(c, self.p)
-
-    def to_doc(self) -> dict:
-        return {
-            "p": self.p,
-            "ram_level": self.ram_level,
-            "cyclotomic": self.cyclotomic,
-            "vars": list(self.vars),
-        }
+        """Effective pi-order of a term c * pi^pi * x^E with c != 0; v_p(c) is
+        read without checking p again, as the context checked it when made."""
+        if c % self.p:
+            return pi
+        return pi + self.pi_multiplier * _valuation(c, self.p)
 
 
 class MixedPoly:
@@ -291,18 +289,6 @@ class MixedPoly:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-    def to_doc(self) -> dict:
-        """f as a JSON document, in a fresh dict: ring data and sorted terms."""
-        return {
-            "p": self.p,
-            "ram_level": self.ram_level,
-            "vars": list(self.vars),
-            "terms": [
-                {"pi": pi, "exps": list(e), "coeff": str(c)}
-                for (pi, e), c in self.sorted_terms()
-            ],
-        }
 
 
 def pow_mixed(f: MixedPoly, n: int) -> MixedPoly:

@@ -1,5 +1,6 @@
 """Tests for the certification engine: rules, combined certificates, profiles."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -32,6 +33,7 @@ from threshold_lab.certify import (
     rule_ramified_upper,
     rule_threshold_cap,
 )
+from threshold_lab.cli import infer_variables, parse_poly
 from threshold_lab.exact import format_rat
 from threshold_lab.poly import (
     MixedPoly,
@@ -439,6 +441,71 @@ CUBIC_P5 = MixedPoly(5, 0, ("x", "y"), {(2, (0, 0)): 1, (0, (3, 0)): 1, (0, (0, 
 CROSS_P2 = MixedPoly(2, 0, ("x", "y"), {(0, (1, 1)): 1, (0, (2, 2)): 1})
 
 
+ENGINE_MODULES = ("exact", "digits", "poly", "fpt", "certify")
+
+
+def count_prime_checks(monkeypatch) -> list[int]:
+    """Count the calls of require_prime through each engine module's
+    attribute, as the benchmark's tracer does; the one-element list holds
+    the running total."""
+    import sys
+
+    total = [0]
+    for name in ENGINE_MODULES:
+        mod = sys.modules[f"threshold_lab.{name}"]
+        check = mod.require_prime
+
+        def counted(p, check=check):
+            total[0] += 1
+            return check(p)
+        monkeypatch.setattr(mod, "require_prime", counted)
+    return total
+
+
+@pytest.mark.parametrize("src, p, a, cyclotomic, checks", [
+    # The ring context, the residue's fpt_diagonal and base_ring_level's
+    # padic_valuation of the pi-exponent 2.
+    ("p^2 + x^3 + y^4", 5, 0, False, 3),
+    # The same three; rule_frobenius_diagonal_strict abstains at p = 2.
+    ("p^3 + x^3 + y^3", 2, 0, False, 3),
+    # The same three: the containment of f^19 reads each term's pi-order
+    # and the two diagonal rules walk the digits without a check.
+    ("p + x^5 + y^5", 7, 2, False, 3),
+    # rule_frobenius_diagonal_strict reads v_3(3) through padic_valuation.
+    ("p^3 + x^3 + y^3", 3, 0, False, 4),
+    # The ring context, fpt_diagonal of x^3 + y^3 and base_ring_level; the
+    # p-th root lift builds its witness unchecked.
+    ("(x + y)^3 + p^3*x*y", 3, 0, True, 3),
+    # Only the ring context: the residue has no closed form.
+    ("x^2*y + x*y^2 + x^5", 3, 0, False, 1),
+])
+def test_certify_checks_the_prime_once_per_layer(monkeypatch, src, p, a, cyclotomic, checks):
+    """One op of the certify-sweep workload (context, parse, certificate,
+    JSON) checks the prime in the ring context and in the public entry
+    points it calls, fpt_diagonal and padic_valuation, and nowhere below:
+    effective pi-orders, the digit walk and derived contexts do not."""
+    total = count_prime_checks(monkeypatch)
+    ctx = RingContext(p, infer_variables(src), ram_level=a, cyclotomic=cyclotomic)
+    certify(parse_poly(src, ctx), ctx).to_json()
+    assert total[0] == checks
+
+
+@pytest.mark.parametrize("src, p, e_max, checks", [
+    ("p^2 + x^2", 5, 3, 3),
+    ("p^3 + x^3 + y^3", 2, 3, 4),
+    ("p + x^2*y + x*y^2", 3, 2, 3),
+])
+def test_limit_profile_checks_the_prime_once_per_profile(monkeypatch, src, p, e_max, checks):
+    """A profile checks the prime in its level-0 analysis only (the ring
+    context, the residue's fpt_diagonal when it is a diagonal, and
+    base_ring_level's padic_valuation); each level derives its context and
+    walks its digits without another check."""
+    total = count_prime_checks(monkeypatch)
+    ctx = RingContext(p, infer_variables(src))
+    limit_profile(parse_poly(src, ctx), e_max).to_json()
+    assert total[0] == checks
+
+
 def test_limit_profile_formats_no_rule_text(monkeypatch):
     """A profile keeps only each level's bounds, so until it is rendered no
     rule formats a hypothesis or a note."""
@@ -710,11 +777,11 @@ def test_profile_step_checks_its_bounds():
 def test_certificate_json_shape():
     f = MixedPoly(2, 0, ("x",), {(0, (2,)): 1, (2, (0,)): 1})
     cert = certify(f, ctx_of(f))
-    doc = cert.to_doc()
-    assert set(doc) == {"input", "lower", "upper", "exact", "rules", "notes"}
+    doc = json.loads(cert.to_json())
+    assert list(doc) == ["input", "lower", "upper", "exact", "rules", "notes"]
     assert doc["lower"] == {"value": "1/2", "strict": False}
     assert doc["exact"] == "1/2"
-    assert all(set(r) == {"id", "paper_ref", "quote", "hypotheses"} for r in doc["rules"])
+    assert all(list(r) == ["id", "paper_ref", "quote", "hypotheses"] for r in doc["rules"])
     assert cert.to_json() == cert.to_json()    # deterministic serialization
 
 
@@ -762,8 +829,11 @@ def test_limit_profile_validation():
 
 def test_limit_profile_json():
     f = mixed_diagonal_poly(2, 0, 3, (3, 3))
-    doc = limit_profile(f, 1).to_doc()
+    doc = json.loads(limit_profile(f, 1).to_json())
+    assert list(doc) == ["steps", "limit", "attained", "notes"]
+    assert list(doc["steps"][0]) == ["ram_level", "lower", "upper", "exact"]
     assert doc["limit"] == "1/2"
+    assert doc["attained"] is True
     assert doc["steps"][0]["ram_level"] == 0
     assert doc["steps"][0]["upper"] == "3/4"
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from threshold_lab.certify import certify
 from threshold_lab.poly import (
     MixedPoly,
     RingContext,
@@ -154,14 +155,17 @@ def test_mixed_drops_zero_coefficients():
 
 
 def test_mixed_json_round_trip():
+    """A certificate writes its input's terms in sorted_terms order, and the
+    polynomial reads back from them."""
     f = MixedPoly(2, 0, ("x", "y"), {(3, (0, 0)): 1, (0, (3, 0)): 1, (0, (0, 3)): 1})
-    text = json.dumps(f.to_doc(), separators=(",", ":"))
-    assert text == (
-        '{"p":2,"ram_level":0,"vars":["x","y"],"terms":'
+    text = certify(f, RingContext(2, ("x", "y"))).to_json()
+    assert text.startswith(
+        '{"input":{"p":2,"ram_level":0,"vars":["x","y"],"terms":'
         '[{"pi":3,"exps":[0,0],"coeff":"1"},{"pi":0,"exps":[3,0],"coeff":"1"},'
-        '{"pi":0,"exps":[0,3],"coeff":"1"}]}'
+        '{"pi":0,"exps":[0,3],"coeff":"1"}],'
+        '"ctx":{"p":2,"ram_level":0,"cyclotomic":false,"vars":["x","y"]}},'
     )
-    doc = json.loads(text)
+    doc = json.loads(text)["input"]
     terms = {(t["pi"], tuple(t["exps"])): int(t["coeff"]) for t in doc["terms"]}
     assert MixedPoly(doc["p"], doc["ram_level"], tuple(doc["vars"]), terms) == f
     assert str(f) == "pi^3 + x^3 + y^3"
