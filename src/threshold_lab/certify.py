@@ -25,25 +25,25 @@ bound, or an exact value, and intersects everything it can prove:
   modulo (zeta_p - 1)^p over the p-cyclotomic base it forces ppt <= 1/p.
 * ``known_values_registry`` - a small curated table of exactly known values.
 
-Each input is analysed once: :func:`analyze` builds a frozen :class:`Facts`
-holding f, the ring context, the residue f mod pi with its closed-form fpt,
-the pure-power diagonal match and the base ring level; it also reads the diagonal's digit level and fpt (from one digit
-walk), the oracle brackets of the residue and the containment powers f^b on
-demand, once each.  Every rule takes that one argument and
-returns a :class:`RuleResult` or None (abstention): its bounds at once, its
-hypotheses and notes only when they are read.  :func:`_run_rules` runs the
-ten rules above plus ``rule_threshold_cap`` (ppt <= 1, always) from one
-tuple, the registry first and the cap last; the tuple is built on each
-call, so a rule replaced on the module is the one that runs.
-:func:`_intersect` then finds the max lower and the min upper bound in one
-scan.  :func:`certify` builds its :class:`BoundCertificate` from that, with
-the rules' hypotheses and notes.  A limit profile is analysed once too:
-:func:`limit_profile` validates and analyses f at level 0 only, derives every
-level's :class:`Facts` from that with :func:`relevel_facts`, and keeps only
-the intersected bounds of each level, so it builds no certificate and
-renders no rule text.  The levels share the oracle brackets and the
-containment powers: each f^b is expanded once per profile, at level 0, and
-each level relevels it, since :func:`relevel` is a ring map.
+Each input is read once: :func:`analyze` checks f against its ring and, in
+one scan of its terms in the order the certificate writes them, reads the
+residue f mod pi, the pure-power diagonal match and the base ring level into
+a frozen :class:`Facts`; one digit walk per diagonal gives the residue's
+closed-form fpt and the full diagonal's digit level, fpt and lct.  The
+residue's oracle brackets and the containment powers f^b are read on demand,
+once each.  Every rule takes that one argument and returns a
+:class:`RuleResult` or None (abstention): its bounds at once, its hypotheses
+and notes only when they are read.  :func:`_run_rules` runs the ten rules
+above plus ``rule_threshold_cap`` (ppt <= 1, always) from a tuple built on
+each call, so a rule replaced on the module is the one that runs;
+:func:`_intersect` finds the max lower and the min upper bound in one scan,
+and :func:`certify` builds its :class:`BoundCertificate` from that.
+:func:`limit_profile` analyses f at level 0 only, derives every level's
+:class:`Facts` with :func:`relevel_facts` (walking only the scaled full
+diagonal's digits again), and keeps only each level's intersected bounds,
+so it renders no rule text.  The levels share the oracle brackets and the
+containment powers: each f^b is expanded once, at level 0, and each level
+relevels it, since :func:`relevel` is a ring map.
 
 Every certified bound is sound on its own, so the combined max-of-lowers /
 min-of-uppers can only collide if the implementation is wrong; that collision
@@ -68,11 +68,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable
-from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
-from .digits import padic_valuation
+from .digits import _valuation, padic_valuation
 from .exact import Rat, format_rat
 # require_prime is not called here; it stays a module attribute because
 # bench/run.py counts its calls by wrapping it in every engine module.
@@ -84,9 +83,8 @@ from .fpt import (
     INFINITE,
     FptBracket,
     ResourceGuardError,
-    diagonal_level_fpt,
+    diagonal_digits,
     fpt_diagonal,
-    lct_diagonal,
     oracle_bracket,
 )
 from .poly import (
@@ -191,7 +189,8 @@ class BoundCertificate:
     """The intersected output of every rule that fired on one input."""
 
     __slots__ = (
-        "lower", "lower_strict", "upper", "upper_strict", "exact", "rules", "notes", "poly", "ctx"
+        "lower", "lower_strict", "upper", "upper_strict", "exact", "rules", "notes", "poly", "ctx",
+        "terms",
     )
 
     def __init__(
@@ -205,10 +204,13 @@ class BoundCertificate:
         notes: list[str],
         poly: MixedPoly,
         ctx: RingContext,
+        terms: list[tuple[tuple[int, Exps], int]],
     ) -> None:
+        # terms is poly.sorted_terms(), the order the JSON writes; certify
+        # passes the list its analysis sorted.
         self.lower, self.lower_strict, self.upper = lower, lower_strict, upper
         self.upper_strict, self.exact, self.rules = upper_strict, exact, rules
-        self.notes, self.poly, self.ctx = notes, poly, ctx
+        self.notes, self.poly, self.ctx, self.terms = notes, poly, ctx, terms
         _check_bounds(self)
 
     def to_json(self) -> str:
@@ -216,7 +218,7 @@ class BoundCertificate:
         f, ctx = self.poly, self.ctx
         terms = ",".join(
             f'{{"pi":{pi},"exps":[{",".join(map(str, e))}],"coeff":"{c}"}}'
-            for (pi, e), c in f.sorted_terms()
+            for (pi, e), c in self.terms
         )
         rules = ",".join(
             f'{{"id":{_quote(r.rule_id)},"paper_ref":{_quote(r.statement)},'
@@ -263,97 +265,23 @@ class MixedDiagonal(NamedTuple):
         )
 
 
-def match_mixed_diagonal(f: MixedPoly, ctx: RingContext) -> MixedDiagonal | None:
-    """Match f against the pure-power diagonal shape, else None.
-
-    At most one pi-pure term is allowed; its p-content is folded into the
-    effective pi-order (so the coefficient 27 at p = 3, a = 0 counts as
-    pi^3).  Each remaining term must be a single-variable pure power with
-    coefficient prime to p, and the variables must be distinct.
-    """
-    pi_order: int | None = None
-    pi_unit_one = False
-    entries: list[tuple[int, int, int]] = []
-    for (pi, exps), c in f.sorted_terms():
-        support = [i for i, e in enumerate(exps) if e]
-        if not support:
-            if pi_order is not None:
-                return None
-            order = ctx.pi_order(pi, c)
-            if order == 0:
-                return None
-            pi_order = order
-            # The unit part is 1 exactly when c = p^v, v = v_p(c).
-            pi_unit_one = c == ctx.p ** ((order - pi) // ctx.pi_multiplier)
-        elif len(support) == 1:
-            if pi != 0 or c % ctx.p == 0:
-                return None
-            i = support[0]
-            entries.append((i, exps[i], c))
-        else:
-            return None
-    if len({i for (i, _e, _c) in entries}) != len(entries):
-        return None
-    if pi_order is None and not entries:
-        return None
-    return MixedDiagonal(pi_order, pi_unit_one, tuple(entries))
-
-
-def exact_fpt_of_reduction(g: SparsePolyFp) -> Rat | None:
-    """Exact fpt of g for the shapes with a closed form, else None.
-
-    Covers a single monomial (fpt = min_i 1/e_i), any diagonal with distinct
-    single-variable pure powers (a linear term makes g regular, so fpt = 1;
-    otherwise the digit formula applies) - enough for every family the
-    certification rules consume.
-    """
-    if g.is_zero():
-        return None
-    if len(g.terms) == 1:
-        (exps,) = g.terms
-        return Rat(1, max(exps))
-    seen: set[int] = set()
-    exponents: list[int] = []
-    for exps in g.terms:
-        support = [i for i, e in enumerate(exps) if e]
-        if len(support) != 1 or support[0] in seen:
-            return None
-        seen.add(support[0])
-        exponents.append(exps[support[0]])
-    if any(s == 1 for s in exponents):
-        return Rat(1)
-    return fpt_diagonal(g.p, tuple(exponents))
-
-
-def base_ring_level(f: MixedPoly, ctx: RingContext) -> int:
-    """Least c with f defined over W(k)[p^{1/p^c}] inside the level-a tower.
-
-    A term's pi-exponent is divisible by p^{a-c} exactly when the term lives
-    at level c; p-divisibility of coefficients never obstructs (p = pi^{p^a}
-    has exponent divisible by every p-power up to a).  c = 0 means f has
-    unramified coefficients.
-    """
-    a = ctx.ram_level
-    positive = [pi for (pi, _e) in f.terms if pi > 0]
-    if not positive:
-        return 0
-    v = min(padic_valuation(pi, ctx.p) for pi in positive)
-    return a - min(a, v)
-
-
-class Facts(namedtuple("Facts", "f ctx residue residue_fpt diag base_level")):
+class Facts(namedtuple("Facts", "f ctx residue residue_fpt diag base_level diag_digits")):
     """The analysis of one input that every rule reads, made once by :func:`analyze`.
 
     ``residue`` is f mod pi and ``residue_fpt`` its closed-form fpt (None
     when the residue is zero or has no closed form); ``diag`` is the
-    pure-power diagonal decomposition of f, or None; ``base_level`` is
-    :func:`base_ring_level`.
+    pure-power diagonal decomposition of f, or None; ``base_level`` is the
+    least c with f defined over W(k)[p^{1/p^c}] inside the level-a tower;
+    ``diag_digits`` is the digit level L, fpt and lct of the diagonal's
+    exponents, pi-slot included (None without a diagonal, or with a 1).
 
+    ``terms`` is f's terms in :meth:`MixedPoly.sorted_terms` order, as the
+    analysis read them (None on a level from :func:`relevel_facts`).
     ``brackets`` memoizes :meth:`bracket` and ``powers`` memoizes
-    :meth:`power`.  They hold no fact of their own, so they live in the
-    instance dict, outside the tuple of six facts that equality reads, and
-    the levels of one limit profile share them: their residue is the same,
-    and ``powers`` holds the powers of the level-0 f, ``level0``, which each
+    :meth:`power`.  None of these holds a fact of its own, so they live in
+    the instance dict, outside the tuple that equality reads, and the levels
+    of one limit profile share the memos: their residue is the same, and
+    ``powers`` holds the powers of the level-0 f, ``level0``, which each
     level relevels.  ``level0`` is None on an analysis that :func:`analyze`
     made, whose ``powers`` hold the powers of f itself.
     """
@@ -366,22 +294,18 @@ class Facts(namedtuple("Facts", "f ctx residue residue_fpt diag base_level")):
         residue_fpt: Rat | None,
         diag: MixedDiagonal | None,
         base_level: int,
+        diag_digits: tuple[int | float, Rat, Rat] | None,
         brackets: dict[int, FptBracket | None] | None = None,
         powers: dict[int, MixedPoly] | None = None,
         level0: MixedPoly | None = None,
+        terms: list[tuple[tuple[int, Exps], int]] | None = None,
     ):
-        facts = super().__new__(cls, f, ctx, residue, residue_fpt, diag, base_level)
+        facts = super().__new__(cls, f, ctx, residue, residue_fpt, diag, base_level, diag_digits)
         facts.brackets = {} if brackets is None else brackets
         facts.powers = {} if powers is None else powers
         facts.level0 = level0
+        facts.terms = terms
         return facts
-
-    @cached_property
-    def diag_digits(self) -> tuple[int | float, Rat]:
-        """The digit level L and the fpt of the pure-power diagonal's
-        exponents, pi-slot included, from one digit walk; read only when
-        ``diag`` is set and no exponent is 1, so nothing is checked again."""
-        return diagonal_level_fpt(self.ctx.p, self.diag.exponents())
 
     def power(self, b: int) -> MixedPoly:
         """f^b, expanded once per b.  On a level derived by
@@ -405,17 +329,76 @@ class Facts(namedtuple("Facts", "f ctx residue residue_fpt diag base_level")):
 
 
 def analyze(f: MixedPoly, ctx: RingContext) -> Facts:
-    """Compute the residue, its closed-form fpt, the diagonal match and the
-    base ring level of f, once for all rules."""
-    residue = reduce_mod_pi(f)
-    return Facts(
-        f=f,
-        ctx=ctx,
-        residue=residue,
-        residue_fpt=exact_fpt_of_reduction(residue),
-        diag=match_mixed_diagonal(f, ctx),
-        base_level=base_ring_level(f, ctx),
-    )
+    """Check f against its ring and analyse it once for all rules.
+
+    One scan of f's terms in graded-lex order checks that f lies in the
+    maximal ideal and reads the residue f mod pi, the pure-power diagonal
+    match and the base ring level.  The match allows one pi-pure term, its
+    p-content folded into the effective pi-order (27 at p = 3, a = 0 counts
+    as pi^3), and single-variable pure powers with coefficients prime to p
+    in distinct variables.  A term lives at level c exactly when p^{a-c}
+    divides its pi-exponent (p = pi^{p^a} never obstructs), so the base
+    ring level is a - min(a, v_p(gcd of the positive pi-exponents)).
+
+    The residue's closed-form fpt covers a single monomial (min_i 1/e_i)
+    and a diagonal (1 with a linear term, else the digit formula); for a
+    pure-power diagonal one digit walk reads it (the x-columns) with the
+    full diagonal's level, fpt and lct (the pi-slot's column added).
+    """
+    if f.p != ctx.p or f.ram_level != ctx.ram_level or f.vars != ctx.vars:
+        raise ValueError("polynomial and ring context disagree")
+    if f.is_zero():
+        raise ValueError("cannot certify the zero power series")
+    p, terms = ctx.p, f.sorted_terms()
+    residue: dict[Exps, int] = {}
+    entries: dict[int, tuple[int, int, int]] = {}  # by variable index
+    pi_order: int | None = None
+    pi_unit_one = False
+    shaped = True  # no second pi-pure term, no x-term with pi or p in it
+    split = True  # the residue's terms are pure powers of distinct variables
+    pis = 0  # the gcd of the positive pi-exponents
+    for (pi, exps), c in terms:
+        if pi:
+            pis = math.gcd(pis, pi)
+        support = [i for i, e in enumerate(exps) if e]
+        if not support:
+            order = ctx.pi_order(pi, c)
+            if order == 0:
+                raise ValueError("f must lie in the maximal ideal (unit term found)")
+            shaped = shaped and pi_order is None
+            pi_order = order
+            # The unit part is 1 exactly when c = p^v, v = v_p(c).
+            pi_unit_one = c == p ** ((order - pi) // ctx.pi_multiplier)
+            continue
+        unit = c % p
+        if pi or not unit:
+            shaped = False
+            continue
+        residue[exps] = unit
+        if len(support) == 1 and support[0] not in entries:
+            entries[support[0]] = (support[0], exps[support[0]], c)
+        else:
+            split = False
+    a = ctx.ram_level
+    base_level = a - min(a, _valuation(pis, p)) if pis and a else 0
+    diag = digits = residue_fpt = None
+    xs = tuple(s for _i, s, _c in entries.values())
+    if shaped and split:
+        diag = MixedDiagonal(pi_order, pi_unit_one, tuple(entries.values()))
+        t = pi_order or 0
+        if 1 in xs:
+            residue_fpt = Rat(1)
+        elif t == 1:
+            residue_fpt = diagonal_digits(p, xs)[1] if xs else None
+        else:
+            reading = diagonal_digits(p, xs, t, alone=bool(xs))
+            residue_fpt, digits = reading[1], reading[2:]
+    elif len(residue) == 1:
+        residue_fpt = Rat(1, max(next(iter(residue))))
+    elif split and residue:
+        residue_fpt = Rat(1) if 1 in xs else fpt_diagonal(p, xs)
+    residue = SparsePolyFp._of(p, f.vars, residue)
+    return Facts(f, ctx, residue, residue_fpt, diag, base_level, digits, terms=terms)
 
 
 def relevel_facts(facts: Facts, a: int) -> Facts:
@@ -426,16 +409,21 @@ def relevel_facts(facts: Facts, a: int) -> Facts:
     pi-exponent 0 (so its closed-form fpt is the same), the diagonal match
     reads each term's shape and the unit part of its pi-term, and every
     positive pi-exponent of relevel(f, a) is divisible by p^a, so the base
-    ring level is 0.  The residue being the same, the derived facts share
-    the oracle brackets of ``facts``; they share its memo of the powers of
-    the level-0 f too, so each f^b is expanded once across the levels.
+    ring level is 0.  Only the full diagonal's digits are read again, with
+    the scaled pi-slot, and the residue's walk is not repeated.  The residue
+    being the same, the derived facts share the oracle brackets of
+    ``facts``; they share its memo of the powers of the level-0 f too, so
+    each f^b is expanded once across the levels.
     """
     ctx = facts.ctx
     if ctx.ram_level != 0 or ctx.cyclotomic:
         raise ValueError("relevel_facts expects the analysis of a level-0 polynomial")
-    diag = facts.diag
-    if diag is not None and diag.pi_order is not None:
+    diag, digits = facts.diag, facts.diag_digits
+    if a and diag is not None and diag.pi_order is not None:
         diag = MixedDiagonal(diag.pi_order * ctx.p**a, diag.pi_unit_one, diag.entries)
+        xs = diag.x_exponents()
+        if 1 not in xs:
+            digits = diagonal_digits(ctx.p, xs, diag.pi_order, alone=False)[2:]
     return Facts(
         f=relevel(facts.f, a),
         ctx=ctx._replace(ram_level=a),
@@ -443,6 +431,7 @@ def relevel_facts(facts: Facts, a: int) -> Facts:
         residue_fpt=facts.residue_fpt,
         diag=diag,
         base_level=0,
+        diag_digits=digits,
         brackets=facts.brackets,
         powers=facts.powers,
         level0=facts.f,
@@ -491,16 +480,15 @@ def rule_blowup_diagonal(facts: Facts) -> RuleResult | None:
     fresh variable; its fpt bounds ppt from below, while the (diagonal) log
     canonical threshold bounds it from above.
     """
-    ctx, diag = facts.ctx, facts.diag
+    ctx, diag, digits = facts.ctx, facts.diag, facts.diag_digits
     if ctx.cyclotomic or diag is None:
         return None
     exps = diag.exponents()
-    linear = any(s == 1 for s in exps)
+    linear = digits is None
     if linear:
         lower = lct = Rat(1)
     else:
-        lower = facts.diag_digits[1]
-        lct = lct_diagonal(exps)
+        _level, lower, lct = digits
 
     def text():
         if linear:
@@ -655,9 +643,9 @@ def rule_diagonal_ramified(facts: Facts) -> RuleResult | None:
         return None
     exps = diag.exponents()
     n = len(exps)
-    if n >= ctx.p or any(s < 2 for s in exps):
+    if n >= ctx.p or facts.diag_digits is None:  # None: some exponent is 1
         return None
-    level, value = facts.diag_digits
+    level, value, _lct = facts.diag_digits
     if level == INFINITE or level > ctx.ram_level:
         return None
     level = int(level)
@@ -1071,16 +1059,6 @@ def rule_threshold_cap(facts: Facts) -> RuleResult:
 # Orchestration.
 
 
-def _validate_input(f: MixedPoly, ctx: RingContext) -> None:
-    if f.p != ctx.p or f.ram_level != ctx.ram_level or f.vars != ctx.vars:
-        raise ValueError("polynomial and ring context disagree")
-    if f.is_zero():
-        raise ValueError("cannot certify the zero power series")
-    for (pi, exps), c in f.terms.items():
-        if not any(exps) and ctx.pi_order(pi, c) == 0:
-            raise ValueError("f must lie in the maximal ideal (unit term found)")
-
-
 def _cmp(a: Rat, b: Rat) -> int:
     """The sign of a - b, by cross-multiplying numerators and denominators.
 
@@ -1104,8 +1082,8 @@ def certify(f: MixedPoly, ctx: RingContext) -> BoundCertificate:
     other (max lower above min upper, or touching with a strict side) - the
     engine's cross-validation alarm.
     """
-    _validate_input(f, ctx)
-    results = _run_rules(analyze(f, ctx))
+    facts = analyze(f, ctx)
+    results = _run_rules(facts)
     bounds = _intersect(results)
     notes = [note for res in results for note in res.notes]
     if bounds.lower_strict and bounds.upper is not None:
@@ -1115,7 +1093,9 @@ def certify(f: MixedPoly, ctx: RingContext) -> BoundCertificate:
                 "p*ppt is not a jumping number: p*ppt lies in "
                 f"({m}, {m} + ppt), an interval free of jumping numbers"
             )
-    return BoundCertificate(*bounds, rules=results, notes=notes, poly=f, ctx=ctx)
+    return BoundCertificate(
+        *bounds, rules=results, notes=notes, poly=f, ctx=ctx, terms=facts.terms
+    )
 
 
 def _run_rules(facts: Facts) -> list[RuleResult]:
@@ -1279,9 +1259,7 @@ def limit_profile(f: MixedPoly, e_max: int) -> LimitProfile:
         raise ValueError(f"e_max must be >= 0, got {e_max}")
     if f.ram_level != 0:
         raise ValueError("limit_profile expects a polynomial written at level 0")
-    ctx = RingContext(f.p, f.vars)
-    _validate_input(f, ctx)
-    base = analyze(f, ctx)
+    base = analyze(f, RingContext(f.p, f.vars))
     steps: list[ProfileStep] = []
     for a in range(e_max + 1):
         step = ProfileStep(a, *_intersect(_run_rules(relevel_facts(base, a))))
@@ -1311,6 +1289,8 @@ def limit_profile(f: MixedPoly, e_max: int) -> LimitProfile:
                 f"the limiting value {format_rat(limit)} is not attained at any "
                 "profiled level: every certified lower bound stays strictly above it"
             )
+    elif base.residue.is_zero():
+        notes.append("limit not computed: the residue f mod pi is zero")
     else:
         notes.append("limit not computed in closed form (reduction is not diagonal)")
     return LimitProfile(steps=steps, limit=limit, attained=attained, notes=notes)

@@ -37,6 +37,13 @@ Brent's cycle check (keep one saved tuple, double the interval between
 saves) finds the repeat within about 2 max(mu, lam) + lam columns, where mu
 and lam are the preperiod and period of the tuple, with no multiplicative
 order computed up front.
+
+A diagonal pi^t + x_1^{s_1} + ... in mixed characteristic is read the same
+way, in one walk with the pi-slot's column beside the x-columns
+(:func:`diagonal_digits`): the full diagonal's level is the first column
+summing to p, and the x-columns alone, which sum to no more, walk on from
+there with their own cycle check (a repeat of the joint remainders says
+nothing of theirs) to give the level of f mod pi.
 """
 
 from __future__ import annotations
@@ -78,21 +85,17 @@ def compute_L(p: int, exponents: tuple[int, ...]) -> int | float:
     """Least L >= 0 with sum_i d_i^(L+1) >= p, or INFINITE if no digit column
     of the expansions of the 1/s_i ever sums to p or more."""
     require_prime(p)
-    return _digit_level(p, _check_exponents(exponents))
+    return diagonal_digits(p, _check_exponents(exponents))[0]
 
 
-def _digit_level(p: int, exps: tuple[int, ...]) -> int | float:
-    """:func:`compute_L` for a prime p and exponents already checked.
-
-    Walks the remainders (p^j - 1) mod s_i column by column (see the module
-    docstring) and stops at the first column that sums to p, or when the
-    remainder tuple repeats.  One exponent never reaches p: its digits are
-    all below p.
-    """
+def _first_column(p: int, exps: tuple[int, ...], rems: tuple[int, ...], j: int) -> tuple:
+    """From column j and the remainders ``rems`` on, the first column whose
+    digits sum to p or more: the column (INFINITE when the remainder tuple
+    repeats first), the sum of its digits but the last, and the remainders
+    after it.  One exponent never reaches p: its digits are all below p."""
     if len(exps) == 1:
-        return INFINITE
-    rems = saved = (0,) * len(exps)
-    j, power, steps = 0, 1, 0
+        return INFINITE, 0, rems
+    saved, power, steps = rems, 1, 0
     while True:
         total = 0
         nxt = []
@@ -100,11 +103,11 @@ def _digit_level(p: int, exps: tuple[int, ...]) -> int | float:
             d, r = divmod(p * r + p - 1, s)
             total += d
             nxt.append(r)
-        if total >= p:
-            return j
         rems = tuple(nxt)
+        if total >= p:
+            return j, total - d, rems
         if rems == saved:
-            return INFINITE
+            return INFINITE, 0, rems
         j += 1
         steps += 1
         if steps == power:
@@ -117,20 +120,35 @@ def _reciprocal_sum(exps: tuple[int, ...]) -> tuple[int, int]:
     return sum(den // s for s in exps), den
 
 
+def _fpt_at(p: int, exps: tuple[int, ...], level: int | float) -> Rat:
+    """The diagonal's fpt from its digit level."""
+    if level == INFINITE:
+        return Rat(*_reciprocal_sum(exps))
+    q = p**level
+    return Rat(sum((q - 1) // s for s in exps) + 1, q)
+
+
 def fpt_diagonal(p: int, exponents: tuple[int, ...]) -> Rat:
     """Exact F-pure threshold of x_1^{s_1} + ... + x_n^{s_n} over F_p."""
     require_prime(p)
-    return diagonal_level_fpt(p, _check_exponents(exponents))[1]
+    return diagonal_digits(p, _check_exponents(exponents))[1]
 
 
-def diagonal_level_fpt(p: int, exps: tuple[int, ...]) -> tuple[int | float, Rat]:
-    """:func:`compute_L` and :func:`fpt_diagonal` of one diagonal, read off
-    one digit walk; p and the exponents (integers >= 2) are not checked."""
-    level = _digit_level(p, exps)
-    if level == INFINITE:
-        return level, Rat(*_reciprocal_sum(exps))
-    q = p**level
-    return level, Rat(sum((q - 1) // s for s in exps) + 1, q)
+def diagonal_digits(p: int, xs: tuple[int, ...], t: int = 0, alone: bool = True) -> tuple:
+    """(L, fpt) of the exponents xs alone, then (L, fpt, lct) of the full
+    diagonal with the pi-slot's exponent t (0: none), from one digit walk
+    (see the module docstring); the first two are None unless ``alone``.
+    p and the exponents (integers >= 2) are not checked."""
+    exps = (*xs, t) if t else xs
+    full_level, x_total, rems = _first_column(p, exps, (0,) * len(exps), 0)
+    level = None if t and not alone else full_level
+    if t and alone and full_level != INFINITE and x_total < p:
+        level = _first_column(p, xs, rems[:-1], full_level + 1)[0]
+    num, den = _reciprocal_sum(exps)
+    lct = Rat(1) if num >= den else Rat(num, den)
+    full_fpt = lct if full_level == INFINITE else _fpt_at(p, exps, full_level)
+    fpt = full_fpt if not t else None if level is None else _fpt_at(p, xs, level)
+    return level, fpt, full_level, full_fpt, lct
 
 
 def lct_diagonal(exponents: tuple[int, ...]) -> Rat:

@@ -12,16 +12,14 @@ from hypothesis import strategies as st
 from threshold_lab.certify import (
     _intersect,
     Bound,
+    Facts,
     InternalInconsistencyError,
     ProfileStep,
     RingContext,
     RuleResult,
     analyze,
-    base_ring_level,
     certify,
-    exact_fpt_of_reduction,
     limit_profile,
-    match_mixed_diagonal,
     pth_root_modulo,
     relevel,
     rule_blowup_diagonal,
@@ -37,7 +35,6 @@ from threshold_lab.cli import infer_variables, parse_poly
 from threshold_lab.exact import format_rat
 from threshold_lab.poly import (
     MixedPoly,
-    SparsePolyFp,
     pow_mixed,
     pth_root_mod_fp,
     reduce_mod_pi,
@@ -50,6 +47,11 @@ F = Fraction
 
 def ctx_of(f, **kw):
     return RingContext(f.p, f.vars, ram_level=f.ram_level, **kw)
+
+
+def diag_of(f):
+    """The pure-power diagonal match that analyze reads off f."""
+    return analyze(f, ctx_of(f)).diag
 
 
 def no_text():
@@ -82,7 +84,7 @@ def test_ring_context_pi_multiplier():
 
 def test_match_mixed_diagonal_basic():
     f = mixed_diagonal_poly(2, 0, 3, (3, 3))
-    d = match_mixed_diagonal(f, ctx_of(f))
+    d = diag_of(f)
     assert d is not None
     assert d.pi_order == 3 and d.pi_unit_one
     assert d.x_exponents() == (3, 3)
@@ -93,23 +95,25 @@ def test_match_mixed_diagonal_basic():
 def test_match_folds_p_content_into_pi_order():
     # 27 = 3^3 at p = 3, a = 0 counts as pi^3
     f = MixedPoly(3, 0, ("x",), {(0, (0,)): 27, (0, (3,)): 1})
-    d = match_mixed_diagonal(f, ctx_of(f))
+    d = diag_of(f)
     assert d is not None and d.pi_order == 3 and d.pi_unit_one
     g = MixedPoly(3, 0, ("x",), {(1, (0,)): 9, (0, (3,)): 1})
-    e = match_mixed_diagonal(g, ctx_of(g))
+    e = diag_of(g)
     assert e is not None and e.pi_order == 3
     assert e.pi_unit_one                 # 9*pi = pi^3 exactly, unit part 1
 
 
 def test_match_rejects_non_diagonal_shapes():
     mixed = MixedPoly(2, 0, ("x", "y"), {(0, (1, 1)): 1})
-    assert match_mixed_diagonal(mixed, ctx_of(mixed)) is None
+    assert diag_of(mixed) is None
     repeated = MixedPoly(2, 0, ("x",), {(0, (2,)): 1, (0, (3,)): 1})
-    assert match_mixed_diagonal(repeated, ctx_of(repeated)) is None
+    assert diag_of(repeated) is None
     p_coeff = MixedPoly(3, 0, ("x",), {(0, (2,)): 3})
-    assert match_mixed_diagonal(p_coeff, ctx_of(p_coeff)) is None
+    assert diag_of(p_coeff) is None
     pi_on_x = MixedPoly(3, 0, ("x",), {(1, (2,)): 1})
-    assert match_mixed_diagonal(pi_on_x, ctx_of(pi_on_x)) is None
+    assert diag_of(pi_on_x) is None
+    two_pi_terms = MixedPoly(3, 0, ("x",), {(1, (0,)): 1, (2, (0,)): 1, (0, (2,)): 1})
+    assert diag_of(two_pi_terms) is None
 
 
 @pytest.mark.parametrize("terms, value", [
@@ -118,10 +122,17 @@ def test_match_rejects_non_diagonal_shapes():
     ({(1, 0): 1, (0, 4): 1}, F(1)),            # linear variable: regular
     ({(1, 1): 1, (0, 2): 1}, None),            # not a diagonal
     ({(2, 0): 1, (1, 0): 1}, None),            # repeated variable
+    ({(3, 0): 2, (0, 3): 1}, F(1, 3)),         # 2 x^3 + y^3: the monomial y^3
 ])
 def test_exact_fpt_of_reduction(terms, value):
-    g = SparsePolyFp(2, ("x", "y"), terms)
-    assert exact_fpt_of_reduction(g) == value
+    """analyze reads the closed-form fpt of f mod pi, whether f is its
+    residue, a diagonal with a pi-slot, or no diagonal (pi x y + 2 x^2 y^2
+    added)."""
+    for pi_terms in ({}, {(2, (0, 0)): 1}, {(1, (1, 1)): 1, (0, (2, 2)): 2}):
+        f = MixedPoly(2, 0, ("x", "y"), {**{(0, e): c for e, c in terms.items()}, **pi_terms})
+        facts = analyze(f, ctx_of(f))
+        assert facts.residue == reduce_mod_pi(f)
+        assert facts.residue_fpt == value
 
 
 @pytest.mark.parametrize("pi_exps, a, c", [
@@ -137,7 +148,7 @@ def test_base_ring_level(pi_exps, a, c):
     for k, pi in enumerate(pi_exps):
         terms[(pi, (0,))] = terms.get((pi, (0,)), 0) + (k + 1)
     f = MixedPoly(2, a, ("x",), terms)
-    assert base_ring_level(f, ctx_of(f)) == c
+    assert analyze(f, ctx_of(f)).base_level == c
 
 
 # -- individual rules ------------------------------------------------------
@@ -272,16 +283,14 @@ def test_diagonal_ramified_abstains_when_slots_reach_p():
     assert rule_diagonal_ramified(analyze(g, ctx_of(g))) is None
 
 
-def test_diagonal_ramified_alarm_names_the_witness(monkeypatch):
+def test_diagonal_ramified_alarm_names_the_witness():
     """A digit formula promising too small a power trips the containment
     cross-check, and the alarm names the first term outside the ideal."""
-    import sys
-
-    mod = sys.modules["threshold_lab.certify"]
     f = mixed_diagonal_poly(5, 1, 3, (3,))  # pi^3 + x^3, digit level L = 1
-    monkeypatch.setattr(mod, "diagonal_level_fpt", lambda p, exps: (1, F(1, 5)))
+    facts = analyze(f, ctx_of(f))
+    forced = Facts(*facts[:-1], diag_digits=(1, F(1, 5), F(2, 3)))
     with pytest.raises(InternalInconsistencyError) as alarm:
-        rule_diagonal_ramified(analyze(f, ctx_of(f)))
+        rule_diagonal_ramified(forced)
     assert str(alarm.value) == (
         "diagonal_ramified: the digit formula promised f^1 in (pi^5, x_i^5) "
         "but the containment fails at term (3, (0,))"
@@ -373,7 +382,7 @@ def test_contradiction_alarm(monkeypatch):
         certify(f, ctx_of(f))
 
 
-ANALYSES = ("match_mixed_diagonal", "exact_fpt_of_reduction", "base_ring_level")
+ANALYSES = ("analyze",)
 RULES = (
     "known_values_registry", "rule_fpt_lower", "rule_blowup_diagonal",
     "rule_extremal_strict", "rule_frobenius_diagonal_strict", "rule_elliptic",
@@ -410,11 +419,57 @@ def count_calls(monkeypatch, names) -> Counter:
 ], ids=str)
 def test_certify_analyses_each_input_once(monkeypatch, f):
     """However many rules read the diagonal match, the residue's closed form
-    and the base ring level, each is computed once per call, and each of the
-    eleven rules is called once."""
-    calls = count_calls(monkeypatch, ANALYSES + RULES)
+    and the base ring level, analyze computes them once per call, with no
+    reduce_mod_pi of its own, and each of the eleven rules is called once."""
+    calls = count_calls(monkeypatch, ("reduce_mod_pi",) + ANALYSES + RULES)
     certify(f, ctx_of(f))
     assert calls == Counter(ANALYSES + RULES)
+
+
+@pytest.mark.parametrize("src, p, a, walk", [
+    # Pi-slot diagonals: one walk reads the residue and the full diagonal.
+    ("p^2 + x^3 + y^4", 5, 0, ("diagonal_digits", (4, 3), 2)),
+    ("p^2 + x^3 + y^5", 7, 2, ("diagonal_digits", (5, 3), 2)),
+    ("p^3 + x^2 + y^2 + z^2", 2, 1, ("diagonal_digits", (2, 2, 2), 3)),
+    # A linear pi-slot: only the residue's exponents are walked.
+    ("p + x^3 + y^3", 5, 0, ("diagonal_digits", (3, 3), 0)),
+    ("p + x^5 + y^5", 7, 2, ("diagonal_digits", (5, 5), 0)),
+    # No pi-slot: the residue is the full diagonal.
+    ("x^3 + y^3 + z^3", 7, 1, ("diagonal_digits", (3, 3, 3), 0)),
+    # f is no diagonal: only its diagonal residue is walked, by fpt_diagonal.
+    ("x^3 + y^4 + p*x*y", 5, 0, ("fpt_diagonal", (4, 3), 0)),
+])
+def test_certify_walks_the_digits_once_and_sorts_the_terms_once(monkeypatch, src, p, a, walk):
+    """One certificate, JSON included, sorts f's terms once and walks each
+    diagonal's digits once: the certify module calls diagonal_digits or, for
+    the residue of an f that is no diagonal, fpt_diagonal, once per input
+    (keyed here by the x-exponents and the pi-slot)."""
+    import sys
+
+    mod = sys.modules["threshold_lab.certify"]
+    seen = Counter()
+
+    def counted(name, fn):
+        def wrapper(p, xs, *args, **kwargs):
+            seen[name, xs, args[0] if args else 0] += 1
+            return fn(p, xs, *args, **kwargs)
+        return wrapper
+
+    for name in ("diagonal_digits", "fpt_diagonal"):
+        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    sorted_polys = []
+    sort = MixedPoly.sorted_terms
+
+    def counted_sort(self):
+        sorted_polys.append(self)
+        return sort(self)
+
+    monkeypatch.setattr(MixedPoly, "sorted_terms", counted_sort)
+    ctx = RingContext(p, infer_variables(src), ram_level=a)
+    f = parse_poly(src, ctx)
+    certify(f, ctx).to_json()
+    assert seen == Counter([walk])
+    assert [g for g in sorted_polys if g is f] == [f]
 
 
 @pytest.mark.parametrize("f", [
@@ -425,10 +480,11 @@ def test_certify_analyses_each_input_once(monkeypatch, f):
 def test_limit_profile_analyses_level_zero_once(monkeypatch, f):
     """The four levels of limit_profile(f, 3) share one analysis of f: the
     residue, its closed form, the diagonal match and the base ring level are
-    computed once, and each rule runs once per level."""
+    read once, by analyze's one scan of f (no reduce_mod_pi runs), and each
+    rule runs once per level."""
     calls = count_calls(monkeypatch, ("reduce_mod_pi",) + ANALYSES + RULES)
     limit_profile(f, 3)
-    expected = Counter(("reduce_mod_pi",) + ANALYSES)
+    expected = Counter(ANALYSES)
     expected.update({rule: 4 for rule in RULES})
     assert calls == expected
 
@@ -463,19 +519,19 @@ def count_prime_checks(monkeypatch) -> list[int]:
 
 
 @pytest.mark.parametrize("src, p, a, cyclotomic, checks", [
-    # The ring context, the residue's fpt_diagonal and base_ring_level's
-    # padic_valuation of the pi-exponent 2.
-    ("p^2 + x^3 + y^4", 5, 0, False, 3),
-    # The same three; rule_frobenius_diagonal_strict abstains at p = 2.
-    ("p^3 + x^3 + y^3", 2, 0, False, 3),
-    # The same three: the containment of f^19 reads each term's pi-order
-    # and the two diagonal rules walk the digits without a check.
-    ("p + x^5 + y^5", 7, 2, False, 3),
+    # Only the ring context: analyze walks the diagonal's digits and reads
+    # the base ring level's v_p without a check.
+    ("p^2 + x^3 + y^4", 5, 0, False, 1),
+    # The same; rule_frobenius_diagonal_strict abstains at p = 2.
+    ("p^3 + x^3 + y^3", 2, 0, False, 1),
+    # The same: the containment of f^19 reads each term's pi-order and the
+    # base ring level's v_7(1) is read unchecked.
+    ("p + x^5 + y^5", 7, 2, False, 1),
     # rule_frobenius_diagonal_strict reads v_3(3) through padic_valuation.
-    ("p^3 + x^3 + y^3", 3, 0, False, 4),
-    # The ring context, fpt_diagonal of x^3 + y^3 and base_ring_level; the
-    # p-th root lift builds its witness unchecked.
-    ("(x + y)^3 + p^3*x*y", 3, 0, True, 3),
+    ("p^3 + x^3 + y^3", 3, 0, False, 2),
+    # The ring context and fpt_diagonal of the residue x^3 + y^3 of an f
+    # that is no diagonal; the p-th root lift builds its witness unchecked.
+    ("(x + y)^3 + p^3*x*y", 3, 0, True, 2),
     # Only the ring context: the residue has no closed form.
     ("x^2*y + x*y^2 + x^5", 3, 0, False, 1),
 ])
@@ -483,7 +539,8 @@ def test_certify_checks_the_prime_once_per_layer(monkeypatch, src, p, a, cycloto
     """One op of the certify-sweep workload (context, parse, certificate,
     JSON) checks the prime in the ring context and in the public entry
     points it calls, fpt_diagonal and padic_valuation, and nowhere below:
-    effective pi-orders, the digit walk and derived contexts do not."""
+    effective pi-orders, the analysis, the digit walk and derived contexts
+    do not."""
     total = count_prime_checks(monkeypatch)
     ctx = RingContext(p, infer_variables(src), ram_level=a, cyclotomic=cyclotomic)
     certify(parse_poly(src, ctx), ctx).to_json()
@@ -491,15 +548,15 @@ def test_certify_checks_the_prime_once_per_layer(monkeypatch, src, p, a, cycloto
 
 
 @pytest.mark.parametrize("src, p, e_max, checks", [
-    ("p^2 + x^2", 5, 3, 3),
-    ("p^3 + x^3 + y^3", 2, 3, 4),
-    ("p + x^2*y + x*y^2", 3, 2, 3),
+    ("p^2 + x^2", 5, 3, 2),
+    ("p^3 + x^3 + y^3", 2, 3, 2),
+    ("p + x^2*y + x*y^2", 3, 2, 2),
 ])
 def test_limit_profile_checks_the_prime_once_per_profile(monkeypatch, src, p, e_max, checks):
-    """A profile checks the prime in its level-0 analysis only (the ring
-    context, the residue's fpt_diagonal when it is a diagonal, and
-    base_ring_level's padic_valuation); each level derives its context and
-    walks its digits without another check."""
+    """A profile checks the prime in the caller's ring context and in the
+    level-0 context it analyses f in, and nowhere else: the analysis walks
+    the digits and reads the base ring level's v_p unchecked, and each
+    level derives its context and walks its digits without another check."""
     total = count_prime_checks(monkeypatch)
     ctx = RingContext(p, infer_variables(src))
     limit_profile(parse_poly(src, ctx), e_max).to_json()
@@ -517,21 +574,24 @@ def test_limit_profile_formats_no_rule_text(monkeypatch):
 
 def test_limit_profile_reads_each_diagonal_fpt_once(monkeypatch):
     """rule_blowup_diagonal and rule_diagonal_ramified read one diagonal fpt
-    and digit level per level, from one digit walk: fpt._digit_level runs
-    once for the residue x^3 + y^3 and once for each of the four levels."""
+    and digit level per level, from one digit walk: diagonal_digits runs
+    once for each of the four levels, the level-0 walk reading the residue
+    x^3 + y^3 too, and the later levels read the full diagonal only."""
     import sys
 
-    mod = sys.modules["threshold_lab.fpt"]
+    mod = sys.modules["threshold_lab.certify"]
     walks = Counter()
-    walk = mod._digit_level
+    walk = mod.diagonal_digits
 
-    def counted(p, exps):
-        walks[exps] += 1
-        return walk(p, exps)
+    def counted(p, xs, t=0, alone=True):
+        walks[xs, t, alone] += 1
+        return walk(p, xs, t, alone)
 
-    monkeypatch.setattr(mod, "_digit_level", counted)
+    monkeypatch.setattr(mod, "diagonal_digits", counted)
     limit_profile(CUBIC_P5, 3)
-    assert walks == Counter({(3, 3): 1, **{(2 * 5**a, 3, 3): 1 for a in range(4)}})
+    assert walks == Counter(
+        {((3, 3), 2, True): 1, **{((3, 3), 2 * 5**a, False): 1 for a in range(1, 4)}}
+    )
 
 
 # p + x^5 + y^5 at p = 7: levels 1 to 3 check containments of f^3, f^19 and
@@ -565,11 +625,13 @@ def test_shared_power_alarm_names_the_level_witness(monkeypatch):
     import sys
 
     mod = sys.modules["threshold_lab.certify"]
-    digits = mod.diagonal_level_fpt
+    digits = mod.diagonal_digits
     monkeypatch.setattr(
         mod,
-        "diagonal_level_fpt",
-        lambda p, exps: (3, F(19, 343)) if exps[0] == 343 else digits(p, exps),
+        "diagonal_digits",
+        lambda p, xs, t=0, alone=True: (
+            (None, None, 3, F(19, 343), F(1)) if t == 343 else digits(p, xs, t, alone)
+        ),
     )
     f3 = relevel(QUINTIC_P7, 3)
     fresh = weighted_membership(pow_mixed(f3, 19), ctx_of(f3), 343)
@@ -612,6 +674,19 @@ def test_limit_profile_asks_the_oracle_once_per_level_e(monkeypatch):
         '"notes":["limit not computed in closed form (reduction is not diagonal)"]}'
     )
     assert sorted(levels) == [1, 2]
+
+
+def test_limit_profile_notes_a_zero_residue():
+    """p x + p^2 has residue 0: the note says so, rather than calling the
+    residue non-diagonal, and no level has a lower bound."""
+    profile = limit_profile(MixedPoly(5, 0, ("x",), {(1, (1,)): 1, (2, (0,)): 1}), 2)
+    assert profile.to_json() == (
+        '{"steps":[{"ram_level":0,"lower":null,"upper":"1","exact":null},'
+        '{"ram_level":1,"lower":null,"upper":"1","exact":null},'
+        '{"ram_level":2,"lower":null,"upper":"1","exact":null}],'
+        '"limit":null,"attained":null,'
+        '"notes":["limit not computed: the residue f mod pi is zero"]}'
+    )
 
 
 def test_oracle_refusal_is_remembered(monkeypatch):

@@ -1120,6 +1120,20 @@ def test_cli_limit_profile_text(capsys):
     assert any("not attained" in line for line in lines)
 
 
+def test_cli_limit_profile_zero_residue(capsys):
+    """On an f whose residue mod pi is zero, the note names the zero
+    residue, not a non-diagonal one."""
+    code, out, _ = run_cli(capsys, "limit-profile", "--prime", "5",
+                           "--poly", "p*x + p^2", "--max-level", "1")
+    assert code == 0
+    assert out.splitlines() == [
+        "a=0: lower = none, upper = 1",
+        "a=1: lower = none, upper = 1",
+        "limit = unknown",
+        "note: limit not computed: the residue f mod pi is zero",
+    ]
+
+
 def test_cli_limit_profile_json(capsys):
     code, out, _ = run_cli(capsys, "limit-profile", "--prime", "2",
                            "--poly", "p^3 + x^3 + y^3", "--max-level", "1", "--json")

@@ -14,6 +14,7 @@ from threshold_lab.fpt import (
     INFINITE,
     ResourceGuardError,
     compute_L,
+    diagonal_digits,
     diagonal_poly,
     fpt_diagonal,
     frobenius_nu,
@@ -140,6 +141,56 @@ def test_diagonal_kernel_matches_expansions_exhaustively(p):
 @settings(max_examples=200, deadline=None)
 def test_diagonal_kernel_matches_expansions(p, exps):
     assert_matches_reference(p, exps)
+
+
+def assert_digits_match_reference(p, xs, t):
+    """diagonal_digits reads the x-exponents alone and, with the pi-slot t,
+    the full diagonal (t, *xs) as the expansions do; read without the
+    x-exponents alone, it gives the same full diagonal."""
+    full = (t, *xs)
+    want = (
+        reference_L(p, xs), reference_fpt(p, xs),
+        reference_L(p, full), reference_fpt(p, full), lct_diagonal(full),
+    )
+    assert diagonal_digits(p, xs, t) == want, (p, xs, t)
+    assert diagonal_digits(p, xs, t, alone=False) == (None, None, *want[2:])
+    assert diagonal_digits(p, xs) == want[:2] * 2 + (lct_diagonal(xs),)
+
+
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 11, 13]),
+    t=st.integers(2, 12),
+    xs=st.lists(st.integers(2, 12), min_size=1, max_size=4).map(tuple),
+)
+@settings(max_examples=200, deadline=None)
+def test_pi_slot_walk_matches_expansions(p, t, xs):
+    assert_digits_match_reference(p, xs, t)
+
+
+@pytest.mark.parametrize("p, xs, t, level, full_level", [
+    (7, (3, 3), 3, INFINITE, INFINITE),  # no column ever reaches p
+    (5, (3,), 3, INFINITE, 1),           # one x-exponent: its digits stay below p
+    (2, (3,), 2, INFINITE, 1),
+    (5, (3, 3), 3, 1, 1),                # t equal to the s_i
+    (5, (11, 12), 2, 9, 1),              # the residue's level far above the full one
+    (5, (11, 12), 13, 9, 1),
+])
+def test_pi_slot_walk_cases(p, xs, t, level, full_level):
+    """Past the full diagonal's level the x-remainders walk on with their
+    own cycle check, so the residue's level is found however far above."""
+    got = diagonal_digits(p, xs, t)
+    assert (got[0], got[2]) == (level, full_level)
+    assert_digits_match_reference(p, xs, t)
+
+
+def test_pi_slot_walk_long_periods():
+    """1/(10^9+7) and 1/(10^9+9) have periods of 500000003 and 55555556
+    digits at p = 3: a pi-slot 2 brings the first carry down from column 26
+    to column 18, and the x-columns alone still reach it at 26."""
+    xs = (1_000_000_007, 1_000_000_009)
+    level, value, full_level, full_value, _lct = diagonal_digits(3, xs, 2)
+    assert (level, full_level) == (26, 18) == (compute_L(3, xs), compute_L(3, (2, *xs)))
+    assert (value, full_value) == (fpt_diagonal(3, xs), fpt_diagonal(3, (2, *xs)))
 
 
 def fermat_reference(p, d):

@@ -287,11 +287,13 @@ def assembled_certificates(draw) -> BoundCertificate:
         )
         for _ in range(draw(st.integers(0, 3)))
     ]
+    f = MixedPoly(p, ram, names, terms)
     return BoundCertificate(
         *_bounds(draw),
         rules=rules,
         notes=draw(st.lists(TEXT, max_size=2)),
-        poly=MixedPoly(p, ram, names, terms),
+        poly=f,
+        terms=f.sorted_terms(),
         ctx=RingContext(p, names, ram_level=ram, cyclotomic=cyclotomic),
     )
 

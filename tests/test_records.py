@@ -140,7 +140,8 @@ def test_facts_equality_ignores_the_memos():
     assert facts.powers and facts.brackets and not fresh.powers
     assert facts == fresh and hash(facts) == hash(fresh)
     assert Facts(*fresh, level0=f) == fresh
-    assert facts.diag_digits is facts.diag_digits
+    assert facts.terms == f.sorted_terms()
+    assert Facts(*fresh, terms=None) == fresh
     with pytest.raises(AttributeError):
         facts.residue_fpt = None
 
@@ -150,12 +151,12 @@ def test_mutable_records():
     ctx = RingContext(2, ("x",))
     cert = BoundCertificate(
         lower=F(1, 2), lower_strict=False, upper=F(1, 2), upper_strict=False,
-        exact=F(1, 2), rules=[], notes=[], poly=f, ctx=ctx,
+        exact=F(1, 2), rules=[], notes=[], poly=f, ctx=ctx, terms=f.sorted_terms(),
     )
     cert.notes = ["kept"]
     assert cert.notes == ["kept"]
     with pytest.raises(AssertionError):
-        BoundCertificate(F(1), False, F(1, 2), False, None, [], [], f, ctx)
+        BoundCertificate(F(1), False, F(1, 2), False, None, [], [], f, ctx, f.sorted_terms())
     profile = limit_profile(f, 2)
     assert profile == limit_profile(f, 2)
     assert profile == LimitProfile(
