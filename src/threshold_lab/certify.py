@@ -38,12 +38,12 @@ above plus ``rule_threshold_cap`` (ppt <= 1, always) from a tuple built on
 each call, so a rule replaced on the module is the one that runs;
 :func:`_intersect` finds the max lower and the min upper bound in one scan,
 and :func:`certify` builds its :class:`BoundCertificate` from that.
-:func:`limit_profile` analyses f at level 0 only, derives every level's
-:class:`Facts` with :func:`relevel_facts` (walking only the scaled full
-diagonal's digits again), and keeps only each level's intersected bounds,
-so it renders no rule text.  The levels share the oracle brackets and the
-containment powers: each f^b is expanded once, at level 0, and each level
-relevels it, since :func:`relevel` is a ring map.
+:func:`limit_profile` reads level 0 off the analysis of f, derives every
+later level's :class:`Facts` with :func:`relevel_facts` (walking only the
+scaled full diagonal's digits again), and keeps only each level's
+intersected bounds, so it renders no rule text.  The levels share the
+oracle brackets and the containment powers: each f^b is expanded once, at
+level 0, and :func:`weighted_membership` reads it at each level's scale.
 
 Every certified bound is sound on its own, so the combined max-of-lowers /
 min-of-uppers can only collide if the implementation is wrong; that collision
@@ -66,8 +66,9 @@ JSON of ``certify --json`` and ``limit-profile --json`` as text, directly.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from collections.abc import Callable, Iterable
+from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
@@ -163,7 +164,7 @@ def _check_bounds(b: BoundCertificate | ProfileStep) -> None:
     if b.lower is not None and b.upper is not None:
         assert _cmp(b.lower, b.upper) <= 0
     if b.exact is not None:
-        assert b.lower == b.upper == b.exact
+        assert _cmp(b.lower, b.exact) == 0 == _cmp(b.upper, b.exact)
         assert not b.lower_strict and not b.upper_strict
 
 
@@ -282,8 +283,8 @@ class Facts(namedtuple("Facts", "f ctx residue residue_fpt diag base_level diag_
     the instance dict, outside the tuple that equality reads, and the levels
     of one limit profile share the memos: their residue is the same, and
     ``powers`` holds the powers of the level-0 f, ``level0``, which each
-    level relevels.  ``level0`` is None on an analysis that :func:`analyze`
-    made, whose ``powers`` hold the powers of f itself.
+    level reads in its own ring.  ``level0`` is None on an analysis that
+    :func:`analyze` made, whose ``powers`` hold the powers of f itself.
     """
 
     def __new__(
@@ -309,13 +310,13 @@ class Facts(namedtuple("Facts", "f ctx residue residue_fpt diag base_level diag_
 
     def power(self, b: int) -> MixedPoly:
         """f^b, expanded once per b.  On a level derived by
-        :func:`relevel_facts` it is the level-0 f^b relevelled: relevel is a
-        ring map, so relevel(f, a)^b = relevel(f^b, a), coefficients included."""
-        level0, a = self.level0, self.ctx.ram_level
+        :func:`relevel_facts` it is the level-0 f^b, read in the level's
+        ring through the canonical inclusion: relevel is a ring map, so
+        relevel(f, a)^b = relevel(f^b, a), coefficients included."""
         fb = self.powers.get(b)
         if fb is None:
-            fb = self.powers[b] = pow_mixed(self.f if level0 is None else level0, b)
-        return fb if level0 is None or a == 0 else relevel(fb, a)
+            fb = self.powers[b] = pow_mixed(self.f if self.level0 is None else self.level0, b)
+        return fb
 
     def bracket(self, e: int) -> FptBracket | None:
         """The oracle bracket of the residue at level e, or None when the
@@ -483,7 +484,6 @@ def rule_blowup_diagonal(facts: Facts) -> RuleResult | None:
     ctx, diag, digits = facts.ctx, facts.diag, facts.diag_digits
     if ctx.cyclotomic or diag is None:
         return None
-    exps = diag.exponents()
     linear = digits is None
     if linear:
         lower = lct = Rat(1)
@@ -494,7 +494,7 @@ def rule_blowup_diagonal(facts: Facts) -> RuleResult | None:
         if linear:
             shape = "a linear slot makes the blown-up diagonal regular"
         else:
-            shape = f"blown-up diagonal exponents {list(exps)}"
+            shape = f"blown-up diagonal exponents {list(diag.exponents())}"
         hyp = [
             "f is a pure-power diagonal in pi and distinct variables",
             shape,
@@ -586,9 +586,8 @@ def rule_exact_ramified(facts: Facts) -> RuleResult | None:
         diag = facts.diag
         if diag is None or not diag.monic():
             return None
-        b = q * ctx.p**e
-        assert b.denominator == 1
-        if not weighted_membership(facts.power(int(b)), ctx, ctx.p**e):
+        b = q.numerator  # q = b/p^e, by the loop above
+        if not weighted_membership(facts.power(b), ctx, ctx.p**e):
             return None
 
     def text():
@@ -600,7 +599,7 @@ def rule_exact_ramified(facts: Facts) -> RuleResult | None:
             )
         else:
             route = (
-                f"f^{int(b)} lies termwise in (pi^{ctx.p**e}, x_i^{ctx.p**e}) and "
+                f"f^{b} lies termwise in (pi^{ctx.p**e}, x_i^{ctx.p**e}) and "
                 f"ram_level >= {e}"
             )
         return [terminates, route], []
@@ -649,13 +648,13 @@ def rule_diagonal_ramified(facts: Facts) -> RuleResult | None:
     if level == INFINITE or level > ctx.ram_level:
         return None
     level = int(level)
-    b = value * ctx.p**level
-    assert b.denominator == 1
-    contained = weighted_membership(facts.power(int(b)), ctx, ctx.p**level)
+    b, r = divmod(value.numerator * ctx.p**level, value.denominator)
+    assert r == 0
+    contained = weighted_membership(facts.power(b), ctx, ctx.p**level)
     if not contained:
         raise InternalInconsistencyError(
             "diagonal_ramified: the digit formula promised "
-            f"f^{int(b)} in (pi^{ctx.p**level}, x_i^{ctx.p**level}) but the "
+            f"f^{b} in (pi^{ctx.p**level}, x_i^{ctx.p**level}) but the "
             f"containment fails at term {contained.failure}"
         )
     exact = n == 2 or len(set(exps)) == 1
@@ -664,7 +663,7 @@ def rule_diagonal_ramified(facts: Facts) -> RuleResult | None:
         hyp = [
             f"pure-power diagonal with pi-slot, exponents {list(exps)}",
             f"n = {n} < p = {ctx.p}; digit level L = {level} <= ram_level = {ctx.ram_level}",
-            f"containment f^{int(b)} in (pi^{ctx.p**level}, x_i^{ctx.p**level}) verified",
+            f"containment f^{b} in (pi^{ctx.p**level}, x_i^{ctx.p**level}) verified",
         ]
         if exact:
             hyp.append("n = 2 or equal exponents: the comparison is an equality")
@@ -698,43 +697,45 @@ def rule_extremal_strict(facts: Facts) -> RuleResult | None:
     if ctx.ram_level != 0 or ctx.cyclotomic:
         return None
     p, n = ctx.p, ctx.n_vars
-    max_deg = max((sum(e) for (_pi, e) in f.terms), default=0)
-    best: tuple[int, int, int, tuple] | None = None
-    e = 1
-    while p**e + 1 <= max_deg:
-        q = p**e
-        for i in range(n):
-            for j in range(i + 1, n):
-                for pattern in (((q + 1, 0), (0, q + 1)), ((q, 1), (1, q))):
-                    keys = []
-                    for di, dj in pattern:
-                        exp = [0] * n
-                        exp[i], exp[j] = di, dj
-                        keys.append((0, tuple(exp)))
-                    if any(f.terms.get(k) != 1 for k in keys):
-                        continue
-                    ok = True
-                    for key, c in f.terms.items():
-                        if key in keys:
-                            continue
-                        pi, exps = key
-                        others = sum(
-                            exps[t] for t in range(n) if t not in (i, j)
-                        )
-                        order = ctx.pi_order(pi, c)
-                        if order < 1 and others < 1:
-                            ok = False
-                            break
-                        if not in_frobenius_power(order, exps, q):
-                            ok = False
-                            break
-                    if ok and (best is None or e < best[0]):
-                        best = (e, i, j, pattern)
-        e += 1
-    if best is None:
+    # One scan of the pi-free terms with coefficient 1 and degree q + 1 > p reads
+    # the candidates: x_i^(q+1) (pattern 0), x_i^q x_j with x_i x_j^q (pattern 1).
+    pure: dict[int, list[int]] = {}
+    cross: defaultdict[tuple[int, int, int], int] = defaultdict(int)
+    for (pi, exps), c in f.terms.items():
+        if pi or c != 1 or sum(exps) <= p:
+            continue
+        support = [t for t, s in enumerate(exps) if s]
+        if len(support) == 1:
+            pure.setdefault(exps[support[0]] - 1, []).append(support[0])
+        elif len(support) == 2 and 1 in (exps[support[0]], exps[support[1]]):
+            i, j = support
+            cross[exps[i] + exps[j] - 1, i, j] += 1
+    candidates = [(q, i, j, 0) for q, vs in pure.items() for i, j in combinations(sorted(vs), 2)]
+    candidates += [(q, i, j, 1) for (q, i, j), seen in cross.items() if seen == 2]
+    for q, i, j, k in sorted(candidates):  # the least (e, i, j, pattern) that passes
+        e = _valuation(q, p) if q >= p else 0
+        if e == 0 or p**e != q:
+            continue
+        pattern = (((q + 1, 0), (0, q + 1)), ((q, 1), (1, q)))[k]
+        keys = []
+        for di, dj in pattern:
+            exp = [0] * n
+            exp[i], exp[j] = di, dj
+            keys.append((0, tuple(exp)))
+        for key, c in f.terms.items():
+            if key in keys:
+                continue
+            pi, exps = key
+            order = ctx.pi_order(pi, c)
+            if order < 1 and sum(exps) - exps[i] - exps[j] < 1:
+                break
+            if not in_frobenius_power(order, exps, q):
+                break
+        else:
+            break
+    else:
         return None
-    e, i, j, pattern = best
-    value = Rat(1, ctx.p**e)
+    value = Rat(1, q)
 
     def text():
         a, b = pattern[0]
@@ -933,8 +934,13 @@ def _lift_pth_root(f: MixedPoly, g: SparsePolyFp, ctx: RingContext) -> MixedPoly
     root_bar = pth_root_mod_fp(g)
     if root_bar is None:
         return None
-    h = MixedPoly._of(p, 0, ctx.vars, {(0, e): c for e, c in root_bar.terms.items()})
-    hp = pow_mixed(h, p)
+    # h^p has no pi-terms, so a unit pi^1 term of f leaves f - h^p at pi-order 1;
+    # cyclotomically nothing cancels it when p > 2 (integers have valuation 0, p - 1, ...).
+    if (p > 2 or not ctx.cyclotomic) and any(pi == 1 and c % p for (pi, _e), c in f.terms.items()):
+        return None
+    h = hp = MixedPoly._of(p, 0, ctx.vars, {(0, e): c for e, c in root_bar.terms.items()})
+    for _ in range(p - 1):
+        hp = hp * h
     if not ctx.cyclotomic:
         for key in set(f.terms) | set(hp.terms):
             delta = f.terms.get(key, 0) - hp.terms.get(key, 0)
@@ -1135,32 +1141,33 @@ class Bounds(NamedTuple):
 def _intersect(results: list[RuleResult]) -> Bounds:
     """The max lower and the min upper bound of the results, in one scan.
 
-    A side is strict when any bound at its extreme is.  Raises
+    A side is strict when any bound at its extreme is; bounds compare by
+    integer cross-products, each read once (see :func:`_cmp`).  Raises
     :class:`InternalInconsistencyError` when the two sides exclude each
     other, naming every rule with a bound at either extreme.
     """
     lower = upper = None
     lower_strict = upper_strict = False
+    ln = ld = un = ud = 0
     for res in results:
-        if res.lower is not None:
-            value = res.lower.value
-            assert value.numerator > 0
-            c = 1 if lower is None else _cmp(value, lower)
-            if c > 0:
-                lower, lower_strict = value, res.lower.strict
-            elif c == 0:
-                lower_strict = lower_strict or res.lower.strict
-        if res.upper is not None:
-            value = res.upper.value
-            assert value.numerator > 0
-            c = -1 if upper is None else _cmp(value, upper)
-            if c < 0:
-                upper, upper_strict = value, res.upper.strict
-            elif c == 0:
-                upper_strict = upper_strict or res.upper.strict
+        if (bound := res.lower) is not None:
+            n, d = bound.value.numerator, bound.value.denominator
+            assert n > 0
+            if lower is None or n * ld > ln * d:
+                lower, lower_strict, ln, ld = bound.value, bound.strict, n, d
+            elif n * ld == ln * d:
+                lower_strict = lower_strict or bound.strict
+        if (bound := res.upper) is not None:
+            n, d = bound.value.numerator, bound.value.denominator
+            assert n > 0
+            if upper is None or n * ud < un * d:
+                upper, upper_strict, un, ud = bound.value, bound.strict, n, d
+            elif n * ud == un * d:
+                upper_strict = upper_strict or bound.strict
     if lower is None or upper is None:
         return Bounds(lower, lower_strict, upper, upper_strict, None)
-    if _excludes(lower, lower_strict, upper, upper_strict):
+    c = ln * ud - un * ld
+    if c > 0 or (c == 0 and (lower_strict or upper_strict)):
 
         def rules_at(value: Rat, side: str) -> list[str]:
             return sorted({
@@ -1175,7 +1182,7 @@ def _intersect(results: list[RuleResult]) -> Bounds:
             f"{' (strict)' if upper_strict else ''} from {rules_at(upper, 'upper')}"
         )
     # Bounds that meet without excluding each other are both non-strict.
-    exact = lower if _cmp(lower, upper) == 0 else None
+    exact = lower if c == 0 else None
     return Bounds(lower, lower_strict, upper, upper_strict, exact)
 
 
@@ -1243,17 +1250,19 @@ def relevel(f: MixedPoly, a: int) -> MixedPoly:
 def limit_profile(f: MixedPoly, e_max: int) -> LimitProfile:
     """Certified bounds for the same element viewed at ram levels 0..e_max.
 
-    The best upper bounds form a nonincreasing sequence whose limit is the
-    residual threshold fpt(f mod pi); the profile records, per level, the
-    sharpest certified bounds, and notes when every finite level provably
-    stays strictly above the limit (non-attainment).
+    Each step intersects the bounds its level's rules certify, as
+    :func:`certify` does, and carries none to the next level: p^3 + p^2 x at
+    p = 5 has upper bound 4/5 at level 0 (``rule_pth_root_upper``) and 1 at
+    level 1.  ``limit`` is the closed-form residual threshold fpt(f mod pi),
+    which ppt tends to as the base is ramified; a note says when every
+    level's lower bound stays strictly above it (non-attainment).
 
-    f is validated and analysed once, at level 0; each level's rules read
-    :func:`relevel_facts` of that analysis.  Ramifying further is a free
-    extension, so ppt can only fall with the level: a certified lower bound
-    at one level that excludes a certified upper bound at a lower level
-    raises :class:`InternalInconsistencyError`, like a contradiction within
-    one level.
+    f is validated and analysed once, at level 0; the later levels' rules
+    read :func:`relevel_facts` of that analysis.
+    Ramifying further is a free extension, so ppt can only fall with the
+    level: a certified lower bound at one level that excludes a certified
+    upper bound at a lower level raises :class:`InternalInconsistencyError`,
+    like a contradiction within one level.
     """
     if e_max < 0:
         raise ValueError(f"e_max must be >= 0, got {e_max}")
@@ -1262,7 +1271,7 @@ def limit_profile(f: MixedPoly, e_max: int) -> LimitProfile:
     base = analyze(f, RingContext(f.p, f.vars))
     steps: list[ProfileStep] = []
     for a in range(e_max + 1):
-        step = ProfileStep(a, *_intersect(_run_rules(relevel_facts(base, a))))
+        step = ProfileStep(a, *_intersect(_run_rules(relevel_facts(base, a) if a else base)))
         for earlier in steps:
             if (
                 step.lower is not None
@@ -1283,8 +1292,8 @@ def limit_profile(f: MixedPoly, e_max: int) -> LimitProfile:
     notes: list[str] = []
     attained: bool | None = None
     if limit is not None:
-        attained = any(s.exact == limit for s in steps)
-        if all(s.lower is not None and s.lower > limit for s in steps):
+        attained = any(s.exact is not None and _cmp(s.exact, limit) == 0 for s in steps)
+        if all(s.lower is not None and _cmp(s.lower, limit) > 0 for s in steps):
             notes.append(
                 f"the limiting value {format_rat(limit)} is not attained at any "
                 "profiled level: every certified lower bound stays strictly above it"

@@ -341,10 +341,19 @@ class MembershipResult(NamedTuple):
 
 
 def weighted_membership(f: MixedPoly, ctx: RingContext, q: int) -> MembershipResult:
-    """Test whether every term of f lies in (pi^q, x_1^q, ..., x_n^q)."""
-    if f.p != ctx.p or f.ram_level != ctx.ram_level or f.vars != ctx.vars:
+    """Test whether every term of f lies in (pi^q, x_1^q, ..., x_n^q).
+
+    A level-0 f is read at ctx's level a through the canonical inclusion,
+    its pi-exponents scaled by p^a.  One unsorted scan decides; the witness
+    is searched among the failing terms only when some term fails.
+    """
+    if f.p != ctx.p or f.ram_level not in (0, ctx.ram_level) or f.vars != ctx.vars:
         raise ValueError("polynomial and ring context disagree")
-    for (pi, exps), c in f.sorted_terms():
-        if not in_frobenius_power(ctx.pi_order(pi, c), exps, q):
-            return MembershipResult(False, (pi, exps))
-    return MembershipResult(True, None)
+    scale = ctx.p ** (ctx.ram_level - f.ram_level)
+    outside = [
+        (pi * scale, e) for (pi, e), c in f.terms.items()
+        if not in_frobenius_power(ctx.pi_order(pi * scale, c), e, q)
+    ]
+    if not outside:
+        return MembershipResult(True, None)
+    return MembershipResult(False, max(outside, key=lambda k: (k[0] + sum(k[1]), k[0], k[1])))

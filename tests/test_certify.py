@@ -10,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshold_lab.certify import (
+    _cyclo_pi_power,
+    _cyclo_reduce,
+    _in_varpi_pth,
     _intersect,
     Bound,
     Facts,
@@ -34,7 +37,9 @@ from threshold_lab.certify import (
 from threshold_lab.cli import infer_variables, parse_poly
 from threshold_lab.exact import format_rat
 from threshold_lab.poly import (
+    MembershipResult,
     MixedPoly,
+    in_frobenius_power,
     pow_mixed,
     pth_root_mod_fp,
     reduce_mod_pi,
@@ -198,6 +203,118 @@ def test_extremal_abstains_at_positive_ram_level():
     assert rule_extremal_strict(analyze(f, ctx_of(f))) is None
 
 
+def extremal_by_enumeration(f, ctx):
+    """rule_extremal_strict's match as it was first written: every q = p^e
+    up to f's degree, every pair of variables and both patterns, keeping the
+    least e (then the first pair and pattern); returns (e, i, j, pattern)."""
+    p, n = ctx.p, ctx.n_vars
+    max_deg = max((sum(e) for (_pi, e) in f.terms), default=0)
+    best = None
+    e = 1
+    while p**e + 1 <= max_deg:
+        q = p**e
+        for i in range(n):
+            for j in range(i + 1, n):
+                for pattern in (((q + 1, 0), (0, q + 1)), ((q, 1), (1, q))):
+                    keys = []
+                    for di, dj in pattern:
+                        exp = [0] * n
+                        exp[i], exp[j] = di, dj
+                        keys.append((0, tuple(exp)))
+                    if any(f.terms.get(k) != 1 for k in keys):
+                        continue
+                    ok = True
+                    for key, c in f.terms.items():
+                        if key in keys:
+                            continue
+                        pi, exps = key
+                        others = sum(exps[t] for t in range(n) if t not in (i, j))
+                        order = ctx.pi_order(pi, c)
+                        if (order < 1 and others < 1) or not in_frobenius_power(order, exps, q):
+                            ok = False
+                            break
+                    if ok and (best is None or e < best[0]):
+                        best = (e, i, j, pattern)
+        e += 1
+    return best
+
+
+@st.composite
+def extremal_candidates(draw):
+    """Level-0 polynomials in 1-3 variables: pure powers x_i^(q+1) and x_j^(q+1)
+    or binomials x_i^q x_j and x_i x_j^q (q = p^e, or q off the p-powers),
+    mostly with coefficient 1, sometimes with one of a pair missing, beside
+    pi-terms and terms in a third variable."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.sampled_from([1, 2, 2, 3, 3]))
+    terms = {}
+    unit = st.sampled_from([1, 1, 1, 1, 1, 2, p + 1, -1])
+
+    def add(pi, exps, c):
+        if pi or any(exps):
+            terms[pi, tuple(exps)] = c
+
+    for _ in range(draw(st.sampled_from([1, 1, 1, 2, 3]))):
+        q = draw(st.sampled_from([p, p, p * p, p + 1]))
+        i, j = draw(st.permutations(range(max(n, 2))))[:2]
+        binomial = n > 1 and draw(st.booleans())
+        for di, dj in ((q, 1), (1, q)) if binomial else ((q + 1, 0), (0, q + 1)):
+            exps = [0] * max(n, 2)
+            exps[i], exps[j] = di, dj
+            if n > 1 or not exps[1]:
+                add(0, exps[:n], draw(unit))
+    for _ in range(draw(st.integers(0, 2))):
+        exps = [draw(st.integers(0, 2 * p * p)) for _ in range(n)]
+        c = draw(st.sampled_from([1, 3, -2, p, p * p]))
+        add(draw(st.sampled_from([0, 0, 1, 2, p, p * p, p**3])), exps, c)
+    return MixedPoly(p, 0, tuple("xyz"[:n]), terms)
+
+
+@given(f=extremal_candidates())
+@settings(max_examples=400, deadline=None)
+def test_extremal_strict_matches_the_enumeration(f):
+    """The one-scan match certifies the bound and names the pattern and the
+    pair that the enumeration over every q, pair and pattern finds."""
+    ctx = ctx_of(f)
+    res = rule_extremal_strict(analyze(f, ctx))
+    best = extremal_by_enumeration(f, ctx)
+    if best is None:
+        assert res is None
+        return
+    e, i, j, pattern = best
+    a, b = pattern[0]
+    name = f"{{X^{a}, Y^{a}}}" if b == 0 else f"{{X^{a} Y, X Y^{a}}}"
+    assert res.lower == Bound(F(1, f.p**e), strict=True)
+    assert res.hypotheses[0] == (
+        f"pattern {name} on ({f.vars[i]}, {f.vars[j]}) with unit coefficients"
+    )
+
+
+@pytest.mark.parametrize("src, p, q, pattern", [
+    ("x^2*y + x*y^2 + p^3", 2, 2, "{X^2 Y, X Y^2} on (x, y)"),
+    # x^2 y^2 has neither pi nor a third variable beside (x, y), so the
+    # next pair in order, (x, z), is taken
+    ("x^3 + y^3 + z^3 + x^2*y^2", 2, 2, "{X^3, Y^3} on (x, z)"),
+    # q = 4 only; the cofactor z^4 lies in (pi^4, x_i^4)
+    ("x^5 + y^5 + z^4", 2, 4, "{X^5, Y^5} on (x, y)"),
+    # each pattern's pair of terms fails the other pattern's cofactor
+    ("x^3 + y^3 + x^2*y + x*y^2 + p*z", 2, None, None),
+    # q = 6 is no power of 2
+    ("x^7 + y^7 + p^8", 2, None, None),
+    # a coefficient 2 is a unit at p = 3, but the patterns ask for 1
+    ("2*x^4 + y^4 + z^3", 3, None, None),
+])
+def test_extremal_strict_cases(src, p, q, pattern):
+    ctx = RingContext(p, infer_variables(src))
+    f = parse_poly(src, ctx)
+    res = rule_extremal_strict(analyze(f, ctx))
+    if q is None:
+        assert res is None and extremal_by_enumeration(f, ctx) is None
+    else:
+        assert res.lower == Bound(F(1, q), strict=True)
+        assert res.hypotheses[0] == f"pattern {pattern} with unit coefficients"
+
+
 def test_frobenius_diagonal_strict():
     f = mixed_diagonal_poly(3, 0, 3, (3, 3))
     res = rule_frobenius_diagonal_strict(analyze(f, ctx_of(f)))
@@ -252,6 +369,83 @@ def test_pth_root_cyclotomic():
     assert res is not None and res.upper == Bound(F(1, 3))
     cert = certify(f, ctx)
     assert cert.exact == F(1, 3)
+
+
+def lift_by_pow_mixed(f, ctx):
+    """pth_root_modulo as it was first written: the canonical lift h of the
+    root mod p, and f - pow_mixed(h, p) tested at the ring's modulus."""
+    p = ctx.p
+    root_bar = pth_root_mod_fp(reduce_mod_pi(f))
+    if root_bar is None:
+        return None
+    h = MixedPoly(p, 0, ctx.vars, {(0, e): c for e, c in root_bar.terms.items()})
+    hp = pow_mixed(h, p)
+    if not ctx.cyclotomic:
+        for key in set(f.terms) | set(hp.terms):
+            delta = f.terms.get(key, 0) - hp.terms.get(key, 0)
+            if delta and ctx.pi_order(key[0], delta) < 2:
+                return None
+        return h
+    by_monomial = {}
+    for (pi, exps), c in f.terms.items():
+        acc = by_monomial.setdefault(exps, [0] * max(1, p - 1))
+        for k, v in enumerate(_cyclo_pi_power(pi, p)):
+            acc[k] += c * v
+    for (_pi, exps), c in hp.terms.items():
+        by_monomial.setdefault(exps, [0] * max(1, p - 1))[0] -= c
+    if all(_in_varpi_pth(_cyclo_reduce(coeffs, p), p) for coeffs in by_monomial.values()):
+        return h
+    return None
+
+
+@st.composite
+def lift_inputs(draw):
+    """f = h^p plus terms of pi-order 0 to 3 (unit pi^1 terms included), or
+    a residue with no p-th root, over the unramified or the cyclotomic base."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 2))
+    vars = tuple("xy"[:n])
+    monomial = st.tuples(*[st.integers(0, 2)] * n)
+    h = MixedPoly(p, 0, vars, {
+        (0, draw(monomial)): draw(st.integers(1, p - 1)) for _ in range(draw(st.integers(0, 2)))
+    })
+    terms = dict(pow_mixed(h, p).terms)
+    for _ in range(draw(st.integers(0, 3))):
+        key = (draw(st.sampled_from([0, 1, 1, 2, 3])), tuple(draw(monomial)))
+        c = draw(st.sampled_from([1, -1, 2, p, -p, p * p, p + 1]))
+        terms[key] = terms.get(key, 0) + c
+    return MixedPoly(p, 0, vars, terms), RingContext(p, vars, cyclotomic=draw(st.booleans()))
+
+
+@given(case=lift_inputs())
+@settings(max_examples=300, deadline=None)
+def test_pth_root_lift_matches_the_pow_mixed_lift(case):
+    """The lift's pre-check and its p - 1 products by the root give the
+    witness, or None, that comparing f with pow_mixed(h, p) gives."""
+    f, ctx = case
+    assert pth_root_modulo(f, ctx) == lift_by_pow_mixed(f, ctx)
+
+
+@pytest.mark.parametrize("terms, p, cyclotomic, root", [
+    # a unit pi^1 term: no root, before any product
+    ({(0, (2,)): 1, (1, (1,)): 1}, 2, False, False),
+    ({(0, (3,)): 1, (1, (3,)): 2}, 3, True, False),
+    # at p = 2 over W[zeta_2] = W, varpi = -2: 3 x^2 + varpi x^2 = x^2
+    ({(0, (2,)): 3, (1, (2,)): 1}, 2, True, True),
+    # a pi^1 term whose coefficient carries p has pi-order 2
+    ({(0, (5,)): 1, (1, (1,)): 5}, 5, False, True),
+    ({(0, (7, 0)): 1, (2, (1, 0)): 1}, 7, False, True),
+])
+def test_pth_root_lift_cases(monkeypatch, terms, p, cyclotomic, root):
+    """Against the pow_mixed lift, at the edges of the pre-check; the lift
+    itself expands no power through pow_mixed."""
+    f = MixedPoly(p, 0, ("x", "y")[:len(next(iter(terms))[1])], terms)
+    ctx = RingContext(p, f.vars, cyclotomic=cyclotomic)
+    expected = lift_by_pow_mixed(f, ctx)
+    assert (expected is not None) is root
+    calls = count_calls(monkeypatch, ("pow_mixed",))
+    assert pth_root_modulo(f, ctx) == expected
+    assert calls == Counter()
 
 
 def test_ramified_upper():
@@ -644,6 +838,53 @@ def test_shared_power_alarm_names_the_level_witness(monkeypatch):
     )
 
 
+def sorted_scan(f, ctx, q):
+    """weighted_membership as it was first written: the terms of f in
+    graded-lex order, stopping at the first outside (pi^q, x_i^q)."""
+    for (pi, exps), c in f.sorted_terms():
+        if not in_frobenius_power(ctx.pi_order(pi, c), exps, q):
+            return MembershipResult(False, (pi, exps))
+    return MembershipResult(True, None)
+
+
+# pi-slot diagonals, pi-terms with p-content and a unit other than 1 included
+LEVEL_ZERO_DIAGONALS = (
+    ({(1, (0, 0)): 1, (0, (2, 0)): 1, (0, (0, 3)): 1}, (1, 2, 3)),
+    ({(2, (0, 0)): 1, (0, (3, 0)): 1, (0, (0, 5)): 1}, (1, 3, 5)),
+    ({(3, (0, 0)): 1, (0, (2, 0)): 1}, (2, 4, 6)),
+    ({(1, (0, 0)): 3, (0, (4, 0)): 1, (0, (0, 6)): 2}, (2, 5)),
+)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_derived_level_containment_matches_the_sorted_scan(p):
+    """The level-0 f^b read at level a through the canonical inclusion gives
+    the verdict and the grlex-first witness of the sorted scan of
+    relevel(f^b, a), at a = 0..3 and q = p..p^4; both verdicts occur."""
+    verdicts = Counter()
+    for terms, bs in LEVEL_ZERO_DIAGONALS:
+        f = MixedPoly(p, 0, ("x", "y"), terms)
+        for b in bs:
+            fb = pow_mixed(f, b)
+            for a in range(4):
+                ctx = RingContext(p, f.vars, ram_level=a)
+                fa = relevel(fb, a)
+                for e in range(1, 5):
+                    res = weighted_membership(fb, ctx, p**e)
+                    assert res == sorted_scan(fa, ctx, p**e) == weighted_membership(fa, ctx, p**e)
+                    verdicts[res.contained] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_derived_level_containment_reads_only_level_zero():
+    """Only a level-0 f is read in a ring of another level."""
+    f = MixedPoly(3, 1, ("x",), {(1, (0,)): 1, (0, (2,)): 1})
+    with pytest.raises(ValueError):
+        weighted_membership(f, RingContext(3, ("x",), ram_level=2), 3)
+    with pytest.raises(ValueError):
+        weighted_membership(f, RingContext(3, ("x",)), 3)
+
+
 def _count_oracle_levels(monkeypatch, nu) -> list[int]:
     """Replace fpt.frobenius_nu by nu, recording the level e of each call."""
     import sys
@@ -892,6 +1133,17 @@ def test_limit_profile_attained():
     assert profile.limit == F(1, 2)
     assert profile.attained is True
     assert not any("not attained" in n for n in profile.notes)
+
+
+def test_limit_profile_does_not_carry_upper_bounds():
+    """Each level intersects only its own rules' bounds: p^3 + p^2 x at
+    p = 5 is a fifth power mod p^2 (witness h = 0) over the unramified base
+    only, so its upper bound 4/5 at level 0 is not carried to level 1."""
+    f = MixedPoly(5, 0, ("x",), {(3, (0,)): 1, (2, (1,)): 1})
+    assert limit_profile(f, 1).steps == [
+        ProfileStep(0, None, False, F(4, 5), False, None),
+        ProfileStep(1, None, False, F(1), False, None),
+    ]
 
 
 def test_limit_profile_validation():
