@@ -11,28 +11,24 @@ The reserved identifier ``p`` denotes the uniformizer pi of the base ring;
 with ``--ram A`` the exponent is read in units of p^{1/p^A}, so "p^3" at
 --ram 1, prime 5 means 5^{3/5}.  All other identifiers must be variables of
 the ring context (the CLI infers them from the source in order of first
-appearance).  Fractional exponents are rejected rather than parsed.
+appearance); :func:`parse_poly` and :func:`format_poly_src` refuse a
+variable named "p".  Fractional exponents are rejected rather than parsed.
 
 A source is read in three steps.  :func:`tokenize` scans it once with one
 regular expression and rejects any character outside the grammar's
-alphabet.  A source with no "(" among its tokens, a sum of products of
-literals, "p" and variables with their powers, then goes through a flat
-pass that builds each term's coefficient, pi-exponent and exponent vector
-in place and adds the term into one term dict {(pi, E): c}, with no syntax
-tree.  The pass never raises: it hands the tokens to the parser on anything
-it cannot lower exactly as the parser would, which is a token out of place,
-a digit run past MAX_LITERAL_DIGITS, a name that is neither "p" nor a
-variable, a literal power that lower_expr refuses and a coefficient that
-may pass MAX_COEFFICIENT_BITS.  The parser reads every other source and
-every one handed back.  It builds the whole syntax tree, so a syntax error
-anywhere wins over an unknown variable and over a budget, and it refuses a
-digit run past MAX_LITERAL_DIGITS as it reads it.  Last,
-:func:`lower_expr` evaluates the tree into one term dict within the budgets
-of its powers, products and coefficients.  Either dict is wrapped with
-``MixedPoly._of``: every key is valid by construction, and the ring context
-has already checked the prime and the variable names.  The commands read a
-source through :func:`parse_source`, which takes the variables and the
-polynomial off one tokenize.
+alphabet.  :func:`_check_syntax` then checks the tokens against the grammar
+in one scan that counts open parentheses, and refuses a digit run past
+MAX_LITERAL_DIGITS as it passes it, so a syntax error anywhere wins over an
+unknown variable and over a budget.  Last, one recursive descent lowers the
+checked tokens as it reads them, with no syntax tree: each term is
+multiplied up in place as a coefficient, pi-exponent and exponent vector,
+and only a parenthesized group becomes a term dict {(pi, E): c}, multiplied
+and powered through ``MixedPoly.__mul__`` and ``pow_mixed`` within the
+budgets of products, powers and coefficients.  The dict of the whole sum is
+wrapped with ``MixedPoly._of``: every key is valid by construction, and the
+ring context has already checked the prime and the variable names.  The
+commands read a source through :func:`parse_source`, which takes the
+variables and the polynomial off one tokenize.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ from functools import cached_property
 from itertools import accumulate, filterfalse, repeat
 from math import comb
 from operator import add, mul
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .certify import InternalInconsistencyError, RingContext, certify, limit_profile
 from .digits import kummer_valuation, lucas_residue, magic_expansions
@@ -67,17 +63,18 @@ class PolySyntaxError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# Tokenizer and recursive-descent parser.
+# Tokenizer, syntax check and lowering.
 
-# One findall scan reads every token: a run of ASCII digits, an identifier (a
-# letter or "_", then letters, "_" and ASCII digits) or any other single
-# character, an operator or a stray.  Whitespace matches none of the three,
-# so the scan steps over it, and the pattern has no groups, so findall
-# returns the token texts themselves.  \w also matches the non-ASCII digits
-# and numerals ("²", "٣") that str.isdigit and str.isnumeric accept but
-# int() rejects or misreads; no such character belongs to the alphabet, so
-# tokenize rejects them with the other strays.
-_TOKEN = re.compile(r"[0-9]+|[^\W\d]\w*|\S")
+# One findall scan reads every token: an operator, a run of ASCII digits, an
+# identifier (a letter or "_", then letters, "_" and ASCII digits) or any
+# other single character, a stray.  The operators, the most common tokens,
+# are tried first.  Whitespace matches none of the four, so the scan steps
+# over it, and the pattern has no groups, so findall returns the token texts
+# themselves.  \w also matches the non-ASCII digits and numerals ("²", "٣")
+# that str.isdigit and str.isnumeric accept but int() rejects or misreads; no
+# such character belongs to the alphabet, so tokenize rejects them with the
+# other strays.
+_TOKEN = re.compile(r"[-+*^()/]|[0-9]+|[^\W\d]\w*|\S")
 # '/' is tokenized but accepted nowhere, so "x^(1/2)" reaches the dedicated
 # fractional-exponent error instead of dying at the character level.
 _OPERATORS = frozenset("+-*^()/")
@@ -98,9 +95,9 @@ def _utf8(text: str) -> bytes:
 class Tokens:
     """The tokens of one source, closed by an end token whose text is "".
 
-    The parser reads ``texts``: a token's kind follows from its text.  The
-    UTF-8 byte offsets are found again from the source when first read, by
-    a syntax error.
+    The syntax check and the lowering read ``texts``: a token's kind follows
+    from its text.  The UTF-8 byte offsets are found again from the source
+    when first read, by a syntax error.
     """
 
     def __init__(self, src: str, texts: list[str]) -> None:
@@ -135,115 +132,6 @@ def tokenize(src: str) -> Tokens:
     return tokens
 
 
-# Abstract syntax, lowered by :func:`lower_expr`.  A parse builds one node per
-# operand and operator, so nodes are plain named tuples.
-
-
-class IntLit(NamedTuple):
-    value: int
-
-
-class VarRef(NamedTuple):
-    name: str  # "p" refers to the uniformizer
-
-
-class Sum(NamedTuple):
-    parts: tuple[tuple[int, PolyExpr], ...]  # (+1 or -1, operand)
-
-
-class Product(NamedTuple):
-    factors: tuple[PolyExpr, ...]
-
-
-class Power(NamedTuple):
-    base: PolyExpr
-    exponent: int
-
-
-PolyExpr = IntLit | VarRef | Sum | Product | Power
-
-_SIGNS = {"+": 1, "-": -1}
-
-
-class _Parser:
-    """Recursive descent over the token texts, one method per grammar rule
-    (factor also reads the base), each indexing the texts directly."""
-
-    def __init__(self, tokens: Tokens) -> None:
-        self.tokens = tokens
-        self.texts = tokens.texts
-        self.pos = 0
-
-    def error(self, pos: int, message: str) -> PolySyntaxError:
-        return PolySyntaxError(self.tokens.offsets[pos], message)
-
-    def uint(self, pos: int) -> int:
-        """The value of the digit run at pos, refused before int() reads it
-        when it is longer than MAX_LITERAL_DIGITS."""
-        text = self.texts[pos]
-        if len(text) > MAX_LITERAL_DIGITS:
-            raise _literal_too_long(len(text), "a source")
-        return int(text)
-
-    def parse(self) -> PolyExpr:
-        expr = self.expr()
-        text = self.texts[self.pos]
-        if text:
-            raise self.error(self.pos, f"unexpected {text!r}")
-        return expr
-
-    def expr(self) -> PolyExpr:
-        first = self.term()
-        texts = self.texts
-        if texts[self.pos] not in _SIGNS:
-            return first
-        parts = [(1, first)]
-        while (text := texts[self.pos]) in _SIGNS:
-            self.pos += 1
-            parts.append((_SIGNS[text], self.term()))
-        return Sum(tuple(parts))
-
-    def term(self) -> PolyExpr:
-        first = self.factor()
-        texts = self.texts
-        if texts[self.pos] != "*":
-            return first
-        factors = [first]
-        while texts[self.pos] == "*":
-            self.pos += 1
-            factors.append(self.factor())
-        return Product(tuple(factors))
-
-    def factor(self) -> PolyExpr:
-        """base ('^' uint)?, with base := uint | ident | '(' expr ')'."""
-        texts, pos = self.texts, self.pos
-        text = texts[pos]
-        self.pos = pos + 1
-        if text == "(":
-            base = self.expr()
-            if texts[self.pos] != ")":
-                raise self.error(self.pos, "expected ')'")
-            self.pos += 1
-        elif text.isdigit():
-            base = IntLit(self.uint(pos))
-        elif text and text not in _OPERATORS:
-            base = VarRef(text)
-        else:
-            raise self.error(pos, f"expected a term, found {text or 'end of input'!r}")
-        pos = self.pos
-        if texts[pos] != "^":
-            return base
-        text = texts[pos + 1]
-        if text.isdigit():
-            self.pos = pos + 2
-            return Power(base, self.uint(pos + 1))
-        if text == "(":
-            raise self.error(pos + 1, "fractional or compound exponents are not allowed")
-        if text == "-":
-            raise self.error(pos + 1, "negative exponents are not allowed")
-        raise self.error(pos + 1, "expected an unsigned integer exponent")
-
-
 def _variables(tokens: Tokens) -> tuple[str, ...]:
     names = dict.fromkeys(filterfalse(str.isdigit, tokens.texts))
     for text in _NOT_VARIABLES:
@@ -266,8 +154,8 @@ MAX_POWER_PRODUCTS = 500_000
 # The largest coefficient in a source: 14,000 bits are at most 4,215 decimal
 # digits, within the 4,300 that CPython prints, so every output mode can.
 MAX_COEFFICIENT_BITS = 14_000
-# The digits of 2^MAX_COEFFICIENT_BITS - 1: the parser refuses a longer digit
-# run, coefficient or exponent, before int() would meet CPython's limit.
+# The digits of 2^MAX_COEFFICIENT_BITS - 1: the syntax check refuses a longer
+# digit run, coefficient or exponent, before int() would meet CPython's limit.
 MAX_LITERAL_DIGITS = 4_215
 
 
@@ -342,171 +230,197 @@ def _coefficient_budget(what: str) -> ValueError:
     )
 
 
-def lower_expr(expr: PolyExpr, ctx: RingContext) -> MixedPoly:
-    """Evaluate an AST into a MixedPoly over the given ring context.
-
-    Each node evaluates to one term dict {(pi, E): c} without zero
-    coefficients.  Sums accumulate signed coefficients.  A product of two
-    monomials and a power of a monomial are formed on the dicts; only a
-    product or power with a multi-term operand goes through
-    ``MixedPoly.__mul__`` or ``pow_mixed``, within MAX_POWER_PRODUCTS:
-    such a power by power_products, such a product by len(acc) *
-    len(terms) summed over its multiplications.  A power f^n is refused
-    when (bits of f's largest coefficient - 1) * n, the fewest bits of c^n
-    for a monomial c x^E, is past MAX_COEFFICIENT_BITS, and each
-    multiplication and the result are checked against it.  Every key is
-    valid by construction, so the result is wrapped by ``MixedPoly._of``.
-    """
-    p, ram_level, vars = ctx.p, ctx.ram_level, ctx.vars
-    zero_exps = (0,) * len(vars)
-    keys = {
-        name: (0, zero_exps[:i] + (1,) + zero_exps[i + 1:]) for i, name in enumerate(vars)
-    }
-    keys["p"] = (1, zero_exps)
-
-    def poly(terms: dict) -> MixedPoly:
-        return MixedPoly._of(p, ram_level, vars, terms)
-
-    def go(node: PolyExpr) -> dict:
-        kind = type(node)
-        if kind is VarRef:
-            key = keys.get(node.name)
-            if key is None:
-                raise ValueError(
-                    f"unknown variable {node.name!r}; declared variables are"
-                    f" {', '.join(vars)}"
-                )
-            return {key: 1}
-        if kind is IntLit:
-            return {(0, zero_exps): node.value} if node.value else {}
-        if kind is Power:
-            base, n = go(node.base), node.exponent
-            bits = _max_bits(base)
-            if (bits - 1) * n > MAX_COEFFICIENT_BITS:
-                raise _coefficient_budget(f"a {bits}-bit coefficient^{n}")
-            if len(base) == 1:
-                ((pi, exps), c), = base.items()
-                return {(pi * n, tuple(map(mul, exps, repeat(n)))): c**n}
-            if len(base) > 1 and power_products(len(base), n) > MAX_POWER_PRODUCTS:
-                raise ValueError(
-                    f"expanding a {len(base)}-term polynomial to the power {n} may"
-                    f" take more than {MAX_POWER_PRODUCTS} term products, the"
-                    " budget of one power in a source"
-                )
-            return pow_mixed(poly(base), n).terms
-        if kind is Product:
-            acc = go(node.factors[0])
-            products = 0
-            for factor in node.factors[1:]:
-                terms = go(factor)
-                if len(acc) == 1 and len(terms) == 1:
-                    ((pi1, e1), c1), = acc.items()
-                    ((pi2, e2), c2), = terms.items()
-                    c = c1 * c2
-                    if c.bit_length() > MAX_COEFFICIENT_BITS:
-                        raise _coefficient_budget("a coefficient")
-                    acc = {(pi1 + pi2, tuple(map(add, e1, e2))): c}
-                else:
-                    products += len(acc) * len(terms)
-                    if products > MAX_POWER_PRODUCTS:
-                        raise ValueError(
-                            f"a product of factors may take more than {MAX_POWER_PRODUCTS}"
-                            " term products, the budget of one product in a source"
-                        )
-                    acc = (poly(acc) * poly(terms)).terms
-                    if _max_bits(acc) > MAX_COEFFICIENT_BITS:
-                        raise _coefficient_budget("a coefficient")
-            return acc
-        if kind is Sum:
-            acc = {}
-            for sign, part in node.parts:
-                for key, c in go(part).items():
-                    acc[key] = acc.get(key, 0) + sign * c
-            return {key: c for key, c in acc.items() if c}
-        raise TypeError(f"unhandled node {node!r}")
-
-    terms = go(expr)
-    if _max_bits(terms) > MAX_COEFFICIENT_BITS:
-        raise _coefficient_budget("a coefficient")
-    return poly(terms)
+_SIGNS = {"+": 1, "-": -1}
+_INFIX = frozenset("+-*")
+# The message for a token after "^" that is not an exponent, by its text.
+_EXPONENT_ERRORS = {
+    "(": "fractional or compound exponents are not allowed",
+    "-": "negative exponents are not allowed",
+}
 
 
-def _lower_flat(texts: list[str], ctx: RingContext) -> dict | None:
-    """The term dict that lower_expr makes of a source without parentheses,
-    read in one pass over its token texts, or None to hand the source to
-    the parser.
-
-    Each term is a product of factors, a digit run, "p" or a variable, each
-    with an optional power.  The pass multiplies up the term's coefficient,
-    pi-exponent and exponent vector in place, and adds the term into one
-    dict as lower_expr's Sum does, so the keys come in the same order.  It
-    hands back whatever the parser or lower_expr might raise on: a token
-    out of place, a digit run past MAX_LITERAL_DIGITS, a name that is
-    neither "p" nor a variable, a literal power that lower_expr refuses,
-    and a coefficient past MAX_COEFFICIENT_BITS, of a term so far or of the
-    sum.  Each bound is checked before the work it bounds, and the pass
-    never raises.
-    """
-    slots = dict(zip(ctx.vars, range(len(ctx.vars))))
-    slots["p"] = -1
-    zero_exps = [0] * len(ctx.vars)
-    terms: dict = {}
-    tokens = iter(texts)
-    sign = 1
-    while True:
-        c, pi, exps = 1, 0, zero_exps.copy()
-        while True:
-            text = next(tokens)
-            if text.isdigit():
-                if len(text) > MAX_LITERAL_DIGITS:
-                    return None
-                slot, k = None, int(text)
-            elif (slot := slots.get(text)) is None:
-                return None
-            op, n = next(tokens), 1
-            if op == "^":
-                text = next(tokens)
-                if not text.isdigit() or len(text) > MAX_LITERAL_DIGITS:
-                    return None
-                n, op = int(text), next(tokens)
-            if slot is None:
-                if (k.bit_length() - 1) * n > MAX_COEFFICIENT_BITS:
-                    return None
-                c *= k**n
-                if c.bit_length() > MAX_COEFFICIENT_BITS:
-                    return None
-            elif slot < 0:
-                pi += n
-            else:
-                exps[slot] += n
-            if op != "*":
-                break
-        if c:
-            key = (pi, tuple(exps))
-            terms[key] = terms.get(key, 0) + sign * c
-        if op not in _SIGNS:
-            break
-        sign = _SIGNS[op]
-    if op:
-        return None
-    terms = {key: c for key, c in terms.items() if c}
-    return None if _max_bits(terms) > MAX_COEFFICIENT_BITS else terms
-
-
-def parse_poly(src: str, ctx: RingContext) -> MixedPoly:
-    """Parse src against the grammar and lower it over ctx."""
-    return _parse_tokens(tokenize(src), ctx)
-
-
-def _parse_tokens(tokens: Tokens, ctx: RingContext) -> MixedPoly:
-    """A source without "(" goes through the flat pass; the parser and
-    lower_expr read the rest, and every source the flat pass hands back."""
+def _check_syntax(tokens: Tokens) -> None:
+    """Check tokens against the grammar in one scan that counts open groups.
+    Each step reads the "(" that open groups, an operand and its power, the
+    ")" that close groups, each with its power, and an operator or the end.
+    The scan raises the PolySyntaxError of the first token out of place, and
+    refuses a digit run past MAX_LITERAL_DIGITS where it reads one."""
     texts = tokens.texts
     if len(texts) == 1:
         raise PolySyntaxError(0, "empty polynomial source")
-    if "(" not in texts and (terms := _lower_flat(texts, ctx)) is not None:
-        return MixedPoly._of(ctx.p, ctx.ram_level, ctx.vars, terms)
-    return lower_expr(_Parser(tokens).parse(), ctx)
+    depth = pos = 0
+    while True:
+        while (text := texts[pos]) == "(":
+            depth += 1
+            pos += 1
+        if not text or text in _OPERATORS:
+            message = f"expected a term, found {text or 'end of input'!r}"
+            raise PolySyntaxError(tokens.offsets[pos], message)
+        if len(text) > MAX_LITERAL_DIGITS and text.isdigit():
+            raise _literal_too_long(len(text), "a source")
+        while True:
+            pos += 1
+            if (text := texts[pos]) == "^":
+                pos += 1
+                text = texts[pos]
+                if not text.isdigit():
+                    message = _EXPONENT_ERRORS.get(text, "expected an unsigned integer exponent")
+                    raise PolySyntaxError(tokens.offsets[pos], message)
+                if len(text) > MAX_LITERAL_DIGITS:
+                    raise _literal_too_long(len(text), "a source")
+                pos += 1
+                text = texts[pos]
+            if text != ")" or not depth:
+                break
+            depth -= 1
+        if text in _INFIX:
+            pos += 1
+        elif text or depth:
+            message = "expected ')'" if depth else f"unexpected {text!r}"
+            raise PolySyntaxError(tokens.offsets[pos], message)
+        else:
+            return
+
+
+def _check_power_bits(bits: int, n: int) -> None:
+    """Refuse c^n for a `bits`-bit c when (bits - 1) * n, its fewest bits, is past the budget."""
+    if (bits - 1) * n > MAX_COEFFICIENT_BITS:
+        raise _coefficient_budget(f"a {bits}-bit coefficient^{n}")
+
+
+def _wrap(ctx: RingContext, terms: dict) -> MixedPoly:
+    return MixedPoly._of(ctx.p, ctx.ram_level, ctx.vars, terms)
+
+
+def _times(ctx: RingContext, acc: dict, terms: dict, products: int) -> tuple[dict, int]:
+    """acc * terms, within the budgets, after `products` term products."""
+    products += len(acc) * len(terms)
+    if products > MAX_POWER_PRODUCTS:
+        raise ValueError(
+            f"a product of factors may take more than {MAX_POWER_PRODUCTS}"
+            " term products, the budget of one product in a source"
+        )
+    acc = (_wrap(ctx, acc) * _wrap(ctx, terms)).terms
+    if _max_bits(acc) > MAX_COEFFICIENT_BITS:
+        raise _coefficient_budget("a coefficient")
+    return acc, products
+
+
+def _power(ctx: RingContext, terms: dict, n: int) -> dict:
+    _check_power_bits(_max_bits(terms), n)
+    if len(terms) == 1:
+        ((pi, exps), c), = terms.items()
+        return {(pi * n, tuple(map(mul, exps, repeat(n)))): c**n}
+    if len(terms) > 1 and power_products(len(terms), n) > MAX_POWER_PRODUCTS:
+        raise ValueError(
+            f"expanding a {len(terms)}-term polynomial to the power {n} may"
+            f" take more than {MAX_POWER_PRODUCTS} term products, the"
+            " budget of one power in a source"
+        )
+    return pow_mixed(_wrap(ctx, terms), n).terms
+
+
+def _lower_sum(read, ctx: RingContext, slots: dict, zero_exps: list) -> dict:
+    """The terms of the sum that read() returns the tokens of, through the
+    ")" or end token that closes it.  slots maps each variable to its place
+    in an exponent vector, and "p" to -1."""
+    terms: dict = {}
+    get = terms.get
+    sign = 1
+    while True:
+        # The term is c * pi^pi * x^exps (c = 0 for zero) until a group of
+        # more terms, or a first factor past the coefficient budget, makes
+        # it the dict acc; c * pi^pi * x^exps is then each further factor.
+        c, pi, exps = 1, 0, zero_exps.copy()
+        acc, products, first = None, 0, True
+        op = "*"
+        while op == "*":
+            text = read()
+            if text == "(":
+                f = _lower_sum(read, ctx, slots, zero_exps)
+                op = read()
+                if op == "^":
+                    f, op = _power(ctx, f, int(read())), read()
+                if acc is not None or len(f) > 1:
+                    if acc is None and not first:
+                        acc = {(pi, tuple(exps)): c} if c else {}
+                    acc, products = (f, 0) if acc is None else _times(ctx, acc, f, products)
+                    c, pi, exps, first = 1, 0, zero_exps.copy(), False
+                    continue
+                k = 0
+                if f:
+                    ((fpi, fexps), k), = f.items()
+                    pi, exps = pi + fpi, list(map(add, exps, fexps))
+            else:
+                op, n = read(), 1
+                if op == "^":
+                    n, op = int(read()), read()
+                if (slot := slots.get(text)) is not None:
+                    if slot < 0:
+                        pi += n
+                    else:
+                        exps[slot] += n
+                    if acc is None:  # a name leaves c as it is, within the budget
+                        first = False
+                        continue
+                    k = 1
+                elif text.isdigit():
+                    k = int(text)
+                    if n != 1:
+                        _check_power_bits(k.bit_length(), n)
+                        k **= n
+                else:
+                    raise ValueError(
+                        f"unknown variable {text!r}; declared variables are"
+                        f" {', '.join(ctx.vars)}"
+                    )
+            c *= k
+            if acc is not None:
+                acc, products = _times(ctx, acc, {(pi, tuple(exps)): c} if c else {}, products)
+                c, pi, exps = 1, 0, zero_exps.copy()
+            elif c.bit_length() > MAX_COEFFICIENT_BITS:
+                if not first:
+                    raise _coefficient_budget("a coefficient")
+                acc, c, pi, exps = {(pi, tuple(exps)): c}, 1, 0, zero_exps.copy()
+            first = False
+        if acc is None:
+            if c:
+                key = (pi, tuple(exps))
+                terms[key] = get(key, 0) + sign * c
+        else:
+            for key, c in acc.items():
+                terms[key] = get(key, 0) + sign * c
+        if op not in _SIGNS:
+            return {key: c for key, c in terms.items() if c}
+        sign = _SIGNS[op]
+
+
+def _parse_tokens(tokens: Tokens, ctx: RingContext) -> MixedPoly:
+    """Check the syntax of tokens, then lower them over ctx in one recursive
+    descent that evaluates as it reads.  A multiplication with a group of
+    more terms is charged len(acc) * len(factor) term products, and a power
+    of one power_products(terms, n), against MAX_POWER_PRODUCTS; every
+    multiplication after a term's first factor, and the sum, are checked
+    against MAX_COEFFICIENT_BITS.  Each factor is lowered, then multiplied
+    in, left to right, so errors come in the order of the work."""
+    _check_syntax(tokens)
+    slots = dict(zip(ctx.vars, range(len(ctx.vars))))
+    slots["p"] = -1
+    terms = _lower_sum(iter(tokens.texts).__next__, ctx, slots, [0] * len(ctx.vars))
+    if _max_bits(terms) > MAX_COEFFICIENT_BITS:
+        raise _coefficient_budget("a coefficient")
+    return _wrap(ctx, terms)
+
+
+_P_VARIABLE = "a variable cannot be named 'p': the name is reserved for the uniformizer"
+
+
+def parse_poly(src: str, ctx: RingContext) -> MixedPoly:
+    """Parse src against the grammar and lower it over ctx, whose variables
+    may not include "p"."""
+    if "p" in ctx.vars:
+        raise ValueError(_P_VARIABLE)
+    return _parse_tokens(tokenize(src), ctx)
 
 
 def parse_source(
@@ -521,7 +435,10 @@ def parse_source(
 
 
 def format_poly_src(f: MixedPoly) -> str:
-    """Render f as re-parseable source (round-trips through parse_poly)."""
+    """Render f as re-parseable source (round-trips through parse_poly), for
+    variables other than "p"."""
+    if "p" in f.vars:
+        raise ValueError(_P_VARIABLE)
     if f.is_zero():
         return "0"
     chunks: list[tuple[int, str]] = []

@@ -3,12 +3,12 @@
 import json
 import os
 import random
-import re
 import subprocess
 import sys
 import time
-from operator import add
-from pathlib import Path
+from itertools import repeat
+from operator import add, mul
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -19,17 +19,9 @@ from threshold_lab.cli import (
     MAX_COEFFICIENT_BITS,
     MAX_LITERAL_DIGITS,
     MAX_POWER_PRODUCTS,
-    IntLit,
     PolySyntaxError,
-    Power,
-    Product,
-    Sum,
-    VarRef,
-    _lower_flat,
-    _Parser,
     format_poly_src,
     infer_variables,
-    lower_expr,
     main,
     parse_poly,
     parse_source,
@@ -135,9 +127,12 @@ def test_token_offsets_count_utf8_bytes():
     assert tokenize(src).offsets == [0, 3, 5, 6, 7, 8, 9, 10, 11, 12]
 
 
-# Today's tokenizer is one regular-expression scan.  These are the character
-# loop and the recursive-descent parser over (kind, text, offset) tokens that it
-# replaced, kept as the reference for every token, byte offset and error.
+# Today's tokenizer is one regular-expression scan, and the parser checks the
+# syntax in one scan and lowers the tokens in one recursive descent, with no
+# syntax tree.  These are the character loop, the recursive-descent parser
+# over (kind, text, offset) tokens that builds a syntax tree, and that tree's
+# lowering, which they replaced, kept as the reference for every token, term,
+# key order, byte offset and error.
 _REF_OPERATORS = set("+-*^()/")
 _REF_DIGITS = set("0123456789")
 
@@ -186,6 +181,38 @@ def reference_tokenize(src):
     return tokens
 
 
+class IntLit(NamedTuple):
+    value: int
+
+
+class VarRef(NamedTuple):
+    name: str  # "p" refers to the uniformizer
+
+
+class Sum(NamedTuple):
+    parts: tuple  # (+1 or -1, operand) pairs
+
+
+class Product(NamedTuple):
+    factors: tuple
+
+
+class Power(NamedTuple):
+    base: object
+    exponent: int
+
+
+def reference_uint(text):
+    """The value of a digit run, refused as the parser reads it when it is
+    longer than MAX_LITERAL_DIGITS."""
+    if len(text) > MAX_LITERAL_DIGITS:
+        raise ValueError(
+            f"a {len(text)}-digit literal is longer than {MAX_LITERAL_DIGITS} digits"
+            f" ({MAX_COEFFICIENT_BITS} bits), the budget of a literal in a source"
+        )
+    return int(text)
+
+
 def reference_parse(tokens):
     pos = 0
 
@@ -215,7 +242,7 @@ def reference_parse(tokens):
         kind, text, offset = tokens[pos]
         if kind == "uint":
             advance()
-            return Power(b, int(text))
+            return Power(b, reference_uint(text))
         if kind == "(":
             raise PolySyntaxError(offset, "fractional or compound exponents are not allowed")
         if kind == "-":
@@ -225,7 +252,7 @@ def reference_parse(tokens):
     def base():
         kind, text, offset = advance()
         if kind == "uint":
-            return IntLit(int(text))
+            return IntLit(reference_uint(text))
         if kind == "ident":
             return VarRef(text)
         if kind == "(":
@@ -236,10 +263,116 @@ def reference_parse(tokens):
             return inner
         raise PolySyntaxError(offset, f"expected a term, found {text or 'end of input'!r}")
 
+    if len(tokens) == 1:
+        raise PolySyntaxError(0, "empty polynomial source")
     tree = expr()
     if tokens[pos][0] != "end":
         raise PolySyntaxError(tokens[pos][2], f"unexpected {tokens[pos][1]!r}")
     return tree
+
+
+def _max_bits(terms):
+    return max(map(int.bit_length, terms.values()), default=0)
+
+
+def _coefficient_budget(what):
+    return ValueError(
+        f"{what} has more than {MAX_COEFFICIENT_BITS} bits, the budget of a"
+        " coefficient in a source"
+    )
+
+
+def lower_expr(expr, ctx):
+    """Evaluate a syntax tree into a MixedPoly over ctx.
+
+    Each node evaluates to one term dict {(pi, E): c} without zero
+    coefficients.  Sums accumulate signed coefficients.  A product of two
+    monomials and a power of a monomial are formed on the dicts; only a
+    product or power with a multi-term operand goes through
+    ``MixedPoly.__mul__`` or ``pow_mixed``, within MAX_POWER_PRODUCTS:
+    such a power by power_products, such a product by len(acc) *
+    len(terms) summed over its multiplications.  A power f^n is refused
+    when (bits of f's largest coefficient - 1) * n is past
+    MAX_COEFFICIENT_BITS, and each multiplication and the result are
+    checked against it.
+    """
+    p, ram_level, vars = ctx.p, ctx.ram_level, ctx.vars
+    zero_exps = (0,) * len(vars)
+    keys = {
+        name: (0, zero_exps[:i] + (1,) + zero_exps[i + 1:]) for i, name in enumerate(vars)
+    }
+    keys["p"] = (1, zero_exps)
+
+    def poly(terms):
+        return MixedPoly._of(p, ram_level, vars, terms)
+
+    def go(node):
+        kind = type(node)
+        if kind is VarRef:
+            key = keys.get(node.name)
+            if key is None:
+                raise ValueError(
+                    f"unknown variable {node.name!r}; declared variables are"
+                    f" {', '.join(vars)}"
+                )
+            return {key: 1}
+        if kind is IntLit:
+            return {(0, zero_exps): node.value} if node.value else {}
+        if kind is Power:
+            base, n = go(node.base), node.exponent
+            bits = _max_bits(base)
+            if (bits - 1) * n > MAX_COEFFICIENT_BITS:
+                raise _coefficient_budget(f"a {bits}-bit coefficient^{n}")
+            if len(base) == 1:
+                ((pi, exps), c), = base.items()
+                return {(pi * n, tuple(map(mul, exps, repeat(n)))): c**n}
+            if len(base) > 1 and power_products(len(base), n) > MAX_POWER_PRODUCTS:
+                raise ValueError(
+                    f"expanding a {len(base)}-term polynomial to the power {n} may"
+                    f" take more than {MAX_POWER_PRODUCTS} term products, the"
+                    " budget of one power in a source"
+                )
+            return pow_mixed(poly(base), n).terms
+        if kind is Product:
+            acc = go(node.factors[0])
+            products = 0
+            for factor in node.factors[1:]:
+                terms = go(factor)
+                if len(acc) == 1 and len(terms) == 1:
+                    ((pi1, e1), c1), = acc.items()
+                    ((pi2, e2), c2), = terms.items()
+                    c = c1 * c2
+                    if c.bit_length() > MAX_COEFFICIENT_BITS:
+                        raise _coefficient_budget("a coefficient")
+                    acc = {(pi1 + pi2, tuple(map(add, e1, e2))): c}
+                else:
+                    products += len(acc) * len(terms)
+                    if products > MAX_POWER_PRODUCTS:
+                        raise ValueError(
+                            f"a product of factors may take more than {MAX_POWER_PRODUCTS}"
+                            " term products, the budget of one product in a source"
+                        )
+                    acc = (poly(acc) * poly(terms)).terms
+                    if _max_bits(acc) > MAX_COEFFICIENT_BITS:
+                        raise _coefficient_budget("a coefficient")
+            return acc
+        assert kind is Sum
+        acc = {}
+        for sign, part in node.parts:
+            for key, c in go(part).items():
+                acc[key] = acc.get(key, 0) + sign * c
+        return {key: c for key, c in acc.items() if c}
+
+    terms = go(expr)
+    if _max_bits(terms) > MAX_COEFFICIENT_BITS:
+        raise _coefficient_budget("a coefficient")
+    return poly(terms)
+
+
+def reference_parse_poly(src, ctx):
+    """The reference parser and lowering, on the tokens of tokenize, which
+    test_tokenize_matches_the_character_loop holds to the character loop."""
+    return lower_expr(reference_parse(token_triples(tokenize(src))), ctx)
 
 
 def outcome(run, *args):
@@ -248,6 +381,15 @@ def outcome(run, *args):
         return run(*args)
     except PolySyntaxError as ex:
         return ex.offset, str(ex)
+
+
+def parse_outcome(parse, src, ctx):
+    """The terms of parse(src, ctx) in key order, or the type, message and
+    byte offset of the error it raised."""
+    try:
+        return list(parse(src, ctx).terms.items())
+    except ValueError as ex:
+        return type(ex), str(ex), getattr(ex, "offset", None)
 
 
 def _argv_char(c):
@@ -277,17 +419,21 @@ def test_tokenize_matches_the_character_loop(src):
     assert outcome(scan, src) == outcome(reference_tokenize, src)
 
 
-@given(src=st.text(_GRAMMAR_CHARS, min_size=1, max_size=20) | st.text(_SOURCE_CHARS, min_size=1))
+@given(
+    src=st.text(_GRAMMAR_CHARS, min_size=1, max_size=20) | st.text(_SOURCE_CHARS, min_size=1),
+    p=st.sampled_from([2, 3, 5, 7]),
+)
 @settings(max_examples=500, deadline=None)
-def test_parser_matches_the_reference_parser(src):
-    """The same syntax tree, or the same syntax error at the same byte."""
-    def parse(src):
-        return _Parser(tokenize(src)).parse()
-
-    def reference(src):
-        return reference_parse(reference_tokenize(src))
-
-    assert outcome(parse, src) == outcome(reference, src)
+def test_parser_matches_the_reference_parser(src, p):
+    """parse_poly gives the terms of the reference parser and lowering, keys
+    in the same order, or the same error at the same byte; the variables
+    are those of src, or x when it has none or does not tokenize."""
+    try:
+        names = infer_variables(src)
+    except PolySyntaxError:
+        names = ()
+    ctx = RingContext(p, names or ("x",))
+    assert parse_outcome(parse_poly, src, ctx) == parse_outcome(reference_parse_poly, src, ctx)
 
 
 def test_unescapable_surrogate_is_a_syntax_error():
@@ -304,48 +450,10 @@ def test_unknown_variable_is_rejected():
     assert not isinstance(info.value, PolySyntaxError)
 
 
-# -- the flat pass ---------------------------------------------------------
-
-README = Path(__file__).resolve().parent.parent / "README.md"
-
-# A source in the shape of each kind of workload input without parentheses:
-# (source, prime, ram level).
-_WORKLOAD_SHAPES = [
-    ("p^3 + x^3 + y^3", 5, 0),                   # certify-sweep: golden row
-    ("x^4 + y^4 + p", 2, 3),                     # certify-sweep: diagonal
-    ("x^5*y + x*y^5 + p^6", 5, 0),               # certify-sweep: extremal
-    ("p^3 + x^2*y + x*y^2", 2, 0),               # certify-sweep: elliptic
-    ("x*y + 2*x*y^2 + p^4", 3, 1),               # certify-sweep: cross term
-    ("p^5 + x^6 + y^3 + z^3", 5, 0),             # profile-sweep
-    ("x^5*y + 3*x^4 + 3*x^2*y + 3*x*y", 5, 0),   # oracle-ladder: anchor
-    ("x*y^4 + x^3*y^2", 2, 0),                   # oracle-ladder: sparse
-    ("x^3 + y^3", 7, 0),                         # oracle-ladder: diagonal
-]
+# -- lowering against the reference ----------------------------------------
 
 
-class _ParserReached(Exception):
-    pass
-
-
-def _refusing_parser(tokens):
-    raise _ParserReached(tokens.src)
-
-
-def test_flat_sources_skip_the_parser(monkeypatch):
-    """With the parser made to raise, parse_source reads the README's --poly
-    examples and a source in each workload's shape to the same polynomial;
-    a source with parentheses still reaches the parser."""
-    readme = re.findall(r'--prime (\d+) --poly "([^"]*)"', README.read_text(encoding="utf-8"))
-    assert len(readme) >= 3
-    cases = [(src, int(p), 0) for p, src in readme] + _WORKLOAD_SHAPES
-    want = [parse_source(src, p, ram) for src, p, ram in cases]
-    monkeypatch.setattr(sys.modules["threshold_lab.cli"], "_Parser", _refusing_parser)
-    assert [parse_source(src, p, ram) for src, p, ram in cases] == want
-    with pytest.raises(_ParserReached):
-        parse_source("(x + 2*y)^3 + p^2*x*y^2", 3)
-
-
-@pytest.mark.parametrize("src, flat", [
+@pytest.mark.parametrize("src, in_place", [
     ("0", True),
     ("0^0", True),
     ("p^0*x^0", True),
@@ -369,80 +477,92 @@ def test_flat_sources_skip_the_parser(monkeypatch):
     ("x/2", False),
     ("x)", False),
 ], ids=lambda v: f"{v[:8]}...{v[-8:]}" if isinstance(v, str) and len(v) > 40 else None)
-def test_flat_pass_cases(src, flat):
-    """The flat pass lowers these sources as lower_expr does, or hands them
-    back: a syntax error, a name that is not a variable, a literal past its
-    budget and a coefficient that may be past its budget.  The last of
-    these lower_expr reads; the parser reads every source handed back."""
-    tokens = tokenize(src)
+def test_flat_pass_cases(src, in_place):
+    """Sources without parentheses lower as the reference does, or raise its
+    error.  in_place marks those whose every term is multiplied up in place
+    within the coefficient budget, so they parse; the rest are a syntax
+    error, a name that is not a variable, a literal or coefficient past its
+    budget, and a first factor past the budget, which makes its term a
+    dict and cancels."""
     ctx = RingContext(5, ("x", "y"))
-    got = _lower_flat(tokens.texts, ctx)
-    assert (got is not None) == flat
-    if flat:
-        assert list(got.items()) == list(lower_expr(_Parser(tokens).parse(), ctx).terms.items())
+    got = parse_outcome(parse_poly, src, ctx)
+    assert got == parse_outcome(reference_parse_poly, src, ctx)
+    assert not in_place or isinstance(got, list)
 
 
-# Each common entry is listed several times, so that about half of the drawn
-# sources are lowered and the rest handed back.
-_FLAT_BASES = st.sampled_from(["x", "y", "p", "0", "1", "2", "3", "7", "10"] * 5 + [
+# Each common entry is listed several times, so that about two in five drawn
+# sources are lowered and the rest refused.
+_FLAT_BASES = ["x", "y", "p", "0", "1", "2", "3", "7", "10"] * 10 + [
     "q", "xy", "_1",
     "0" * (MAX_LITERAL_DIGITS - 1) + "5",
     "1" * MAX_LITERAL_DIGITS,
     "1" * (MAX_LITERAL_DIGITS + 1),
     str(2**MAX_COEFFICIENT_BITS - 1),
-])
-_FLAT_EXPONENTS = st.sampled_from(["0", "1", "2", "3", "4", "5"] * 4 + [
+]
+_FLAT_EXPONENTS = ["0", "1", "2", "3", "4", "5"] * 8 + [
     str(MAX_COEFFICIENT_BITS - 1),
     str(MAX_COEFFICIENT_BITS),
     str(MAX_COEFFICIENT_BITS + 1),
     "0" * (MAX_LITERAL_DIGITS - 1) + "3",
     "1" * (MAX_LITERAL_DIGITS + 1),
-])
-_GAPS = st.sampled_from(["", " ", " ", "  ", "\t", "\n", "\u00a0", "\u2003"])
+]
+# Powers of groups: small ones, and ones past the power budget for a group
+# of three or more terms.
+_GROUP_EXPONENTS = ["0", "1", "2", "3"] * 3 + ["60", "130"]
+_GAPS = ["", " ", " ", "  ", "\t", "\n", "\u00a0", "\u2003"]
+_OUT_OF_PLACE = ["+", "-", "*", "^", "(", ")", "/", "x", "2"]
 
 
-@st.composite
-def flat_sources(draw):
-    """Sources without parentheses from the grammar: sums of products of
-    literals, "p", variables and a name that is none ("q", "xy", "_1"),
-    with powers; long digit runs and powers at the coefficient budget;
-    terms repeated with a minus sign, so that sums cancel; now and then a
-    token out of place; ASCII and Unicode whitespace between tokens."""
-    tokens = []
-    for i in range(draw(st.integers(1, 4))):
-        if i:
-            tokens.append(draw(st.sampled_from("+-")))
-        for j in range(draw(st.integers(1, 3))):
+def flat_tokens(rng, depth=0):
+    """The tokens of a sum of products of literals, "p", variables, a name
+    that is none ("q", "xy", "_1") and parenthesized groups nested at most
+    two deep, each with an optional power; long digit runs and powers at
+    the coefficient budget; now and then the first term subtracted again,
+    so that sums cancel."""
+    terms = []
+    for _ in range(rng.randint(1, 3 if depth else 4)):
+        term = []
+        for j in range(rng.randint(1, 3)):
             if j:
-                tokens.append("*")
-            tokens.append(draw(_FLAT_BASES))
-            if draw(st.booleans()):
-                tokens += ["^", draw(_FLAT_EXPONENTS)]
-    if draw(st.booleans()):
-        first = tokens[:tokens.index("+")] if "+" in tokens else tokens[:]
-        tokens += ["-", *first]
-    if draw(st.integers(0, 4)) == 0:
-        out_of_place = draw(st.sampled_from(["+", "-", "*", "^", ")", "/", "x", "2"]))
-        tokens.insert(draw(st.integers(0, len(tokens))), out_of_place)
-    gaps = draw(st.lists(_GAPS, min_size=len(tokens), max_size=len(tokens)))
-    return "".join(map(add, gaps, tokens))
+                term.append("*")
+            if depth < 2 and rng.randrange(4) == 0:
+                term += ["(", *flat_tokens(rng, depth + 1), ")"]
+                if rng.randrange(2):
+                    term += ["^", rng.choice(_GROUP_EXPONENTS)]
+            else:
+                term.append(rng.choice(_FLAT_BASES))
+                if rng.randrange(2):
+                    term += ["^", rng.choice(_FLAT_EXPONENTS)]
+        terms.append(term)
+    tokens = [*terms[0]]
+    for term in terms[1:]:
+        tokens += [rng.choice("+-"), *term]
+    if rng.randrange(2):
+        tokens += ["-", *terms[0]]
+    return tokens
 
 
-@given(src=flat_sources(), p=st.sampled_from([2, 3, 5, 7]), ram=st.integers(0, 2))
+def flat_source(rng):
+    """flat_tokens with, one time in five, a token out of place, and ASCII
+    and Unicode whitespace between tokens."""
+    tokens = flat_tokens(rng)
+    if rng.randrange(5) == 0:
+        tokens.insert(rng.randint(0, len(tokens)), rng.choice(_OUT_OF_PLACE))
+    return "".join(rng.choice(_GAPS) + token for token in tokens)
+
+
+@given(rng=st.randoms(use_true_random=True), p=st.sampled_from([2, 3, 5, 7]), ram=st.integers(0, 2))
 @settings(max_examples=500, deadline=None)
-def test_flat_pass_matches_lower_expr_or_hands_back(src, p, ram):
-    """On each source the flat pass never raises, and returns either the
-    terms of lower_expr, keys in the same order, or None; it returns None
-    on every source that the parser or lower_expr refuses."""
-    tokens = tokenize(src)
+def test_flat_pass_matches_lower_expr_or_hands_back(rng, p, ram):
+    """On five sources drawn from each seed (sums of products with groups,
+    powers of groups and products of groups, budget-edge literals and
+    stray tokens), parse_poly gives the reference's terms in the same key
+    order, or its error type, message and byte offset."""
     ctx = RingContext(p, ("x", "y"), ram_level=ram)
-    got = _lower_flat(tokens.texts, ctx)
-    try:
-        want = lower_expr(_Parser(tokens).parse(), ctx).terms
-    except ValueError:
-        assert got is None
-        return
-    assert got is None or list(got.items()) == list(want.items())
+    for _ in range(5):
+        src = flat_source(rng)
+        want = parse_outcome(reference_parse_poly, src, ctx)
+        assert parse_outcome(parse_poly, src, ctx) == want, src
 
 
 # -- printing and round trips ----------------------------------------------
@@ -534,7 +654,7 @@ def reference_lowering(src, ctx):
         assert isinstance(node, Power)
         return pow_mixed(go(node.base), node.exponent)
 
-    return go(_Parser(tokenize(src)).parse())
+    return go(reference_parse(reference_tokenize(src)))
 
 
 @st.composite
@@ -650,6 +770,39 @@ def test_power_budget_follows_the_syntax_check():
     assert len(parse_poly("(x + y + z)^20", ctx).terms) == 231
 
 
+def test_syntax_is_checked_before_anything_is_lowered():
+    """(x + y + z)^54, the largest power within the budget, takes about
+    0.7 s to expand, but a syntax error after it is found at once."""
+    ctx = RingContext(5, ("x", "y", "z"))
+    start = time.perf_counter()
+    with pytest.raises(PolySyntaxError, match="at byte 17: expected a term, found '\\)'"):
+        parse_poly("(x + y + z)^54 + )", ctx)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_lowering_errors_come_left_to_right():
+    """Each factor is lowered before the next is read: a power past the
+    budget before an unknown variable wins, and one after it loses."""
+    ctx = RingContext(5, ("x", "y", "z"))
+    with pytest.raises(ValueError, match="budget of one power"):
+        parse_poly("(x + y + z)^120 + q", ctx)
+    with pytest.raises(ValueError, match="unknown variable 'q'"):
+        parse_poly("q + (x + y + z)^120", ctx)
+
+
+def test_a_variable_named_p_is_refused():
+    """The name p is the uniformizer's, so a ring with a variable p could
+    not round-trip: x^3 + p^2 in variables (p, x) would print as
+    "x^3 + p^2", which reads back as x^3 + pi^2."""
+    ctx = RingContext(5, ("p", "x"))
+    with pytest.raises(ValueError, match="'p': the name is reserved for the uniformizer"):
+        parse_poly("p^2 + x^3", ctx)
+    f = MixedPoly(5, 0, ("p", "x"), {(0, (2, 0)): 1, (0, (0, 3)): 1})
+    with pytest.raises(ValueError, match="reserved for the uniformizer"):
+        format_poly_src(f)
+    assert parse_source("p^2 + x^3", 5)[0].vars == ("x",)
+
+
 def test_product_budget_refuses_a_chain_of_factors():
     """Each factor is within the power budget, but the third multiplication,
     1,891 terms by 496, takes the product past the budget: exit 2."""
@@ -674,6 +827,35 @@ def test_product_budget_charges_each_multiplication(monkeypatch):
     with pytest.raises(ValueError, match="budget of one product"):
         parse_poly(src, ctx)
     assert 496 * 496 <= MAX_POWER_PRODUCTS  # two factors (x + y + z)^30 parse
+
+
+def test_product_budget_does_not_charge_a_first_group(monkeypatch):
+    """(x + y) * (x + z) * (y + z) * x takes 2*2 + 4*2 + 7*1 = 19 term
+    products: its first factor is not multiplied into anything."""
+    ctx = RingContext(5, ("x", "y", "z"))
+    src = "(x + y) * (x + z) * (y + z) * x"
+    monkeypatch.setattr(sys.modules["threshold_lab.cli"], "MAX_POWER_PRODUCTS", 19)
+    assert len(parse_poly(src, ctx).terms) == 7
+    monkeypatch.setattr(sys.modules["threshold_lab.cli"], "MAX_POWER_PRODUCTS", 18)
+    with pytest.raises(ValueError, match="budget of one product"):
+        parse_poly(src, ctx)
+
+
+@pytest.mark.parametrize("src, message", [
+    ("(3^14000 + x)^1", "a 22190-bit coefficient^1 has more than"),
+    ("(3^14000 + x)", "a coefficient has more than"),
+    ("(3^14000 + x)*y", "a coefficient has more than"),
+    ("(3^14000 + x)*0 + y", None),
+    ("(3^14000 - x + x)*0 + y", None),
+])
+def test_groups_past_the_coefficient_budget(src, message):
+    """A group's sum is not checked until it is powered, even to the power
+    1, multiplied by a factor that is not 0, or summed at the top."""
+    ctx = RingContext(5, ("x", "y"))
+    got = parse_outcome(parse_poly, src, ctx)
+    assert got == parse_outcome(reference_parse_poly, src, ctx)
+    assert (message is None) == isinstance(got, list)
+    assert message is None or message in got[1]
 
 
 def test_coefficient_budget_boundaries():
