@@ -22,7 +22,10 @@ bound, or an exact value, and intersects everything it can prove:
 * ``rule_elliptic`` - the 1 - 1/p^2 upper bound for cones over certain plane
   cubics when p = 2 (mod 3).
 * ``rule_pth_root_upper`` - f a p-th power modulo p^2 forces ppt <= 1 - 1/p;
-  modulo (zeta_p - 1)^p over the p-cyclotomic base it forces ppt <= 1/p.
+  modulo varpi^p (varpi = zeta_p - 1) over the p-cyclotomic base it forces
+  ppt <= 1/p.  One test decides both: f - h^p, its pi-powers written as
+  coordinates (varpi^k reduced to the basis 1, ..., varpi^{p-2}), has every
+  coordinate of pi-order at least 2, respectively p.
 * ``known_values_registry`` - a small curated table of exactly known values.
 
 Each input is read once: :func:`analyze` checks f against its ring and, in
@@ -53,11 +56,12 @@ too, since ppt can only fall as the base is ramified further.
 
 The ring context and the ideal test the rules share live in :mod:`.poly`:
 :class:`RingContext` (re-exported here) reads every effective pi-order
-through ``RingContext.pi_order``, and the containments of
-``rule_exact_ramified``, ``rule_diagonal_ramified`` and the cofactor check of
-``rule_extremal_strict`` all ask whether terms lie in the Frobenius power
-(pi^q, x_1^q, ..., x_n^q).  Where fpt(f mod pi) has no closed form, the rules
-read it from the Frobenius oracle at level :data:`ORACLE_LEVEL`.
+through ``RingContext.pi_order``, the p-th-root lift's included, and the
+containments of ``rule_exact_ramified``, ``rule_diagonal_ramified`` and the
+cofactor check of ``rule_extremal_strict`` all ask whether terms lie in the
+Frobenius power (pi^q, x_1^q, ..., x_n^q).  Where fpt(f mod pi) has no
+closed form, the rules read it from the Frobenius oracle at level
+:data:`ORACLE_LEVEL`.
 
 :meth:`BoundCertificate.to_json` and :meth:`LimitProfile.to_json` write the
 JSON of ``certify --json`` and ``limit-profile --json`` as text, directly.
@@ -880,37 +884,21 @@ def rule_elliptic(facts: Facts) -> RuleResult | None:
 # p-th roots modulo p^2 and modulo varpi^p.
 
 
-def _cyclo_reduce(coeffs: list[int], p: int) -> list[int]:
-    """Reduce an integer polynomial in t modulo Phi_p(t) = 1 + t + ... + t^{p-1}."""
-    out = list(coeffs)
-    for d in range(len(out) - 1, p - 2, -1):
-        c = out[d]
-        if c:
-            out[d] = 0
-            for k in range(d - (p - 1), d):
-                out[k] -= c
-    del out[p - 1 :]
-    while len(out) < p - 1:
-        out.append(0)
-    return out
+def _pi_coords(k: int, ctx: RingContext) -> list[tuple[int, int]]:
+    """pi^k as coordinates (j, v), so that pi^k = sum of v * pi^j.
 
-
-def _cyclo_pi_power(k: int, p: int) -> list[int]:
-    """(t - 1)^k reduced modulo Phi_p(t)."""
-    coeffs = [math.comb(k, j) * (-1) ** (k - j) for j in range(k + 1)]
-    return _cyclo_reduce(coeffs, p)
-
-
-def _in_varpi_pth(coeffs: list[int], p: int) -> bool:
-    """Membership in (varpi^p) = (p varpi) inside Z[zeta_p].
-
-    x lies in (p varpi) iff p divides every power-basis coordinate of x and
-    the quotient x/p maps to 0 in the residue field Z[zeta_p]/(varpi) = F_p
-    (evaluation at zeta_p -> 1).
+    In the root tower each pi^k is its own coordinate.  Over the cyclotomic
+    base varpi^k is written in the basis 1, varpi, ..., varpi^{p-2} by the
+    Eisenstein relation varpi^{p-1} = -sum_{j<p-1} C(p, j+1) varpi^j.
     """
-    if any(c % p for c in coeffs):
-        return False
-    return sum(c // p for c in coeffs) % p == 0
+    p = ctx.p
+    if not ctx.cyclotomic or k < p - 1:
+        return [(k, 1)]
+    coords = [0] * (p - 2) + [1]  # varpi^{p-2}
+    for _ in range(k - (p - 2)):
+        top = coords.pop()
+        coords = [c - math.comb(p, j + 1) * top for j, c in enumerate([0, *coords])]
+    return [(j, v) for j, v in enumerate(coords) if v]
 
 
 def pth_root_modulo(f: MixedPoly, ctx: RingContext) -> MixedPoly | None:
@@ -921,13 +909,25 @@ def pth_root_modulo(f: MixedPoly, ctx: RingContext) -> MixedPoly | None:
     residue of any root is pinned down mod p (mod varpi) by the Frobenius on
     F_p, and h^p at these moduli depends only on that residue, so checking
     the single canonical lift (coefficients in [0, p-1]) decides existence.
-    The root modulo p alone is ``pth_root_mod_fp(reduce_mod_pi(f))``.
+    One test serves both bases: every coordinate of f - h^p (see
+    :func:`_lift_pth_root`) must have ``RingContext.pi_order`` at least 2
+    over the unramified base, at least p over the cyclotomic one.  The root
+    modulo p alone is ``pth_root_mod_fp(reduce_mod_pi(f))``.
     """
     return _lift_pth_root(f, reduce_mod_pi(f), ctx)
 
 
 def _lift_pth_root(f: MixedPoly, g: SparsePolyFp, ctx: RingContext) -> MixedPoly | None:
-    """:func:`pth_root_modulo` for f with residue g = f mod pi."""
+    """:func:`pth_root_modulo` for f with residue g = f mod pi.
+
+    Each term c * pi^k * x^E of f - h^p adds c * v to the coordinate (j, E)
+    for each (j, v) of :func:`_pi_coords`, and h is a root when every nonzero
+    coordinate has pi-order at least m (pi^m = p^2, or varpi^m = varpi^p).
+    Over the cyclotomic base this is exact: distinct j < p - 1 give distinct
+    orders j + (p - 1) * v_p(c), so a sum's order is its least coordinate's.
+    In the root tower each key (k, E) is its own coordinate, so there the
+    test reads f as it is spelled.
+    """
     if ctx.ram_level != 0:
         raise ValueError("pth_root_modulo requires an unramified or cyclotomic base")
     p = ctx.p
@@ -941,24 +941,14 @@ def _lift_pth_root(f: MixedPoly, g: SparsePolyFp, ctx: RingContext) -> MixedPoly
     h = hp = MixedPoly._of(p, 0, ctx.vars, {(0, e): c for e, c in root_bar.terms.items()})
     for _ in range(p - 1):
         hp = hp * h
-    if not ctx.cyclotomic:
-        for key in set(f.terms) | set(hp.terms):
-            delta = f.terms.get(key, 0) - hp.terms.get(key, 0)
-            pi, _ = key
-            if delta and ctx.pi_order(pi, delta) < 2:
-                return None
-        return h
-    by_monomial: dict[Exps, list[int]] = {}
-    for (pi, exps), c in f.terms.items():
-        acc = by_monomial.setdefault(exps, [0] * max(1, p - 1))
-        for k, v in enumerate(_cyclo_pi_power(pi, p)):
-            acc[k] += c * v
-    for (pi, exps), c in hp.terms.items():
-        assert pi == 0  # so the term is c * (t - 1)^0 = c
-        by_monomial.setdefault(exps, [0] * max(1, p - 1))[0] -= c
-    for coeffs in by_monomial.values():
-        if not _in_varpi_pth(_cyclo_reduce(coeffs, p), p):
-            return None
+    coords = {key: -c for key, c in hp.terms.items()}
+    for (k, exps), c in f.terms.items():
+        for j, v in _pi_coords(k, ctx):
+            key = (j, exps)
+            coords[key] = coords.get(key, 0) + c * v
+    m = p if ctx.cyclotomic else 2
+    if any(c and ctx.pi_order(j, c) < m for (j, _e), c in coords.items()):
+        return None
     return h
 
 

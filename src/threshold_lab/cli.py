@@ -47,7 +47,7 @@ from .certify import InternalInconsistencyError, RingContext, certify, limit_pro
 from .digits import kummer_valuation, lucas_residue, magic_expansions
 from .exact import MAX_EXPANSION_DIGITS, expand_base_p, format_rat
 from .fpt import fpt_diagonal, oracle_bracket
-from .poly import MixedPoly, pow_mixed, reduce_mod_pi
+from .poly import MixedPoly, _monomial, pow_mixed, reduce_mod_pi
 from .verify import SUITES, run_suite
 
 if TYPE_CHECKING:
@@ -441,18 +441,12 @@ def format_poly_src(f: MixedPoly) -> str:
         raise ValueError(_P_VARIABLE)
     if f.is_zero():
         return "0"
+    names = ("p", *f.vars)
     chunks: list[tuple[int, str]] = []
     for (pi, exps), c in f.sorted_terms():
-        factors: list[str] = []
-        if abs(c) != 1:
-            factors.append(str(abs(c)))
-        if pi:
-            factors.append("p" if pi == 1 else f"p^{pi}")
-        for name, e in zip(f.vars, exps):
-            if e:
-                factors.append(name if e == 1 else f"{name}^{e}")
-        if not factors:
-            factors.append(str(abs(c)))
+        factors = _monomial(names, (pi, *exps))
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
         chunks.append((1 if c > 0 else -1, "*".join(factors)))
     sign0, body0 = chunks[0]
     out = body0 if sign0 > 0 else f"0 - {body0}"

@@ -67,6 +67,18 @@ def _grlex_key(exps: Exps) -> tuple:
     return (sum(exps), exps)
 
 
+def _term_order(term: tuple[tuple[int, Exps], int]) -> tuple:
+    """The sort key of a term ((pi, E), c): graded-lex on (pi, E), with pi as
+    the leading variable."""
+    (pi, exps), _c = term
+    return (pi + sum(exps), pi, exps)
+
+
+def _monomial(names: tuple[str, ...], exps: Exps) -> list[str]:
+    """The factors name and name^k (k > 1) of a monomial, in the order of names."""
+    return [name if k == 1 else f"{name}^{k}" for name, k in zip(names, exps) if k]
+
+
 class SparsePolyFp:
     """A polynomial over F_p with coefficients stored in {1, ..., p-1}."""
 
@@ -110,16 +122,10 @@ class SparsePolyFp:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for exps, c in self.sorted_terms():
-            factors = [str(c)] if (c != 1 or not any(exps)) else []
-            for name, k in zip(self.vars, exps):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return " + ".join(
+            "*".join(([str(c)] if (c != 1 or not any(exps)) else []) + _monomial(self.vars, exps))
+            for exps, c in self.sorted_terms()
+        )
 
     __repr__ = __str__
 
@@ -228,11 +234,7 @@ class MixedPoly:
         return not self.terms
 
     def sorted_terms(self) -> list[tuple[tuple[int, Exps], int]]:
-        return sorted(
-            self.terms.items(),
-            key=lambda t: (t[0][0] + sum(t[0][1]), t[0][0], t[0][1]),
-            reverse=True,
-        )
+        return sorted(self.terms.items(), key=_term_order, reverse=True)
 
     def _same_ring(self, other: MixedPoly) -> None:
         if (
@@ -271,22 +273,14 @@ class MixedPoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for (pi, exps), c in self.sorted_terms():
-            factors = []
-            if c != 1 or (pi == 0 and not any(exps)):
-                factors.append(str(c))
-            if pi == 1:
-                factors.append("pi")
-            elif pi > 1:
-                factors.append(f"pi^{pi}")
-            for name, k in zip(self.vars, exps):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        names = ("pi", *self.vars)
+        return " + ".join(
+            "*".join(
+                ([str(c)] if (c != 1 or (pi == 0 and not any(exps))) else [])
+                + _monomial(names, (pi, *exps))
+            )
+            for (pi, exps), c in self.sorted_terms()
+        )
 
     __repr__ = __str__
 
@@ -351,9 +345,9 @@ def weighted_membership(f: MixedPoly, ctx: RingContext, q: int) -> MembershipRes
         raise ValueError("polynomial and ring context disagree")
     scale = ctx.p ** (ctx.ram_level - f.ram_level)
     outside = [
-        (pi * scale, e) for (pi, e), c in f.terms.items()
+        ((pi * scale, e), c) for (pi, e), c in f.terms.items()
         if not in_frobenius_power(ctx.pi_order(pi * scale, c), e, q)
     ]
     if not outside:
         return MembershipResult(True, None)
-    return MembershipResult(False, max(outside, key=lambda k: (k[0] + sum(k[1]), k[0], k[1])))
+    return MembershipResult(False, max(outside, key=_term_order)[0])

@@ -1,6 +1,7 @@
 """Tests for the certification engine: rules, combined certificates, profiles."""
 
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -10,9 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshold_lab.certify import (
-    _cyclo_pi_power,
-    _cyclo_reduce,
-    _in_varpi_pth,
     _intersect,
     Bound,
     Facts,
@@ -369,11 +367,46 @@ def test_pth_root_cyclotomic():
     assert res is not None and res.upper == Bound(F(1, 3))
     cert = certify(f, ctx)
     assert cert.exact == F(1, 3)
+    # x^3 + (varpi^2 + 3) y = x^3 - 3 varpi y: a root only once varpi^2 is
+    # reduced to -3 - 3 varpi, not key by key
+    ctx = RingContext(3, ("x", "y"), cyclotomic=True)
+    assert certify(parse_poly("x^3 + p^2*y + 3*y", ctx), ctx).upper == F(1, 3)
+
+
+def _cyclo_reduce(coeffs, p):
+    """Reduce an integer polynomial in t modulo Phi_p(t) = 1 + t + ... + t^{p-1}."""
+    out = list(coeffs)
+    for d in range(len(out) - 1, p - 2, -1):
+        c = out[d]
+        if c:
+            out[d] = 0
+            for k in range(d - (p - 1), d):
+                out[k] -= c
+    del out[p - 1:]
+    while len(out) < p - 1:
+        out.append(0)
+    return out
+
+
+def _cyclo_pi_power(k, p):
+    """(t - 1)^k reduced modulo Phi_p(t): varpi^k in the basis 1, ..., t^{p-2}
+    of Z[zeta_p], t = zeta_p."""
+    return _cyclo_reduce([math.comb(k, j) * (-1) ** (k - j) for j in range(k + 1)], p)
+
+
+def _in_varpi_pth(coeffs, p):
+    """Membership in (varpi^p) = (p varpi) inside Z[zeta_p]: p divides every
+    power-basis coordinate of x and x/p maps to 0 in the residue field
+    Z[zeta_p]/(varpi) = F_p (evaluation at zeta_p -> 1)."""
+    if any(c % p for c in coeffs):
+        return False
+    return sum(c // p for c in coeffs) % p == 0
 
 
 def lift_by_pow_mixed(f, ctx):
     """pth_root_modulo as it was first written: the canonical lift h of the
-    root mod p, and f - pow_mixed(h, p) tested at the ring's modulus."""
+    root mod p, and f - pow_mixed(h, p) tested at the ring's modulus, over
+    the cyclotomic base in the zeta-power basis of Z[zeta_p]."""
     p = ctx.p
     root_bar = pth_root_mod_fp(reduce_mod_pi(f))
     if root_bar is None:
@@ -400,8 +433,9 @@ def lift_by_pow_mixed(f, ctx):
 
 @st.composite
 def lift_inputs(draw):
-    """f = h^p plus terms of pi-order 0 to 3 (unit pi^1 terms included), or
-    a residue with no p-th root, over the unramified or the cyclotomic base."""
+    """f = h^p plus terms c * pi^k * x^E with k up to 2p (so past varpi^{p-1}
+    at every p, unit pi^1 terms included), or a residue with no p-th root,
+    over the unramified or the cyclotomic base."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     n = draw(st.integers(1, 2))
     vars = tuple("xy"[:n])
@@ -411,8 +445,8 @@ def lift_inputs(draw):
     })
     terms = dict(pow_mixed(h, p).terms)
     for _ in range(draw(st.integers(0, 3))):
-        key = (draw(st.sampled_from([0, 1, 1, 2, 3])), tuple(draw(monomial)))
-        c = draw(st.sampled_from([1, -1, 2, p, -p, p * p, p + 1]))
+        key = (draw(st.sampled_from([0, 1, 2, p - 1, p, p + 1, 2 * p])), tuple(draw(monomial)))
+        c = draw(st.sampled_from([1, -1, 2, p, -p, p * p, p + 1, math.comb(p, 2), -(p - 1)]))
         terms[key] = terms.get(key, 0) + c
     return MixedPoly(p, 0, vars, terms), RingContext(p, vars, cyclotomic=draw(st.booleans()))
 
@@ -435,6 +469,11 @@ def test_pth_root_lift_matches_the_pow_mixed_lift(case):
     # a pi^1 term whose coefficient carries p has pi-order 2
     ({(0, (5,)): 1, (1, (1,)): 5}, 5, False, True),
     ({(0, (7, 0)): 1, (2, (1, 0)): 1}, 7, False, True),
+    # at p = 3, varpi^2 = -3 - 3 varpi: pi^2 y + 3 y = -3 varpi y has order 3,
+    # though pi^2 y alone has order 2 and pi^2 y - 3 y = (-6 - 3 varpi) y too
+    ({(0, (3, 0)): 1, (2, (0, 1)): 1, (0, (0, 1)): 3}, 3, True, True),
+    ({(0, (3, 0)): 1, (2, (0, 1)): 1}, 3, True, False),
+    ({(0, (3, 0)): 1, (2, (0, 1)): 1, (0, (0, 1)): -3}, 3, True, False),
 ])
 def test_pth_root_lift_cases(monkeypatch, terms, p, cyclotomic, root):
     """Against the pow_mixed lift, at the edges of the pre-check; the lift
