@@ -30,11 +30,13 @@ bound, or an exact value, and intersects everything it can prove:
 
 Each input is read once: :func:`analyze` checks f against its ring and, in
 one scan of its terms in the order the certificate writes them, reads the
-residue f mod pi, the pure-power diagonal match and the base ring level into
-a frozen :class:`Facts`; one digit walk per diagonal gives the residue's
-closed-form fpt and the full diagonal's digit level, fpt and lct.  The
-residue's oracle brackets and the containment powers f^b are read on demand,
-once each.  Every rule takes that one argument and returns a
+residue f mod pi, the pure-power diagonal and the base ring level into a
+frozen :class:`Facts`.  The diagonal is one :class:`MixedDiagonal` record:
+its pi-order, variable slots and x-exponents, whether it is monic, and the
+full diagonal's digit level, fpt and lct, which one digit walk reads with
+the residue's closed-form fpt; the rules read its fields.  The residue's
+oracle brackets and the containment powers f^b are read on demand, once
+each.  Every rule takes that one argument and returns a
 :class:`RuleResult` or None (abstention): its bounds at once, its hypotheses
 and notes only when they are read.  :func:`_run_rules` runs the ten rules
 above plus ``rule_threshold_cap`` (ppt <= 1, always) from a tuple built on
@@ -42,11 +44,12 @@ each call, so a rule replaced on the module is the one that runs;
 :func:`_intersect` finds the max lower and the min upper bound in one scan,
 and :func:`certify` builds its :class:`BoundCertificate` from that.
 :func:`limit_profile` reads level 0 off the analysis of f, derives every
-later level's :class:`Facts` with :func:`relevel_facts` (walking only the
-scaled full diagonal's digits again), and keeps only each level's
-intersected bounds, so it renders no rule text.  The levels share the
-oracle brackets and the containment powers: each f^b is expanded once, at
-level 0, and :func:`weighted_membership` reads it at each level's scale.
+later level's :class:`Facts` with :func:`relevel_facts` (the diagonal
+record with its pi-order scaled and its digits walked again), and keeps
+only each level's intersected bounds, so it renders no rule text.  The
+levels share the oracle brackets and the containment powers: each f^b is
+expanded once, at level 0, and :func:`weighted_membership` reads it at each
+level's scale.
 
 Every certified bound is sound on its own, so the combined max-of-lowers /
 min-of-uppers can only collide if the implementation is wrong; that collision
@@ -245,40 +248,34 @@ class BoundCertificate:
 
 
 class MixedDiagonal(NamedTuple):
-    """Decomposition f = u_0 pi^t + sum_i u_i x_{j_i}^{s_i} (pure-power terms).
+    """The pure-power diagonal f = u_0 pi^t + sum_i u_i x_{j_i}^{s_i}, read once.
 
     ``pi_order`` is the effective pi-order t of the pi-pure term (None when f
-    has no such term); ``pi_unit_one`` records whether its unit part is the
-    literal 1.  ``entries`` hold (variable index, exponent, coefficient) for
-    the x-terms, whose coefficients are prime to p.
+    has no such term); ``monic`` says whether every unit u is 1; ``slots``
+    are the variable indices j_i and ``xs`` the exponents s_i, in term order;
+    ``digits`` is the digit level L, fpt and lct of the full diagonal, the
+    pi-slot's column included (Hernandez's digit formula), or None when some
+    exponent is 1.
     """
 
     pi_order: int | None
-    pi_unit_one: bool
-    entries: tuple[tuple[int, int, int], ...]
+    monic: bool
+    slots: tuple[int, ...]
+    xs: tuple[int, ...]
+    digits: tuple[int | float, Rat, Rat] | None
 
     def exponents(self) -> tuple[int, ...]:
-        s = tuple(e for (_i, e, _c) in self.entries)
-        return s if self.pi_order is None else (self.pi_order, *s)
-
-    def x_exponents(self) -> tuple[int, ...]:
-        return tuple(e for (_i, e, _c) in self.entries)
-
-    def monic(self) -> bool:
-        return (self.pi_order is None or self.pi_unit_one) and all(
-            c == 1 for (_i, _e, c) in self.entries
-        )
+        return self.xs if self.pi_order is None else (self.pi_order, *self.xs)
 
 
-class Facts(namedtuple("Facts", "f ctx residue residue_fpt diag base_level diag_digits")):
+class Facts(namedtuple("Facts", "f ctx residue residue_fpt diag base_level")):
     """The analysis of one input that every rule reads, made once by :func:`analyze`.
 
     ``residue`` is f mod pi and ``residue_fpt`` its closed-form fpt (None
     when the residue is zero or has no closed form); ``diag`` is the
-    pure-power diagonal decomposition of f, or None; ``base_level`` is the
-    least c with f defined over W(k)[p^{1/p^c}] inside the level-a tower;
-    ``diag_digits`` is the digit level L, fpt and lct of the diagonal's
-    exponents, pi-slot included (None without a diagonal, or with a 1).
+    :class:`MixedDiagonal` record of f, its digit reading included, or None;
+    ``base_level`` is the least c with f defined over W(k)[p^{1/p^c}] inside
+    the level-a tower.
 
     ``terms`` is f's terms in :meth:`MixedPoly.sorted_terms` order, as the
     analysis read them (None on a level from :func:`relevel_facts`).
@@ -299,13 +296,12 @@ class Facts(namedtuple("Facts", "f ctx residue residue_fpt diag base_level diag_
         residue_fpt: Rat | None,
         diag: MixedDiagonal | None,
         base_level: int,
-        diag_digits: tuple[int | float, Rat, Rat] | None,
         brackets: dict[int, FptBracket | None] | None = None,
         powers: dict[int, MixedPoly] | None = None,
         level0: MixedPoly | None = None,
         terms: list[tuple[tuple[int, Exps], int]] | None = None,
     ):
-        facts = super().__new__(cls, f, ctx, residue, residue_fpt, diag, base_level, diag_digits)
+        facts = super().__new__(cls, f, ctx, residue, residue_fpt, diag, base_level)
         facts.brackets = {} if brackets is None else brackets
         facts.powers = {} if powers is None else powers
         facts.level0 = level0
@@ -348,7 +344,9 @@ def analyze(f: MixedPoly, ctx: RingContext) -> Facts:
     The residue's closed-form fpt covers a single monomial (min_i 1/e_i)
     and a diagonal (1 with a linear term, else the digit formula); for a
     pure-power diagonal one digit walk reads it (the x-columns) with the
-    full diagonal's level, fpt and lct (the pi-slot's column added).
+    full diagonal's level, fpt and lct (the pi-slot's column added), which
+    the :class:`MixedDiagonal` record keeps with its exponents and its
+    monic flag.
     """
     if f.p != ctx.p or f.ram_level != ctx.ram_level or f.vars != ctx.vars:
         raise ValueError("polynomial and ring context disagree")
@@ -356,9 +354,9 @@ def analyze(f: MixedPoly, ctx: RingContext) -> Facts:
         raise ValueError("cannot certify the zero power series")
     p, terms = ctx.p, f.sorted_terms()
     residue: dict[Exps, int] = {}
-    entries: dict[int, tuple[int, int, int]] = {}  # by variable index
+    found: dict[int, int] = {}  # x-exponent by variable index, in term order
     pi_order: int | None = None
-    pi_unit_one = False
+    monic = True  # every unit of the diagonal's terms is 1
     shaped = True  # no second pi-pure term, no x-term with pi or p in it
     split = True  # the residue's terms are pure powers of distinct variables
     pis = 0  # the gcd of the positive pi-exponents
@@ -373,23 +371,23 @@ def analyze(f: MixedPoly, ctx: RingContext) -> Facts:
             shaped = shaped and pi_order is None
             pi_order = order
             # The unit part is 1 exactly when c = p^v, v = v_p(c).
-            pi_unit_one = c == p ** ((order - pi) // ctx.pi_multiplier)
+            monic = monic and c == p ** ((order - pi) // ctx.pi_multiplier)
             continue
         unit = c % p
         if pi or not unit:
             shaped = False
             continue
         residue[exps] = unit
-        if len(support) == 1 and support[0] not in entries:
-            entries[support[0]] = (support[0], exps[support[0]], c)
+        if len(support) == 1 and support[0] not in found:
+            found[support[0]] = exps[support[0]]
+            monic = monic and c == 1
         else:
             split = False
     a = ctx.ram_level
     base_level = a - min(a, _valuation(pis, p)) if pis and a else 0
     diag = digits = residue_fpt = None
-    xs = tuple(s for _i, s, _c in entries.values())
+    xs = tuple(found.values())
     if shaped and split:
-        diag = MixedDiagonal(pi_order, pi_unit_one, tuple(entries.values()))
         t = pi_order or 0
         if 1 in xs:
             residue_fpt = Rat(1)
@@ -398,12 +396,13 @@ def analyze(f: MixedPoly, ctx: RingContext) -> Facts:
         else:
             reading = diagonal_digits(p, xs, t, alone=bool(xs))
             residue_fpt, digits = reading[1], reading[2:]
+        diag = MixedDiagonal(pi_order, monic, tuple(found), xs, digits)
     elif len(residue) == 1:
         residue_fpt = Rat(1, max(next(iter(residue))))
     elif split and residue:
         residue_fpt = Rat(1) if 1 in xs else fpt_diagonal(p, xs)
     residue = SparsePolyFp._of(p, f.vars, residue)
-    return Facts(f, ctx, residue, residue_fpt, diag, base_level, digits, terms=terms)
+    return Facts(f, ctx, residue, residue_fpt, diag, base_level, terms=terms)
 
 
 def relevel_facts(facts: Facts, a: int) -> Facts:
@@ -412,23 +411,24 @@ def relevel_facts(facts: Facts, a: int) -> Facts:
     Scaling every pi-exponent by p^a leaves all of it unchanged except the
     diagonal's pi-order, which scales with it: the residue keeps the terms of
     pi-exponent 0 (so its closed-form fpt is the same), the diagonal match
-    reads each term's shape and the unit part of its pi-term, and every
-    positive pi-exponent of relevel(f, a) is divisible by p^a, so the base
-    ring level is 0.  Only the full diagonal's digits are read again, with
-    the scaled pi-slot, and the residue's walk is not repeated.  The residue
-    being the same, the derived facts share the oracle brackets of
-    ``facts``; they share its memo of the powers of the level-0 f too, so
-    each f^b is expanded once across the levels.
+    reads each term's shape and the unit part of its pi-term (so the slots,
+    the x-exponents and the monic flag are the same), and every positive
+    pi-exponent of relevel(f, a) is divisible by p^a, so the base ring level
+    is 0.  The level's :class:`MixedDiagonal` is the level-0 record with the
+    scaled pi-order and the full diagonal's digits read again for it; the
+    residue's walk is not repeated.  The residue being the same, the
+    derived facts share the oracle brackets of ``facts``; they share its
+    memo of the powers of the level-0 f too, so each f^b is expanded once
+    across the levels.
     """
     ctx = facts.ctx
     if ctx.ram_level != 0 or ctx.cyclotomic:
         raise ValueError("relevel_facts expects the analysis of a level-0 polynomial")
-    diag, digits = facts.diag, facts.diag_digits
+    diag = facts.diag
     if a and diag is not None and diag.pi_order is not None:
-        diag = MixedDiagonal(diag.pi_order * ctx.p**a, diag.pi_unit_one, diag.entries)
-        xs = diag.x_exponents()
-        if 1 not in xs:
-            digits = diagonal_digits(ctx.p, xs, diag.pi_order, alone=False)[2:]
+        t = diag.pi_order * ctx.p**a
+        digits = None if 1 in diag.xs else diagonal_digits(ctx.p, diag.xs, t, alone=False)[2:]
+        diag = diag._replace(pi_order=t, digits=digits)
     return Facts(
         f=relevel(facts.f, a),
         ctx=ctx._replace(ram_level=a),
@@ -436,7 +436,6 @@ def relevel_facts(facts: Facts, a: int) -> Facts:
         residue_fpt=facts.residue_fpt,
         diag=diag,
         base_level=0,
-        diag_digits=digits,
         brackets=facts.brackets,
         powers=facts.powers,
         level0=facts.f,
@@ -485,9 +484,10 @@ def rule_blowup_diagonal(facts: Facts) -> RuleResult | None:
     fresh variable; its fpt bounds ppt from below, while the (diagonal) log
     canonical threshold bounds it from above.
     """
-    ctx, diag, digits = facts.ctx, facts.diag, facts.diag_digits
+    ctx, diag = facts.ctx, facts.diag
     if ctx.cyclotomic or diag is None:
         return None
+    digits = diag.digits
     linear = digits is None
     if linear:
         lower = lct = Rat(1)
@@ -588,7 +588,7 @@ def rule_exact_ramified(facts: Facts) -> RuleResult | None:
         if e > ctx.ram_level or e == 0:
             return None
         diag = facts.diag
-        if diag is None or not diag.monic():
+        if diag is None or not diag.monic:
             return None
         b = q.numerator  # q = b/p^e, by the loop above
         if not weighted_membership(facts.power(b), ctx, ctx.p**e):
@@ -638,17 +638,12 @@ def rule_diagonal_ramified(facts: Facts) -> RuleResult | None:
     disagreement raises the internal-inconsistency alarm.
     """
     ctx, diag = facts.ctx, facts.diag
-    if ctx.cyclotomic:
+    if ctx.cyclotomic or diag is None or diag.pi_order is None or not diag.xs or not diag.monic:
         return None
-    if diag is None or diag.pi_order is None or not diag.entries:
+    n = len(diag.xs) + 1
+    if n >= ctx.p or diag.digits is None:  # None: some exponent is 1
         return None
-    if not diag.monic():
-        return None
-    exps = diag.exponents()
-    n = len(exps)
-    if n >= ctx.p or facts.diag_digits is None:  # None: some exponent is 1
-        return None
-    level, value, _lct = facts.diag_digits
+    level, value, _lct = diag.digits
     if level == INFINITE or level > ctx.ram_level:
         return None
     level = int(level)
@@ -661,6 +656,7 @@ def rule_diagonal_ramified(facts: Facts) -> RuleResult | None:
             f"f^{b} in (pi^{ctx.p**level}, x_i^{ctx.p**level}) but the "
             f"containment fails at term {contained.failure}"
         )
+    exps = diag.exponents()
     exact = n == 2 or len(set(exps)) == 1
 
     def text():
@@ -773,12 +769,10 @@ def rule_frobenius_diagonal_strict(facts: Facts) -> RuleResult | None:
     ctx, diag = facts.ctx, facts.diag
     if ctx.ram_level != 0 or ctx.cyclotomic or ctx.p == 2:
         return None
-    if diag is None or diag.pi_order is None or not diag.entries:
-        return None
-    if not diag.monic():
+    if diag is None or diag.pi_order is None or not diag.xs or not diag.monic:
         return None
     q = diag.pi_order
-    if q < ctx.p or any(s != q for s in diag.x_exponents()):
+    if q < ctx.p or any(s != q for s in diag.xs):
         return None
     e = padic_valuation(q, ctx.p)
     if ctx.p**e != q:
@@ -790,7 +784,7 @@ def rule_frobenius_diagonal_strict(facts: Facts) -> RuleResult | None:
         quote="ppt(pi^{p^e} + x_2^{p^e} + ... + x_n^{p^e}) > 1/p^e for p > 2",
         lower=Bound(value, strict=True),
         text=lambda: ([
-            f"f = pi^{q} + sum of {len(diag.entries)} distinct x^{q} with unit"
+            f"f = pi^{q} + sum of {len(diag.xs)} distinct x^{q} with unit"
             " coefficients",
             f"p = {ctx.p} > 2 and the base is unramified",
             f"strict lower bound 1/p^{e} = {format_rat(value)}",
@@ -802,15 +796,8 @@ def _match_elliptic(facts: Facts) -> tuple[str, int, int] | None:
     """Recognize pi^3 + X^3 + Y^3 or pi^3 + (unit X^2 Y + unit X Y^2); returns
     the family and the indices of X and Y."""
     f, ctx, diag = facts.f, facts.ctx, facts.diag
-    if (
-        diag is not None
-        and diag.pi_order == 3
-        and diag.pi_unit_one
-        and diag.x_exponents() == (3, 3)
-        and diag.monic()
-        and len(diag.entries) == 2
-    ):
-        return "diag_cubic_p3", diag.entries[0][0], diag.entries[1][0]
+    if diag is not None and diag.pi_order == 3 and diag.xs == (3, 3) and diag.monic:
+        return "diag_cubic_p3", *diag.slots
     pi_keys = [k for k in f.terms if not any(k[1])]
     if len(pi_keys) != 1 or len(f.terms) != 3:
         return None
@@ -982,7 +969,7 @@ def rule_pth_root_upper(facts: Facts) -> RuleResult | None:
 def known_values_registry(facts: Facts) -> RuleResult | None:
     """Curated exactly-known values for a few specific families."""
     ctx, diag = facts.ctx, facts.diag
-    if ctx.cyclotomic or diag is None or not diag.monic():
+    if ctx.cyclotomic or diag is None or not diag.monic:
         return None
 
     def result(value: Rat, shape: str, quote: str) -> RuleResult:
@@ -996,12 +983,7 @@ def known_values_registry(facts: Facts) -> RuleResult | None:
         )
 
     p = ctx.p
-    if (
-        diag.pi_order is None
-        and diag.x_exponents() == (3, 3, 3)
-        and len(diag.entries) == 3
-        and p % 3 != 0
-    ):
+    if diag.pi_order is None and diag.xs == (3, 3, 3) and p % 3 != 0:
         if p % 3 == 1:
             return result(
                 Rat(1),
@@ -1021,13 +1003,7 @@ def known_values_registry(facts: Facts) -> RuleResult | None:
             "x^3 + y^3 + z^3 over a base containing p^{1/p}, p = 2 (mod 3)",
             "after adjoining p^{1/p} the diagonal cubic cone has ppt 1 - 1/p",
         )
-    if (
-        p == 2
-        and ctx.ram_level == 0
-        and diag.pi_order == 2
-        and diag.pi_unit_one
-        and diag.x_exponents() == (2,)
-    ):
+    if p == 2 and ctx.ram_level == 0 and diag.pi_order == 2 and diag.xs == (2,):
         return result(
             Rat(1, 2),
             "x^2 + pi^2 over the 2-adic integers",
@@ -1191,22 +1167,13 @@ class ProfileStep(namedtuple("ProfileStep", "level lower lower_strict upper uppe
         return step
 
 
-class LimitProfile:
+class LimitProfile(NamedTuple):
     """The bounds of each level of a limit profile, and their limit."""
 
-    __slots__ = ("steps", "limit", "attained", "notes")
-
-    def __init__(
-        self, steps: list[ProfileStep], limit: Rat | None, attained: bool | None, notes: list[str]
-    ) -> None:
-        self.steps, self.limit, self.attained, self.notes = steps, limit, attained, notes
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LimitProfile):
-            return NotImplemented
-        return (self.steps, self.limit, self.attained, self.notes) == (
-            other.steps, other.limit, other.attained, other.notes
-        )
+    steps: list[ProfileStep]
+    limit: Rat | None
+    attained: bool | None
+    notes: list[str]
 
     def to_json(self) -> str:
         """Compact JSON: the bounds at each level, the limit and the notes."""

@@ -18,8 +18,9 @@ A source is read in three steps.  :func:`tokenize` scans it once with one
 regular expression and rejects any character outside the grammar's
 alphabet.  :func:`_check_syntax` then checks the tokens against the grammar
 in one scan that counts open parentheses, and refuses a digit run past
-MAX_LITERAL_DIGITS as it passes it, so a syntax error anywhere wins over an
-unknown variable and over a budget.  Last, one recursive descent lowers the
+MAX_LITERAL_DIGITS and a group nested past MAX_NESTING as it passes them, so
+a syntax error anywhere wins over an unknown variable and over a budget, and
+an earlier one over a budget.  Last, one recursive descent lowers the
 checked tokens as it reads them, with no syntax tree: each term is
 multiplied up in place as a coefficient, pi-exponent and exponent vector,
 and only a parenthesized group becomes a term dict {(pi, E): c}, multiplied
@@ -159,6 +160,13 @@ MAX_COEFFICIENT_BITS = 14_000
 MAX_LITERAL_DIGITS = 4_215
 
 
+# The deepest nesting of parentheses in a source.  The lowering recurses once
+# per open group, and CPython stops a recursion at 1,000 frames by default,
+# the caller's frames included; 200 leaves most of that room to the caller,
+# and CPython's own parser stops at the same depth.
+MAX_NESTING = 200
+
+
 def _literal_too_long(digits: int, where: str) -> ValueError:
     return ValueError(
         f"a {digits}-digit literal is longer than {MAX_LITERAL_DIGITS} digits"
@@ -244,7 +252,8 @@ def _check_syntax(tokens: Tokens) -> None:
     Each step reads the "(" that open groups, an operand and its power, the
     ")" that close groups, each with its power, and an operator or the end.
     The scan raises the PolySyntaxError of the first token out of place, and
-    refuses a digit run past MAX_LITERAL_DIGITS where it reads one."""
+    refuses a digit run past MAX_LITERAL_DIGITS, or a group nested past
+    MAX_NESTING, where it reads one."""
     texts = tokens.texts
     if len(texts) == 1:
         raise PolySyntaxError(0, "empty polynomial source")
@@ -253,6 +262,11 @@ def _check_syntax(tokens: Tokens) -> None:
         while (text := texts[pos]) == "(":
             depth += 1
             pos += 1
+        if depth > MAX_NESTING:
+            raise ValueError(
+                f"parentheses nested {depth} deep are past {MAX_NESTING}, the budget"
+                " of nesting in a source"
+            )
         if not text or text in _OPERATORS:
             message = f"expected a term, found {text or 'end of input'!r}"
             raise PolySyntaxError(tokens.offsets[pos], message)
@@ -525,7 +539,23 @@ def _print_certificate(cert) -> None:
         print(f"note: {note}")
 
 
+def _check_ram(p: int, a: int) -> None:
+    """Refuse a level a whose p^a is longer than MAX_COEFFICIENT_BITS: the
+    rules write powers p^e, e <= a, into their text.  p^a has more than
+    a * (bits(p) - 1) bits, so a huge a is refused from bit lengths alone,
+    before any power is taken."""
+    if a > 0 and (
+        a * (p.bit_length() - 1) >= MAX_COEFFICIENT_BITS
+        or (p**a).bit_length() > MAX_COEFFICIENT_BITS
+    ):
+        raise ValueError(
+            f"--ram {a} makes p^ram = {p}^{a} longer than {MAX_COEFFICIENT_BITS} bits,"
+            " the budget of p^ram"
+        )
+
+
 def _cmd_certify(args: argparse.Namespace) -> int:
+    _check_ram(args.prime, args.ram)
     ctx, f = parse_source(args.poly, args.prime, args.ram, args.cyclotomic)
     cert = certify(f, ctx)
     if args.json:

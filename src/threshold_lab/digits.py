@@ -4,8 +4,9 @@ Everything here is finite integer arithmetic.  The central identity is
 Kummer's: v_p(C(n, m)) equals the number of carries when adding m and n - m in
 base p, which we compute as (S_p(m) + S_p(n-m) - S_p(n)) / (p - 1) with S_p
 the base-p digit sum.  The specialization v_p(C(p^e, i)) = e - v_p(i) and the
-digitwise residue of Lucas' theorem are the two consequences the threshold
-rules actually consume.
+digitwise residue of Lucas' theorem are its two consequences here: the
+``verify`` suites check both and ``padic lucas`` prints the second, but no
+threshold rule calls either, since the rules read only p-adic valuations.
 """
 
 from __future__ import annotations

@@ -89,21 +89,25 @@ def test_match_mixed_diagonal_basic():
     f = mixed_diagonal_poly(2, 0, 3, (3, 3))
     d = diag_of(f)
     assert d is not None
-    assert d.pi_order == 3 and d.pi_unit_one
-    assert d.x_exponents() == (3, 3)
+    assert d.pi_order == 3 and d.monic
+    assert d.slots == (0, 1) and d.xs == (3, 3)
     assert d.exponents() == (3, 3, 3)
-    assert d.monic()
+    assert d.digits == (1, F(1, 2), F(1))  # x^3 + y^3 + z^3 at p = 2
 
 
 def test_match_folds_p_content_into_pi_order():
     # 27 = 3^3 at p = 3, a = 0 counts as pi^3
     f = MixedPoly(3, 0, ("x",), {(0, (0,)): 27, (0, (3,)): 1})
     d = diag_of(f)
-    assert d is not None and d.pi_order == 3 and d.pi_unit_one
+    assert d is not None and d.pi_order == 3 and d.monic
     g = MixedPoly(3, 0, ("x",), {(1, (0,)): 9, (0, (3,)): 1})
     e = diag_of(g)
     assert e is not None and e.pi_order == 3
-    assert e.pi_unit_one                 # 9*pi = pi^3 exactly, unit part 1
+    assert e.monic                       # 9*pi = pi^3 exactly, unit part 1
+    h = MixedPoly(3, 0, ("x",), {(1, (0,)): 18, (0, (3,)): 1})
+    u = diag_of(h)
+    assert u is not None and u.pi_order == 3
+    assert not u.monic                   # 18*pi = 2*pi^3, unit part 2
 
 
 def test_match_rejects_non_diagonal_shapes():
@@ -521,7 +525,8 @@ def test_diagonal_ramified_alarm_names_the_witness():
     cross-check, and the alarm names the first term outside the ideal."""
     f = mixed_diagonal_poly(5, 1, 3, (3,))  # pi^3 + x^3, digit level L = 1
     facts = analyze(f, ctx_of(f))
-    forced = Facts(*facts[:-1], diag_digits=(1, F(1, 5), F(2, 3)))
+    diag = facts.diag._replace(digits=(1, F(1, 5), F(2, 3)))
+    forced = Facts(*facts[:4], diag, facts.base_level)
     with pytest.raises(InternalInconsistencyError) as alarm:
         rule_diagonal_ramified(forced)
     assert str(alarm.value) == (

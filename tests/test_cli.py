@@ -18,6 +18,7 @@ from threshold_lab.certify import InternalInconsistencyError, RingContext
 from threshold_lab.cli import (
     MAX_COEFFICIENT_BITS,
     MAX_LITERAL_DIGITS,
+    MAX_NESTING,
     MAX_POWER_PRODUCTS,
     PolySyntaxError,
     format_poly_src,
@@ -971,6 +972,68 @@ def test_cli_refuses_a_bad_max_terms_value(monkeypatch, value):
     assert run_module_cli(
         "fpt-search", "--prime", "5", "--poly", "x^2 + y^3", "--level", "1"
     ) == (2, "", f"error: THRESHOLD_LAB_MAX_TERMS must be a positive integer, got {value!r}\n")
+
+
+def _nested(depth: int, body: str = "x^2 + y^3") -> str:
+    return "(" * depth + body + ")" * depth
+
+
+def _nesting_refusal(depth: int) -> str:
+    return (
+        f"parentheses nested {depth} deep are past {MAX_NESTING},"
+        " the budget of nesting in a source"
+    )
+
+
+def test_nesting_budget_boundaries():
+    """A source nested MAX_NESTING deep parses; one more level is refused by
+    the syntax check, in reading order, and 5,000 levels are refused at once
+    instead of exhausting the recursion of the lowering."""
+    ctx = RingContext(5, ("x", "y"))
+    assert parse_poly(_nested(MAX_NESTING), ctx) == parse_poly("x^2 + y^3", ctx)
+    with pytest.raises(ValueError) as info:
+        parse_poly(_nested(MAX_NESTING + 1), ctx)
+    assert str(info.value) == _nesting_refusal(MAX_NESTING + 1)
+    with pytest.raises(ValueError) as info:
+        parse_poly("(" * (MAX_NESTING + 1) + "+ x", ctx)  # a later syntax error
+    assert str(info.value) == _nesting_refusal(MAX_NESTING + 1)
+    with pytest.raises(PolySyntaxError) as info:
+        parse_poly("x + * " + _nested(MAX_NESTING + 1), ctx)  # an earlier one
+    assert info.value.offset == 4
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        parse_poly(_nested(5000), ctx)
+    assert time.perf_counter() - start < 0.1
+    assert str(info.value) == _nesting_refusal(5000)
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_nesting_budget_refuses_in_both_output_modes(capsys, mode):
+    argv = ("certify", "--prime", "5", *mode, "--poly")
+    assert run_cli(capsys, *argv, _nested(MAX_NESTING))[0] == 0
+    assert run_cli(capsys, *argv, _nested(1000)) == (
+        2, "", f"error: {_nesting_refusal(1000)}\n"
+    )
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_ram_budget_boundaries(capsys, mode):
+    """certify reads a level A whose p^A has MAX_COEFFICIENT_BITS bits, and
+    refuses one more bit, or a huge A, at once with a message that names
+    the budget: the rule texts write integers the size of p^A."""
+    assert (2**13_999).bit_length() == MAX_COEFFICIENT_BITS
+    argv = ("certify", "--poly", "x^2 + y^3", *mode)
+    code, out, err = run_cli(capsys, *argv, "--prime", "2", "--ram", "13999")
+    assert (code, err) == (0, "") and "1/2" in out
+    for p, a in ((2, 14_000), (5, 7_000), (5, 10_000_000)):
+        start = time.perf_counter()
+        assert run_cli(capsys, *argv, "--prime", str(p), "--ram", str(a)) == (
+            2,
+            "",
+            f"error: --ram {a} makes p^ram = {p}^{a} longer than {MAX_COEFFICIENT_BITS}"
+            " bits, the budget of p^ram\n",
+        )
+        assert time.perf_counter() - start < 0.1
 
 
 # -- CLI subcommands -------------------------------------------------------

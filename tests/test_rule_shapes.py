@@ -12,7 +12,9 @@ must not exclude the certificate of f times a unit.  Read at level 0 and
 joined by diagonals with a pi-slot, the same shapes check that a limit
 profile's levels, derived from one analysis of f, match a fresh analysis
 and a fresh certificate at each level, and that the containment powers the
-levels share equal a fresh expansion at each level.
+levels share equal a fresh expansion at each level.  On the same shapes and
+their unit multiples, the diagonal record that the analysis keeps must read
+as f's terms do: its slots and exponents, its monic flag and its digits.
 """
 
 from typing import NamedTuple
@@ -30,7 +32,7 @@ from threshold_lab.certify import (
     relevel_facts,
 )
 from threshold_lab.cli import infer_variables, parse_poly
-from threshold_lab.fpt import _max_terms_budget
+from threshold_lab.fpt import _max_terms_budget, diagonal_digits
 from threshold_lab.poly import pow_mixed
 
 VARS = ("x", "y", "z")
@@ -243,3 +245,53 @@ def test_profile_levels_share_the_level_zero_powers(shape, a, b):
         facts = relevel_facts(base, level)
         assert relevel(facts.power(b), level) == pow_mixed(facts.f, b)
     assert base.power(b) == pow_mixed(f, b)
+
+
+def _unit_part(c: int, p: int) -> int:
+    """c with every factor p taken out."""
+    while c % p == 0:
+        c //= p
+    return c
+
+
+@st.composite
+def pi_unit_diagonal(draw) -> Shape:
+    """A pi-slot diagonal whose pi-pure term alone carries c * p^v, c prime to
+    p, at ram level 0 or 1: monic exactly when c = 1."""
+    shape = draw(pi_slot_diagonal())
+    c = draw(st.sampled_from((1, shape.p + 1)))
+    k = c * shape.p ** draw(st.integers(0, 2))
+    return shape._replace(src=f"{k}*{shape.src}", ram=draw(st.integers(0, 1)))
+
+
+@given(
+    shape=st.one_of(SHAPES, pi_slot_diagonal(), pi_unit_diagonal()),
+    u=st.integers(1, 4),
+    negate=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_diagonal_record_reads_as_the_terms(shape, u, negate):
+    """The analysis reads u*f's diagonal once: its slots and x-exponents are
+    the x-terms' in term order, it is monic exactly when the pi-pure term's
+    unit part is 1 (where there is one) and every x-coefficient is 1, and
+    its digits are the full diagonal's digit reading, pi-slot included, or
+    None when some exponent is 1."""
+    p = shape.p
+    if u % p == 0:
+        u += 1
+    vars = infer_variables(shape.src)
+    ctx = RingContext(p, vars, ram_level=shape.ram, cyclotomic=shape.cyclotomic)
+    f = parse_poly(f"{'0 - ' if negate else ''}{u}*({shape.src})", ctx)
+    diag = analyze(f, ctx).diag
+    if diag is None:
+        return
+    x_terms = [(exps, c) for (_pi, exps), c in f.sorted_terms() if any(exps)]
+    slots = tuple(next(i for i, e in enumerate(exps) if e) for exps, _c in x_terms)
+    assert diag.slots == slots
+    assert diag.xs == tuple(exps[i] for (exps, _c), i in zip(x_terms, slots))
+    pi_units = [_unit_part(c, p) for (_pi, exps), c in f.terms.items() if not any(exps)]
+    assert diag.monic == (all(c == 1 for c in pi_units) and all(c == 1 for _e, c in x_terms))
+    if 1 in diag.exponents():
+        assert diag.digits is None
+    else:
+        assert diag.digits == diagonal_digits(p, diag.xs, diag.pi_order or 0)[2:]
