@@ -1219,7 +1219,9 @@ def limit_profile(f: MixedPoly, e_max: int) -> LimitProfile:
     Ramifying further is a free extension, so ppt can only fall with the
     level: a certified lower bound at one level that excludes a certified
     upper bound at a lower level raises :class:`InternalInconsistencyError`,
-    like a contradiction within one level.
+    like a contradiction within one level.  It is enough to test each lower
+    bound against the least earlier upper bound (on a tie the strict one,
+    else the earliest), which the alarm names.
     """
     if e_max < 0:
         raise ValueError(f"e_max must be >= 0, got {e_max}")
@@ -1227,23 +1229,24 @@ def limit_profile(f: MixedPoly, e_max: int) -> LimitProfile:
         raise ValueError("limit_profile expects a polynomial written at level 0")
     base = analyze(f, RingContext(f.p, f.vars))
     steps: list[ProfileStep] = []
+    least: ProfileStep | None = None  # the earlier step with the least upper bound
     for a in range(e_max + 1):
         step = ProfileStep(a, *_intersect(_run_rules(relevel_facts(base, a) if a else base)))
-        for earlier in steps:
-            if (
-                step.lower is not None
-                and earlier.upper is not None
-                and _excludes(
-                    step.lower, step.lower_strict, earlier.upper, earlier.upper_strict
-                )
-            ):
-                raise InternalInconsistencyError(
-                    f"certified lower {format_rat(step.lower)}"
-                    f"{' (strict)' if step.lower_strict else ''} at ram level {a} "
-                    f"excludes certified upper {format_rat(earlier.upper)}"
-                    f"{' (strict)' if earlier.upper_strict else ''}"
-                    f" at ram level {earlier.level}"
-                )
+        if step.lower is not None and least is not None and _excludes(
+            step.lower, step.lower_strict, least.upper, least.upper_strict
+        ):
+            raise InternalInconsistencyError(
+                f"certified lower {format_rat(step.lower)}"
+                f"{' (strict)' if step.lower_strict else ''} at ram level {a} "
+                f"excludes certified upper {format_rat(least.upper)}"
+                f"{' (strict)' if least.upper_strict else ''}"
+                f" at ram level {least.level}"
+            )
+        if step.upper is not None and (
+            least is None
+            or (_cmp(step.upper, least.upper), least.upper_strict) < (0, step.upper_strict)
+        ):
+            least = step
         steps.append(step)
     limit = base.residue_fpt
     notes: list[str] = []

@@ -24,12 +24,12 @@ an earlier one over a budget.  Last, one recursive descent lowers the
 checked tokens as it reads them, with no syntax tree: each term is
 multiplied up in place as a coefficient, pi-exponent and exponent vector,
 and only a parenthesized group becomes a term dict {(pi, E): c}, multiplied
-and powered through ``MixedPoly.__mul__`` and ``pow_mixed`` within the
-budgets of products, powers and coefficients.  The dict of the whole sum is
-wrapped with ``MixedPoly._of``: every key is valid by construction, and the
-ring context has already checked the prime and the variable names.  The
-commands read a source through :func:`parse_source`, which takes the
-variables and the polynomial off one tokenize.
+through ``MixedPoly.__mul__`` and raised to a power n by n - 1 products by
+itself, within the budgets of products, powers and coefficients.  The dict
+of the whole sum is wrapped with ``MixedPoly._of``: every key is valid by
+construction, and the ring context has already checked the prime and the
+variable names.  The commands read a source through :func:`parse_source`,
+which takes the variables and the polynomial off one tokenize.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .certify import InternalInconsistencyError, RingContext, certify, limit_pro
 from .digits import kummer_valuation, lucas_residue, magic_expansions
 from .exact import MAX_EXPANSION_DIGITS, expand_base_p, format_rat
 from .fpt import fpt_diagonal, oracle_bracket
-from .poly import MixedPoly, _monomial, pow_mixed, reduce_mod_pi
+from .poly import MixedPoly, _monomial, reduce_mod_pi
 from .verify import SUITES, run_suite
 
 if TYPE_CHECKING:
@@ -147,9 +147,9 @@ def infer_variables(src: str) -> tuple[str, ...]:
 
 # The most term products that expanding one power in a source may take, as
 # bounded by power_products, or one product of factors.  A power over it is
-# refused before anything is expanded.  The largest power admitted,
-# (x + y + z)^54 at 499,641 products, parses in about 0.7 s (median of 7,
-# one core of a 2-core x86-64 host, CPython 3.11).
+# refused before anything is expanded.  The largest powers admitted, such as
+# (x + y + z)^99 at 499,947 products and (x + y)^706 at 499,140, parse in
+# 0.6-0.9 s (median of 5, one core of a 2-core x86-64 host, CPython 3.11).
 MAX_POWER_PRODUCTS = 500_000
 
 # The largest coefficient in a source: 14,000 bits are at most 4,215 decimal
@@ -205,26 +205,16 @@ def _read_value(text: str) -> Fraction:
 
 
 def power_products(terms: int, n: int) -> int:
-    """An upper bound on the term products pow_mixed makes for f^n, where f
-    has `terms` >= 1 terms, found without expanding anything.
-
-    f^k has at most C(k + t - 1, t - 1) terms (the monomials of degree k in
-    the t terms of f), and pow_mixed's binary powering multiplies each
-    square f^(2^i) by itself and, for each set bit, into the result.  The
-    count stops once it is past MAX_POWER_PRODUCTS.
+    """The term products of f^n formed as n - 1 products by f, where f has
+    `terms` terms: f^k has at most C(k + t - 1, t - 1) terms (the monomials
+    of degree k in the t terms of f), so at most t * (C(n + t - 1, t) - 1)
+    in all, and exactly that many when the terms are distinct variables.
+    Past MAX_POWER_PRODUCTS it may return t * (n - 1), a lower bound, found
+    before any binomial of a huge n is computed.
     """
-    def size(k: int) -> int:
-        return comb(k + terms - 1, terms - 1)
-
-    products, out, square = 0, 0, 1
-    while n and products <= MAX_POWER_PRODUCTS:
-        if n & 1:
-            products += size(out) * size(square)
-            out += square
-        products += size(square) ** 2
-        square *= 2
-        n >>= 1
-    return products
+    if terms * (n - 1) > MAX_POWER_PRODUCTS:
+        return terms * (n - 1)
+    return terms * (comb(n + terms - 1, terms) - 1) if n else 0
 
 
 def _max_bits(terms: dict) -> int:
@@ -325,13 +315,18 @@ def _power(ctx: RingContext, terms: dict, n: int) -> dict:
     if len(terms) == 1:
         ((pi, exps), c), = terms.items()
         return {(pi * n, tuple(map(mul, exps, repeat(n)))): c**n}
-    if len(terms) > 1 and power_products(len(terms), n) > MAX_POWER_PRODUCTS:
+    if not n:
+        return {(0, (0,) * len(ctx.vars)): 1}
+    if power_products(len(terms), n) > MAX_POWER_PRODUCTS:
         raise ValueError(
             f"expanding a {len(terms)}-term polynomial to the power {n} may"
             f" take more than {MAX_POWER_PRODUCTS} term products, the"
             " budget of one power in a source"
         )
-    return pow_mixed(_wrap(ctx, terms), n).terms
+    f = out = _wrap(ctx, terms)
+    for _ in range(n - 1 if terms else 0):  # a zero group stays zero
+        out = out * f
+    return out.terms
 
 
 def _lower_sum(read, ctx: RingContext, slots: dict, zero_exps: list) -> dict:
@@ -539,18 +534,18 @@ def _print_certificate(cert) -> None:
         print(f"note: {note}")
 
 
-def _check_ram(p: int, a: int) -> None:
-    """Refuse a level a whose p^a is longer than MAX_COEFFICIENT_BITS: the
-    rules write powers p^e, e <= a, into their text.  p^a has more than
-    a * (bits(p) - 1) bits, so a huge a is refused from bit lengths alone,
-    before any power is taken."""
+def _check_ram(p: int, a: int, option: str = "--ram") -> None:
+    """Refuse a level a, given as `option`, whose p^a is longer than
+    MAX_COEFFICIENT_BITS: the rules write powers p^e, e <= a, into their
+    text.  p^a has more than a * (bits(p) - 1) bits, so a huge a is refused
+    from bit lengths alone, before any power is taken."""
     if a > 0 and (
         a * (p.bit_length() - 1) >= MAX_COEFFICIENT_BITS
         or (p**a).bit_length() > MAX_COEFFICIENT_BITS
     ):
         raise ValueError(
-            f"--ram {a} makes p^ram = {p}^{a} longer than {MAX_COEFFICIENT_BITS} bits,"
-            " the budget of p^ram"
+            f"{option} {a} makes p^{option[2:]} = {p}^{a} longer than {MAX_COEFFICIENT_BITS}"
+            f" bits, the budget of p^{option[2:]}"
         )
 
 
@@ -574,6 +569,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_limit_profile(args: argparse.Namespace) -> int:
+    _check_ram(args.prime, args.max_level, "--max-level")
     _, f = parse_source(args.poly, args.prime)
     profile = limit_profile(f, args.max_level)
     if args.json:

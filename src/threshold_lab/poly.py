@@ -288,8 +288,7 @@ class MixedPoly:
 def pow_mixed(f: MixedPoly, n: int) -> MixedPoly:
     """f^n with exact integer coefficients (no reduction), by binary powering.
 
-    Its callers are the parser, on multi-term bases only (it scales a power
-    of one term itself), the containment checks and the p-th-root lift.
+    Its one caller in the engine is containment's ``Facts.power``.
     """
     if n < 0:
         raise ValueError("negative power")

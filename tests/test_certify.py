@@ -1018,7 +1018,8 @@ def test_cross_level_alarm(monkeypatch, bounds, levels):
     """Ramifying further cannot raise ppt, so a lower bound at a later level
     above (or touching, with a strict side) an upper bound at an earlier
     level is a contradiction, although each level is consistent on its own.
-    The alarm names the later level and the first earlier level it excludes."""
+    The alarm names the later level and the earlier level with the least
+    upper bound it excludes (on a tie the strict one, else the earliest)."""
     f = _bogus_cap(monkeypatch, bounds)
     for a in range(3):
         certify(relevel(f, a), RingContext(2, f.vars, ram_level=a))
@@ -1038,6 +1039,61 @@ def test_cross_level_bounds_may_touch(monkeypatch):
     assert [(s.lower, s.upper) for s in steps] == [
         (F(3, 4), F(4, 5)), (F(4, 5), F(1)), (F(3, 4), F(1)),
     ]
+
+
+def all_pairs_alarm(steps):
+    """The cross-level check on every pair of levels, as limit_profile made
+    it before it kept one least upper bound: the first level whose lower
+    bound excludes an earlier level's upper bound, with all the earlier
+    levels it excludes, or None."""
+    for later in steps:
+        excluded = [
+            earlier for earlier in steps[:later.level]
+            if later.lower is not None and earlier.upper is not None
+            and (later.lower > earlier.upper or (
+                later.lower == earlier.upper and (later.lower_strict or earlier.upper_strict)
+            ))
+        ]
+        if excluded:
+            return later.level, excluded
+    return None
+
+
+# One level's bound for _bogus_cap: a lower or an upper bound in [3/4, 1]
+# that f's own non-strict bounds [3/4, 1] at that level do not contradict.
+LEVEL_BOUND = st.none() | st.tuples(
+    st.sampled_from(["lower", "upper"]),
+    st.sampled_from([F(3, 4), F(4, 5), F(1)]),
+    st.booleans(),
+).filter(lambda b: not b[2] or b[:2] not in {("lower", F(1)), ("upper", F(3, 4))}).map(lambda b: {b[0]: Bound(b[1], b[2])})
+
+
+@given(levels=st.lists(LEVEL_BOUND, min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_cross_level_alarm_matches_all_pairs(levels):
+    """The alarm fires at the level where the all-pairs check first fires,
+    and names the least of the upper bounds that level's lower bound
+    excludes (on a tie the strict one, else the earliest)."""
+    bounds = {a: b for a, b in enumerate(levels) if b}
+    with pytest.MonkeyPatch.context() as mp:
+        f = _bogus_cap(mp, bounds)
+        steps = []
+        for a in range(len(levels)):
+            cert = certify(relevel(f, a), RingContext(2, f.vars, ram_level=a))
+            steps.append(ProfileStep(
+                a, cert.lower, cert.lower_strict, cert.upper, cert.upper_strict, cert.exact
+            ))
+        expected = all_pairs_alarm(steps)
+        if expected is None:
+            assert limit_profile(f, len(levels) - 1).steps == steps
+            return
+        with pytest.raises(InternalInconsistencyError) as info:
+            limit_profile(f, len(levels) - 1)
+    later, excluded = expected
+    least = min(excluded, key=lambda s: (s.upper, not s.upper_strict, s.level))
+    message = str(info.value)
+    assert f"at ram level {later} excludes" in message
+    assert message.endswith(f"at ram level {least.level}")
 
 
 def _list_intersection(results):

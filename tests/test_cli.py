@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from itertools import repeat
+from math import comb
 from operator import add, mul
 from typing import NamedTuple
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threshold_lab.certify import InternalInconsistencyError, RingContext
+from threshold_lab.certify import InternalInconsistencyError, RingContext, limit_profile
 from threshold_lab.cli import (
     MAX_COEFFICIENT_BITS,
     MAX_LITERAL_DIGITS,
@@ -713,17 +714,15 @@ def test_parse_matches_sympy_expansion(data, p):
 # -- the power budget ------------------------------------------------------
 
 
-def binary_powering_products(f, n):
-    """The term products pow_mixed's binary powering makes for f^n, counted
-    on the same powering with MixedPoly products."""
-    products, out, base = 0, MixedPoly(f.p, f.ram_level, f.vars, {(0, (0,) * len(f.vars)): 1}), f
-    while n:
-        if n & 1:
-            products += len(out.terms) * len(base.terms)
-            out = out * base
-        products += len(base.terms) ** 2
-        base = base * base
-        n >>= 1
+def repeated_products(f, n):
+    """The term products the parser makes for f^n, n - 1 products by f,
+    counted on the same products with MixedPoly."""
+    if n == 0:
+        return 0
+    products, out = 0, f
+    for _ in range(n - 1):
+        products += len(out.terms) * len(f.terms)
+        out = out * f
     return products
 
 
@@ -735,9 +734,9 @@ def binary_powering_products(f, n):
     n=st.integers(0, 9),
 )
 @settings(max_examples=100, deadline=None)
-def test_power_products_bounds_binary_powering(terms, n):
+def test_power_products_bounds_repeated_products(terms, n):
     f = MixedPoly(3, 0, ("x", "y"), terms)
-    assert binary_powering_products(f, n) <= power_products(len(f.terms), n)
+    assert repeated_products(f, n) <= power_products(len(f.terms), n)
 
 
 @pytest.mark.parametrize("t, n", [(2, 1), (2, 13), (3, 8), (4, 5), (5, 2)])
@@ -745,12 +744,53 @@ def test_power_products_is_exact_on_distinct_variables(t, n):
     """A sum of t distinct variables has the most terms at every power."""
     names = tuple("abcde"[:t])
     f = MixedPoly(2, 0, names, {(0, tuple(int(i == j) for j in range(t))): 1 for i in range(t)})
-    assert binary_powering_products(f, n) == power_products(t, n)
+    assert repeated_products(f, n) == power_products(t, n)
+
+
+@pytest.mark.parametrize("src, products, admitted", [
+    ("(x + y + z)^99", 499_947, True),
+    ("(x + y + z)^100", 515_097, False),
+    ("(x + y)^706", 499_140, True),
+    ("(x + y)^707", 500_554, False),
+    ("(x + y + z + w)^20", 35_416, True),
+])
+def test_power_budget_edges(src, products, admitted):
+    """The largest admitted powers of two and three terms, the first refused
+    ones, and a power of four terms that binary powering would refuse."""
+    t, n = src.count("+") + 1, int(src.rsplit("^", 1)[1])
+    assert power_products(t, n) == products
+    ctx = RingContext(5, infer_variables(src))
+    if admitted:
+        assert len(parse_poly(src, ctx).terms) == comb(n + t - 1, t - 1)
+    else:
+        with pytest.raises(ValueError, match="budget of one power"):
+            parse_poly(src, ctx)
+
+
+def test_power_budget_refuses_a_huge_exponent_at_once():
+    """t * (n - 1) is a lower bound on the products: a 4,000-digit exponent
+    is refused without computing a binomial of it."""
+    n = 10**4000
+    assert power_products(2, n) == 2 * (n - 1)
+    with pytest.raises(ValueError, match="budget of one power"):
+        parse_poly(f"(x + y)^{n}", RingContext(5, ("x", "y")))
+
+
+def test_power_of_a_zero_group_is_not_multiplied_out():
+    """(x - x) lowers to zero, which stays zero at any power n >= 1 without
+    n - 1 products, and (x - x)^0 is 1."""
+    code, out, err = run_module_cli(
+        "certify", "--prime", "5", "--poly", "(x - x)^100000000 + y^2", timeout=5
+    )
+    assert (code, err) == (0, "")
+    assert "exact = 1/2" in out
+    ctx = RingContext(5, ("x", "y"))
+    assert parse_poly("(x - x)^0 * y", ctx) == parse_poly("y", ctx)
 
 
 def test_power_budget_refuses_before_expanding():
-    """(x + y + z)^120 has 7,381 terms, but its binary powering takes about
-    9M term products: the command exits 2 at once, naming the budget."""
+    """(x + y + z)^120 has 7,381 terms, but n - 1 products by the base take
+    885,717 term products: the command exits 2 at once, naming the budget."""
     start = time.perf_counter()
     code, out, err = run_module_cli("certify", "--prime", "5", "--poly", "(x + y + z)^120")
     assert time.perf_counter() - start < 1.0
@@ -772,8 +812,9 @@ def test_power_budget_follows_the_syntax_check():
 
 
 def test_syntax_is_checked_before_anything_is_lowered():
-    """(x + y + z)^54, the largest power within the budget, takes about
-    0.7 s to expand, but a syntax error after it is found at once."""
+    """(x + y + z)^54 takes about 0.1 s to expand (and (x + y + z)^99, the
+    largest power of three terms within the budget, about 0.7 s), but a
+    syntax error after it is found at once."""
     ctx = RingContext(5, ("x", "y", "z"))
     start = time.perf_counter()
     with pytest.raises(PolySyntaxError, match="at byte 17: expected a term, found '\\)'"):
@@ -1036,6 +1077,26 @@ def test_ram_budget_boundaries(capsys, mode):
         assert time.perf_counter() - start < 0.1
 
 
+def test_max_level_budget_boundaries(capsys, monkeypatch):
+    """limit-profile is held to the budget of p^E for --max-level E: at p = 5
+    it reads the levels up to 6,029 and refuses 6,030, or a huge E, before
+    any level runs, with a message that names --max-level and the budget."""
+    assert (5**6_029).bit_length() <= MAX_COEFFICIENT_BITS < (5**6_030).bit_length()
+    levels = []
+    monkeypatch.setattr(sys.modules["threshold_lab.cli"], "limit_profile",
+                        lambda f, e_max: levels.append(e_max) or limit_profile(f, 1))
+    argv = ("limit-profile", "--poly", "p^2 + x^2", "--prime", "5", "--max-level")
+    assert run_cli(capsys, *argv, "6029")[0] == 0
+    for a in (6_030, 10_000_000):
+        assert run_cli(capsys, *argv, str(a)) == (
+            2,
+            "",
+            f"error: --max-level {a} makes p^max-level = 5^{a} longer than"
+            f" {MAX_COEFFICIENT_BITS} bits, the budget of p^max-level\n",
+        )
+    assert levels == [6_029]
+
+
 # -- CLI subcommands -------------------------------------------------------
 
 
@@ -1056,8 +1117,9 @@ def test_cli_fpt_diagonal_rejects_bad_exponent(capsys):
     assert "error" in err
 
 
-def run_module_cli(*argv):
-    """`python -m threshold_lab.cli ARGV` in a fresh interpreter, cut at 10 s."""
+def run_module_cli(*argv, timeout=10):
+    """`python -m threshold_lab.cli ARGV` in a fresh interpreter, cut at
+    `timeout` seconds."""
     import threshold_lab
 
     src = os.path.dirname(os.path.dirname(threshold_lab.__file__))
@@ -1065,7 +1127,7 @@ def run_module_cli(*argv):
     env = dict(os.environ, PYTHONPATH=pythonpath)
     proc = subprocess.run(
         [sys.executable, "-m", "threshold_lab.cli", *argv],
-        capture_output=True, text=True, timeout=10, env=env,
+        capture_output=True, text=True, timeout=timeout, env=env,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
