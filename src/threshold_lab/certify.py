@@ -33,8 +33,10 @@ one scan of its terms in the order the certificate writes them, reads the
 residue f mod pi, the pure-power diagonal and the base ring level into a
 frozen :class:`Facts`.  The diagonal is one :class:`MixedDiagonal` record:
 its pi-order, variable slots and x-exponents, whether it is monic, and the
-full diagonal's digit level, fpt and lct, which one digit walk reads with
-the residue's closed-form fpt; the rules read its fields.  The residue's
+full diagonal's digit level, fpt and lct.  The characteristic-p digit
+kernel :func:`~.fpt.diagonal_digits` reads the residue's x-exponents for
+its closed-form fpt and, with a pi-slot t, the blown-up diagonal with t as
+one more exponent; the rules read the record's fields.  The residue's
 oracle brackets and the containment powers f^b are read on demand, once
 each.  Every rule takes that one argument and returns a
 :class:`RuleResult` or None (abstention): its bounds at once, its hypotheses
@@ -44,12 +46,12 @@ each call, so a rule replaced on the module is the one that runs;
 :func:`_intersect` finds the max lower and the min upper bound in one scan,
 and :func:`certify` builds its :class:`BoundCertificate` from that.
 :func:`limit_profile` reads level 0 off the analysis of f, derives every
-later level's :class:`Facts` with :func:`relevel_facts` (the diagonal
-record with its pi-order scaled and its digits walked again), and keeps
-only each level's intersected bounds, so it renders no rule text.  The
-levels share the oracle brackets and the containment powers: each f^b is
-expanded once, at level 0, and :func:`weighted_membership` reads it at each
-level's scale.
+later level's :class:`Facts` with :func:`relevel_facts` (the level-0 f, the
+diagonal record with its pi-order scaled and its digits walked again), and
+keeps only each level's intersected bounds, so it renders no rule text.
+The levels share f, the oracle brackets and the containment powers: each
+f^b is expanded once, at level 0, and :func:`weighted_membership` reads it
+at each level's scale.
 
 Every certified bound is sound on its own, so the combined max-of-lowers /
 min-of-uppers can only collide if the implementation is wrong; that collision
@@ -254,8 +256,8 @@ class MixedDiagonal(NamedTuple):
     has no such term); ``monic`` says whether every unit u is 1; ``slots``
     are the variable indices j_i and ``xs`` the exponents s_i, in term order;
     ``digits`` is the digit level L, fpt and lct of the full diagonal, the
-    pi-slot's column included (Hernandez's digit formula), or None when some
-    exponent is 1.
+    pi-order t read as one more exponent (Hernandez's digit formula), or
+    None when some exponent is 1.
     """
 
     pi_order: int | None
@@ -277,15 +279,17 @@ class Facts(namedtuple("Facts", "f ctx residue residue_fpt diag base_level")):
     ``base_level`` is the least c with f defined over W(k)[p^{1/p^c}] inside
     the level-a tower.
 
+    ``f`` is f as written.  On a level from :func:`relevel_facts` that is
+    the level-0 f, read in ``ctx`` through the canonical inclusion; there
+    only the containments read its terms, and :func:`weighted_membership`
+    scales them.
+
     ``terms`` is f's terms in :meth:`MixedPoly.sorted_terms` order, as the
-    analysis read them (None on a level from :func:`relevel_facts`).
-    ``brackets`` memoizes :meth:`bracket` and ``powers`` memoizes
-    :meth:`power`.  None of these holds a fact of its own, so they live in
-    the instance dict, outside the tuple that equality reads, and the levels
-    of one limit profile share the memos: their residue is the same, and
-    ``powers`` holds the powers of the level-0 f, ``level0``, which each
-    level reads in its own ring.  ``level0`` is None on an analysis that
-    :func:`analyze` made, whose ``powers`` hold the powers of f itself.
+    analysis read them.  ``brackets`` memoizes :meth:`bracket` and
+    ``powers`` memoizes :meth:`power`.  None of these holds a fact of its
+    own, so they live in the instance dict, outside the tuple that equality
+    reads, and the levels of one limit profile share them: their f and
+    their residue are the same.
     """
 
     def __new__(
@@ -298,24 +302,21 @@ class Facts(namedtuple("Facts", "f ctx residue residue_fpt diag base_level")):
         base_level: int,
         brackets: dict[int, FptBracket | None] | None = None,
         powers: dict[int, MixedPoly] | None = None,
-        level0: MixedPoly | None = None,
         terms: list[tuple[tuple[int, Exps], int]] | None = None,
     ):
         facts = super().__new__(cls, f, ctx, residue, residue_fpt, diag, base_level)
         facts.brackets = {} if brackets is None else brackets
         facts.powers = {} if powers is None else powers
-        facts.level0 = level0
         facts.terms = terms
         return facts
 
     def power(self, b: int) -> MixedPoly:
-        """f^b, expanded once per b.  On a level derived by
-        :func:`relevel_facts` it is the level-0 f^b, read in the level's
-        ring through the canonical inclusion: relevel is a ring map, so
+        """f^b, expanded once per b.  Like f, it is read in ``ctx`` through
+        the canonical inclusion: relevel is a ring map, so
         relevel(f, a)^b = relevel(f^b, a), coefficients included."""
         fb = self.powers.get(b)
         if fb is None:
-            fb = self.powers[b] = pow_mixed(self.f if self.level0 is None else self.level0, b)
+            fb = self.powers[b] = pow_mixed(self.f, b)
         return fb
 
     def bracket(self, e: int) -> FptBracket | None:
@@ -342,11 +343,12 @@ def analyze(f: MixedPoly, ctx: RingContext) -> Facts:
     ring level is a - min(a, v_p(gcd of the positive pi-exponents)).
 
     The residue's closed-form fpt covers a single monomial (min_i 1/e_i)
-    and a diagonal (1 with a linear term, else the digit formula); for a
-    pure-power diagonal one digit walk reads it (the x-columns) with the
-    full diagonal's level, fpt and lct (the pi-slot's column added), which
-    the :class:`MixedDiagonal` record keeps with its exponents and its
-    monic flag.
+    and a diagonal (1 with a linear term, else the digit formula).  For a
+    pure-power diagonal pi^t + x_1^{s_1} + ... the digit walk reads the
+    residue as the diagonal of the s_i and the full diagonal as the one
+    with t as one more exponent; the :class:`MixedDiagonal` record keeps
+    the full diagonal's level, fpt and lct with its exponents and its monic
+    flag.  Without a pi-slot one walk serves both.
     """
     if f.p != ctx.p or f.ram_level != ctx.ram_level or f.vars != ctx.vars:
         raise ValueError("polynomial and ring context disagree")
@@ -388,14 +390,14 @@ def analyze(f: MixedPoly, ctx: RingContext) -> Facts:
     diag = digits = residue_fpt = None
     xs = tuple(found.values())
     if shaped and split:
-        t = pi_order or 0
         if 1 in xs:
             residue_fpt = Rat(1)
-        elif t == 1:
-            residue_fpt = diagonal_digits(p, xs)[1] if xs else None
         else:
-            reading = diagonal_digits(p, xs, t, alone=bool(xs))
-            residue_fpt, digits = reading[1], reading[2:]
+            if xs:
+                digits = diagonal_digits(p, xs)
+                residue_fpt = digits[1]
+            if pi_order is not None:
+                digits = diagonal_digits(p, (*xs, pi_order)) if pi_order > 1 else None
         diag = MixedDiagonal(pi_order, monic, tuple(found), xs, digits)
     elif len(residue) == 1:
         residue_fpt = Rat(1, max(next(iter(residue))))
@@ -406,7 +408,10 @@ def analyze(f: MixedPoly, ctx: RingContext) -> Facts:
 
 
 def relevel_facts(facts: Facts, a: int) -> Facts:
-    """The analysis of ``relevel(f, a)``, derived from the level-0 analysis of f.
+    """The analysis of f at ramification level a, derived from its level-0
+    analysis; it equals ``analyze(relevel(f, a), ctx_a)`` in every field
+    but f, which stays the level-0 f, read in the level's ring through the
+    canonical inclusion.
 
     Scaling every pi-exponent by p^a leaves all of it unchanged except the
     diagonal's pi-order, which scales with it: the residue keeps the terms of
@@ -415,11 +420,10 @@ def relevel_facts(facts: Facts, a: int) -> Facts:
     the x-exponents and the monic flag are the same), and every positive
     pi-exponent of relevel(f, a) is divisible by p^a, so the base ring level
     is 0.  The level's :class:`MixedDiagonal` is the level-0 record with the
-    scaled pi-order and the full diagonal's digits read again for it; the
-    residue's walk is not repeated.  The residue being the same, the
-    derived facts share the oracle brackets of ``facts``; they share its
-    memo of the powers of the level-0 f too, so each f^b is expanded once
-    across the levels.
+    scaled pi-order t p^a and the digits of the diagonal (*xs, t p^a); the
+    residue's walk is not repeated.  f and the residue being the same, the
+    derived facts share the oracle brackets and the powers of f with
+    ``facts``, so each f^b is expanded once across the levels.
     """
     ctx = facts.ctx
     if ctx.ram_level != 0 or ctx.cyclotomic:
@@ -427,10 +431,10 @@ def relevel_facts(facts: Facts, a: int) -> Facts:
     diag = facts.diag
     if a and diag is not None and diag.pi_order is not None:
         t = diag.pi_order * ctx.p**a
-        digits = None if 1 in diag.xs else diagonal_digits(ctx.p, diag.xs, t, alone=False)[2:]
+        digits = None if 1 in diag.xs else diagonal_digits(ctx.p, (*diag.xs, t))
         diag = diag._replace(pi_order=t, digits=digits)
     return Facts(
-        f=relevel(facts.f, a),
+        f=facts.f,
         ctx=ctx._replace(ram_level=a),
         residue=facts.residue,
         residue_fpt=facts.residue_fpt,
@@ -438,7 +442,7 @@ def relevel_facts(facts: Facts, a: int) -> Facts:
         base_level=0,
         brackets=facts.brackets,
         powers=facts.powers,
-        level0=facts.f,
+        terms=facts.terms,
     )
 
 

@@ -9,8 +9,9 @@ the lower ends.  :func:`frobenius_nu` computes nu_e level by level: by
 Mustata-Takagi-Watanabe ("F-thresholds and Bernstein-Sato polynomials",
 2005) nu_{e+1} lies in [p nu_e, p nu_e + p - 1], and the Frobenius power of
 f^{nu_e} mod (x_i^{p^e}) is f^{p nu_e} mod (x_i^{p^{e+1}}), so each level
-takes at most p - 1 truncated products by f.  :func:`oracle_bracket` wraps
-nu_e into the two-sided bound.
+takes at most p truncated products by f: p - 1 that stay nonzero, then the
+one that vanishes.  :func:`oracle_bracket` wraps nu_e into the two-sided
+bound.
 
 For a diagonal f = x_1^{s_1} + ... + x_n^{s_n} the threshold has a closed
 form (Hernandez, "F-invariants of diagonal hypersurfaces", Proc. AMS 143,
@@ -38,12 +39,11 @@ saves) finds the repeat within about 2 max(mu, lam) + lam columns, where mu
 and lam are the preperiod and period of the tuple, with no multiplicative
 order computed up front.
 
-A diagonal pi^t + x_1^{s_1} + ... in mixed characteristic is read the same
-way, in one walk with the pi-slot's column beside the x-columns
-(:func:`diagonal_digits`): the full diagonal's level is the first column
-summing to p, and the x-columns alone, which sum to no more, walk on from
-there with their own cycle check (a repeat of the joint remainders says
-nothing of theirs) to give the level of f mod pi.
+Everything here is in characteristic p.  :mod:`.certify` reads a diagonal
+pi^t + x_1^{s_1} + ... in mixed characteristic through
+:func:`diagonal_digits` twice: f mod pi is the diagonal of the s_i, and
+the blown-up diagonal, pi replaced by a fresh variable, is the diagonal
+with t as one more exponent.
 """
 
 from __future__ import annotations
@@ -88,14 +88,15 @@ def compute_L(p: int, exponents: tuple[int, ...]) -> int | float:
     return diagonal_digits(p, _check_exponents(exponents))[0]
 
 
-def _first_column(p: int, exps: tuple[int, ...], rems: tuple[int, ...], j: int) -> tuple:
-    """From column j and the remainders ``rems`` on, the first column whose
-    digits sum to p or more: the column (INFINITE when the remainder tuple
-    repeats first), the sum of its digits but the last, and the remainders
-    after it.  One exponent never reaches p: its digits are all below p."""
+def _first_column(p: int, exps: tuple[int, ...]) -> int | float:
+    """The first column whose digits sum to p or more, from column 0 with
+    zero remainders, or INFINITE when the remainder tuple repeats first.
+    One exponent never reaches p: its digits are all below p, and its
+    remainder cycle can be as long as s - 1 columns."""
     if len(exps) == 1:
-        return INFINITE, 0, rems
-    saved, power, steps = rems, 1, 0
+        return INFINITE
+    rems = saved = (0,) * len(exps)
+    j, power, steps = 0, 1, 0
     while True:
         total = 0
         nxt = []
@@ -105,27 +106,13 @@ def _first_column(p: int, exps: tuple[int, ...], rems: tuple[int, ...], j: int) 
             nxt.append(r)
         rems = tuple(nxt)
         if total >= p:
-            return j, total - d, rems
+            return j
         if rems == saved:
-            return INFINITE, 0, rems
+            return INFINITE
         j += 1
         steps += 1
         if steps == power:
             saved, power, steps = rems, 2 * power, 0
-
-
-def _reciprocal_sum(exps: tuple[int, ...]) -> tuple[int, int]:
-    """sum_i 1/s_i as a numerator over the least common multiple."""
-    den = math.lcm(*exps)
-    return sum(den // s for s in exps), den
-
-
-def _fpt_at(p: int, exps: tuple[int, ...], level: int | float) -> Rat:
-    """The diagonal's fpt from its digit level."""
-    if level == INFINITE:
-        return Rat(*_reciprocal_sum(exps))
-    q = p**level
-    return Rat(sum((q - 1) // s for s in exps) + 1, q)
 
 
 def fpt_diagonal(p: int, exponents: tuple[int, ...]) -> Rat:
@@ -134,26 +121,24 @@ def fpt_diagonal(p: int, exponents: tuple[int, ...]) -> Rat:
     return diagonal_digits(p, _check_exponents(exponents))[1]
 
 
-def diagonal_digits(p: int, xs: tuple[int, ...], t: int = 0, alone: bool = True) -> tuple:
-    """(L, fpt) of the exponents xs alone, then (L, fpt, lct) of the full
-    diagonal with the pi-slot's exponent t (0: none), from one digit walk
-    (see the module docstring); the first two are None unless ``alone``.
-    p and the exponents (integers >= 2) are not checked."""
-    exps = (*xs, t) if t else xs
-    full_level, x_total, rems = _first_column(p, exps, (0,) * len(exps), 0)
-    level = None if t and not alone else full_level
-    if t and alone and full_level != INFINITE and x_total < p:
-        level = _first_column(p, xs, rems[:-1], full_level + 1)[0]
-    num, den = _reciprocal_sum(exps)
-    lct = Rat(1) if num >= den else Rat(num, den)
-    full_fpt = lct if full_level == INFINITE else _fpt_at(p, exps, full_level)
-    fpt = full_fpt if not t else None if level is None else _fpt_at(p, xs, level)
-    return level, fpt, full_level, full_fpt, lct
+def diagonal_digits(p: int, exps: tuple[int, ...]) -> tuple[int | float, Rat, Rat]:
+    """(L, fpt, lct) of the diagonal with exponents exps, from one digit walk
+    (see the module docstring).  With L infinite, fpt = sum_i 1/s_i, which
+    is then at most 1, so it is the lct.  p is not checked, and the walk
+    takes the exponents as integers >= 2."""
+    level = _first_column(p, exps)
+    lct = lct_diagonal(exps)
+    if level == INFINITE:
+        return level, lct, lct
+    q = p**level
+    return level, Rat(sum((q - 1) // s for s in exps) + 1, q), lct
 
 
 def lct_diagonal(exponents: tuple[int, ...]) -> Rat:
     """Log canonical threshold of a diagonal: min(1, sum_i 1/s_i)."""
-    num, den = _reciprocal_sum(_check_exponents(exponents))
+    exps = _check_exponents(exponents)
+    den = math.lcm(*exps)
+    num = sum(den // s for s in exps)
     return Rat(1) if num >= den else Rat(num, den)
 
 

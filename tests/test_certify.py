@@ -34,6 +34,7 @@ from threshold_lab.certify import (
 )
 from threshold_lab.cli import infer_variables, parse_poly
 from threshold_lab.exact import format_rat
+from threshold_lab.fpt import fpt_diagonal
 from threshold_lab.poly import (
     MembershipResult,
     MixedPoly,
@@ -664,33 +665,35 @@ def test_certify_analyses_each_input_once(monkeypatch, f):
     assert calls == Counter(ANALYSES + RULES)
 
 
-@pytest.mark.parametrize("src, p, a, walk", [
-    # Pi-slot diagonals: one walk reads the residue and the full diagonal.
-    ("p^2 + x^3 + y^4", 5, 0, ("diagonal_digits", (4, 3), 2)),
-    ("p^2 + x^3 + y^5", 7, 2, ("diagonal_digits", (5, 3), 2)),
-    ("p^3 + x^2 + y^2 + z^2", 2, 1, ("diagonal_digits", (2, 2, 2), 3)),
+@pytest.mark.parametrize("src, p, a, walks", [
+    # Pi-slot diagonals: the residue's exponents, then the blown-up diagonal's.
+    ("p^2 + x^3 + y^4", 5, 0, [("diagonal_digits", (4, 3)), ("diagonal_digits", (4, 3, 2))]),
+    ("p^2 + x^3 + y^5", 7, 2, [("diagonal_digits", (5, 3)), ("diagonal_digits", (5, 3, 2))]),
+    ("p^3 + x^2 + y^2 + z^2", 2, 1,
+     [("diagonal_digits", (2, 2, 2)), ("diagonal_digits", (2, 2, 2, 3))]),
     # A linear pi-slot: only the residue's exponents are walked.
-    ("p + x^3 + y^3", 5, 0, ("diagonal_digits", (3, 3), 0)),
-    ("p + x^5 + y^5", 7, 2, ("diagonal_digits", (5, 5), 0)),
+    ("p + x^3 + y^3", 5, 0, [("diagonal_digits", (3, 3))]),
+    ("p + x^5 + y^5", 7, 2, [("diagonal_digits", (5, 5))]),
     # No pi-slot: the residue is the full diagonal.
-    ("x^3 + y^3 + z^3", 7, 1, ("diagonal_digits", (3, 3, 3), 0)),
+    ("x^3 + y^3 + z^3", 7, 1, [("diagonal_digits", (3, 3, 3))]),
     # f is no diagonal: only its diagonal residue is walked, by fpt_diagonal.
-    ("x^3 + y^4 + p*x*y", 5, 0, ("fpt_diagonal", (4, 3), 0)),
+    ("x^3 + y^4 + p*x*y", 5, 0, [("fpt_diagonal", (4, 3))]),
 ])
-def test_certify_walks_the_digits_once_and_sorts_the_terms_once(monkeypatch, src, p, a, walk):
+def test_certify_walks_the_digits_once_and_sorts_the_terms_once(monkeypatch, src, p, a, walks):
     """One certificate, JSON included, sorts f's terms once and walks each
-    diagonal's digits once: the certify module calls diagonal_digits or, for
-    the residue of an f that is no diagonal, fpt_diagonal, once per input
-    (keyed here by the x-exponents and the pi-slot)."""
+    diagonal's digits once: the certify module calls diagonal_digits on the
+    residue's exponents and, with a pi-slot t >= 2, on the blown-up
+    diagonal's (*xs, t), or, for the residue of an f that is no diagonal,
+    fpt_diagonal, once each (keyed here by the exponents)."""
     import sys
 
     mod = sys.modules["threshold_lab.certify"]
     seen = Counter()
 
     def counted(name, fn):
-        def wrapper(p, xs, *args, **kwargs):
-            seen[name, xs, args[0] if args else 0] += 1
-            return fn(p, xs, *args, **kwargs)
+        def wrapper(p, exps):
+            seen[name, exps] += 1
+            return fn(p, exps)
         return wrapper
 
     for name in ("diagonal_digits", "fpt_diagonal"):
@@ -706,8 +709,22 @@ def test_certify_walks_the_digits_once_and_sorts_the_terms_once(monkeypatch, src
     ctx = RingContext(p, infer_variables(src), ram_level=a)
     f = parse_poly(src, ctx)
     certify(f, ctx).to_json()
-    assert seen == Counter([walk])
+    assert seen == Counter(walks)
     assert [g for g in sorted_polys if g is f] == [f]
+
+
+def test_certify_reads_long_period_diagonals():
+    """1/(10^9+7) and 1/(10^9+9) have periods of 500000003 and 55555556
+    digits at p = 3, but both walks stop early: the blown-up diagonal
+    (2, 10^9+7, 10^9+9) carries at column 18, and the residue's diagonal at
+    column 26."""
+    ctx = RingContext(3, ("x", "y"))
+    cert = certify(parse_poly("p^2 + x^1000000007 + y^1000000009", ctx), ctx)
+    lowers = {r.rule_id: r.lower.value for r in cert.rules if r.lower is not None}
+    xs = (1_000_000_007, 1_000_000_009)
+    assert cert.lower == lowers["blowup_diagonal"] == F(193710245, 387420489)
+    assert cert.lower == fpt_diagonal(3, (2, *xs))
+    assert lowers["fpt_lower"] == F(5083, 2541865828329) == fpt_diagonal(3, xs)
 
 
 @pytest.mark.parametrize("f", [
@@ -812,24 +829,22 @@ def test_limit_profile_formats_no_rule_text(monkeypatch):
 
 def test_limit_profile_reads_each_diagonal_fpt_once(monkeypatch):
     """rule_blowup_diagonal and rule_diagonal_ramified read one diagonal fpt
-    and digit level per level, from one digit walk: diagonal_digits runs
-    once for each of the four levels, the level-0 walk reading the residue
-    x^3 + y^3 too, and the later levels read the full diagonal only."""
+    and digit level per level, from one digit walk: level 0 walks the
+    residue x^3 + y^3 and the blown-up diagonal (3, 3, 2) once each, and
+    each later level a walks only (3, 3, 2 * 5^a)."""
     import sys
 
     mod = sys.modules["threshold_lab.certify"]
     walks = Counter()
     walk = mod.diagonal_digits
 
-    def counted(p, xs, t=0, alone=True):
-        walks[xs, t, alone] += 1
-        return walk(p, xs, t, alone)
+    def counted(p, exps):
+        walks[exps] += 1
+        return walk(p, exps)
 
     monkeypatch.setattr(mod, "diagonal_digits", counted)
     limit_profile(CUBIC_P5, 3)
-    assert walks == Counter(
-        {((3, 3), 2, True): 1, **{((3, 3), 2 * 5**a, False): 1 for a in range(1, 4)}}
-    )
+    assert walks == Counter([(3, 3)] + [(3, 3, 2 * 5**a) for a in range(4)])
 
 
 # p + x^5 + y^5 at p = 7: levels 1 to 3 check containments of f^3, f^19 and
@@ -867,9 +882,7 @@ def test_shared_power_alarm_names_the_level_witness(monkeypatch):
     monkeypatch.setattr(
         mod,
         "diagonal_digits",
-        lambda p, xs, t=0, alone=True: (
-            (None, None, 3, F(19, 343), F(1)) if t == 343 else digits(p, xs, t, alone)
-        ),
+        lambda p, exps: (3, F(19, 343), F(1)) if exps == (5, 5, 343) else digits(p, exps),
     )
     f3 = relevel(QUINTIC_P7, 3)
     fresh = weighted_membership(pow_mixed(f3, 19), ctx_of(f3), 343)

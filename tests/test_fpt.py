@@ -144,17 +144,12 @@ def test_diagonal_kernel_matches_expansions(p, exps):
 
 
 def assert_digits_match_reference(p, xs, t):
-    """diagonal_digits reads the x-exponents alone and, with the pi-slot t,
-    the full diagonal (t, *xs) as the expansions do; read without the
-    x-exponents alone, it gives the same full diagonal."""
-    full = (t, *xs)
-    want = (
-        reference_L(p, xs), reference_fpt(p, xs),
-        reference_L(p, full), reference_fpt(p, full), lct_diagonal(full),
-    )
-    assert diagonal_digits(p, xs, t) == want, (p, xs, t)
-    assert diagonal_digits(p, xs, t, alone=False) == (None, None, *want[2:])
-    assert diagonal_digits(p, xs) == want[:2] * 2 + (lct_diagonal(xs),)
+    """diagonal_digits reads the residue's diagonal xs and the blown-up
+    diagonal (*xs, t), the pi-slot t as one more exponent, as the
+    expansions do."""
+    for exps in (xs, (*xs, t)):
+        want = (reference_L(p, exps), reference_fpt(p, exps), lct_diagonal(exps))
+        assert diagonal_digits(p, exps) == want, (p, exps)
 
 
 @given(
@@ -176,19 +171,20 @@ def test_pi_slot_walk_matches_expansions(p, t, xs):
     (5, (11, 12), 13, 9, 1),
 ])
 def test_pi_slot_walk_cases(p, xs, t, level, full_level):
-    """Past the full diagonal's level the x-remainders walk on with their
-    own cycle check, so the residue's level is found however far above."""
-    got = diagonal_digits(p, xs, t)
-    assert (got[0], got[2]) == (level, full_level)
+    """The residue's walk and the blown-up diagonal's walk each start at
+    column 0, so the residue's level is found however far above."""
+    assert diagonal_digits(p, xs)[0] == level
+    assert diagonal_digits(p, (*xs, t))[0] == full_level
     assert_digits_match_reference(p, xs, t)
 
 
 def test_pi_slot_walk_long_periods():
     """1/(10^9+7) and 1/(10^9+9) have periods of 500000003 and 55555556
     digits at p = 3: a pi-slot 2 brings the first carry down from column 26
-    to column 18, and the x-columns alone still reach it at 26."""
+    to column 18, and the residue's own walk still reaches it at 26."""
     xs = (1_000_000_007, 1_000_000_009)
-    level, value, full_level, full_value, _lct = diagonal_digits(3, xs, 2)
+    level, value, _lct = diagonal_digits(3, xs)
+    full_level, full_value, _lct = diagonal_digits(3, (*xs, 2))
     assert (level, full_level) == (26, 18) == (compute_L(3, xs), compute_L(3, (2, *xs)))
     assert (value, full_value) == (fpt_diagonal(3, xs), fpt_diagonal(3, (2, *xs)))
 

@@ -139,7 +139,6 @@ def test_facts_equality_ignores_the_memos():
     facts.bracket(1)
     assert facts.powers and facts.brackets and not fresh.powers
     assert facts == fresh and hash(facts) == hash(fresh)
-    assert Facts(*fresh, level0=f) == fresh
     assert facts.terms == f.sorted_terms()
     assert Facts(*fresh, terms=None) == fresh
     with pytest.raises(AttributeError):

@@ -32,7 +32,13 @@ from threshold_lab.certify import (
     relevel_facts,
 )
 from threshold_lab.cli import infer_variables, parse_poly
-from threshold_lab.fpt import _max_terms_budget, diagonal_digits
+from threshold_lab.fpt import (
+    _max_terms_budget,
+    compute_L,
+    diagonal_digits,
+    fpt_diagonal,
+    lct_diagonal,
+)
 from threshold_lab.poly import pow_mixed
 
 VARS = ("x", "y", "z")
@@ -212,8 +218,9 @@ def _bounds(c):
 @given(shape=st.one_of(SHAPES, pi_slot_diagonal()))
 @settings(max_examples=150, deadline=None)
 def test_profile_levels_match_a_fresh_analysis(shape):
-    """Each derived level equals a fresh analysis, and the profile's
-    bounds equal a certificate's."""
+    """Each derived level equals a fresh analysis of relevel(f, a) in every
+    field but f, which stays the level-0 f, and the profile's bounds equal
+    a certificate's."""
     vars = infer_variables(shape.src)
     ctx = RingContext(shape.p, vars)
     f = parse_poly(shape.src, ctx)
@@ -222,7 +229,9 @@ def test_profile_levels_match_a_fresh_analysis(shape):
     assert [s.level for s in steps] == [0, 1, 2, 3]
     for a, step in enumerate(steps):
         fa, ctx_a = relevel(f, a), RingContext(shape.p, vars, ram_level=a)
-        assert relevel_facts(base, a) == analyze(fa, ctx_a)
+        derived = relevel_facts(base, a)
+        assert derived.f is f
+        assert derived[1:] == analyze(fa, ctx_a)[1:]
         assert _bounds(step) == _bounds(certify(fa, ctx_a))
 
 
@@ -235,7 +244,7 @@ def test_profile_levels_match_a_fresh_analysis(shape):
 def test_profile_levels_share_the_level_zero_powers(shape, a, b):
     """relevel is a ring map, so relevel(f^b, a) = relevel(f, a)^b; the
     level-0 power each derived level reads from the shared memo, relevelled,
-    is a fresh expansion of that level's f."""
+    is a fresh expansion of relevel(f, level)."""
     vars = infer_variables(shape.src)
     ctx = RingContext(shape.p, vars)
     f = parse_poly(shape.src, ctx)
@@ -243,8 +252,28 @@ def test_profile_levels_share_the_level_zero_powers(shape, a, b):
     base = analyze(f, ctx)
     for level in range(4):
         facts = relevel_facts(base, level)
-        assert relevel(facts.power(b), level) == pow_mixed(facts.f, b)
+        assert relevel(facts.power(b), level) == pow_mixed(relevel(f, level), b)
     assert base.power(b) == pow_mixed(f, b)
+
+
+@given(shape=pi_slot_diagonal())
+@settings(max_examples=100, deadline=None)
+def test_profile_levels_read_the_blown_up_diagonal(shape):
+    """At levels 0-3 the diagonal record of pi^t + x_1^{s_1} + ... keeps
+    the digit level, fpt and lct of the diagonal (*xs, t p^a), or None when
+    some exponent is 1."""
+    vars = infer_variables(shape.src)
+    ctx = RingContext(shape.p, vars)
+    base = analyze(parse_poly(shape.src, ctx), ctx)
+    for a in range(4):
+        diag = relevel_facts(base, a).diag
+        exps = (*diag.xs, base.diag.pi_order * shape.p**a)
+        assert diag.pi_order == exps[-1]
+        if 1 in exps:
+            assert diag.digits is None
+        else:
+            want = (compute_L(shape.p, exps), fpt_diagonal(shape.p, exps), lct_diagonal(exps))
+            assert diag.digits == want
 
 
 def _unit_part(c: int, p: int) -> int:
@@ -274,8 +303,8 @@ def test_diagonal_record_reads_as_the_terms(shape, u, negate):
     """The analysis reads u*f's diagonal once: its slots and x-exponents are
     the x-terms' in term order, it is monic exactly when the pi-pure term's
     unit part is 1 (where there is one) and every x-coefficient is 1, and
-    its digits are the full diagonal's digit reading, pi-slot included, or
-    None when some exponent is 1."""
+    its digits are the digit reading of the full diagonal, the pi-slot as
+    one more exponent, or None when some exponent is 1."""
     p = shape.p
     if u % p == 0:
         u += 1
@@ -294,4 +323,4 @@ def test_diagonal_record_reads_as_the_terms(shape, u, negate):
     if 1 in diag.exponents():
         assert diag.digits is None
     else:
-        assert diag.digits == diagonal_digits(p, diag.xs, diag.pi_order or 0)[2:]
+        assert diag.digits == diagonal_digits(p, diag.exponents())
