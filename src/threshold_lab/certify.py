@@ -109,8 +109,10 @@ from .poly import (
     weighted_membership,
 )
 
-# Level e of the Frobenius oracle bracket [nu_e/p^e, (nu_e+1)/p^e] used when
-# fpt(f mod pi) has no closed form.
+# Level e of the Frobenius oracle bracket (nu_e/p^e, (nu_e+1)/p^e] used when
+# fpt(f mod pi) has no closed form.  The bracket is open at the lower end,
+# but the rules still read that end as a non-strict bound (ROADMAP.md,
+# "Read the oracle exactly", makes it strict).
 ORACLE_LEVEL = 2
 
 

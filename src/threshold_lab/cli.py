@@ -338,8 +338,8 @@ def _lower_sum(read, ctx: RingContext, slots: dict, zero_exps: list) -> dict:
     sign = 1
     while True:
         # The term is c * pi^pi * x^exps (c = 0 for zero) until a group of
-        # more terms, or a first factor past the coefficient budget, makes
-        # it the dict acc; c * pi^pi * x^exps is then each further factor.
+        # more terms makes it the dict acc; c * pi^pi * x^exps is then each
+        # further factor.
         c, pi, exps = 1, 0, zero_exps.copy()
         acc, products, first = None, 0, True
         op = "*"
@@ -369,9 +369,6 @@ def _lower_sum(read, ctx: RingContext, slots: dict, zero_exps: list) -> dict:
                         pi += n
                     else:
                         exps[slot] += n
-                    if acc is None:  # a name leaves c as it is, within the budget
-                        first = False
-                        continue
                     k = 1
                 elif text.isdigit():
                     k = int(text)
@@ -387,10 +384,8 @@ def _lower_sum(read, ctx: RingContext, slots: dict, zero_exps: list) -> dict:
             if acc is not None:
                 acc, products = _times(ctx, acc, {(pi, tuple(exps)): c} if c else {}, products)
                 c, pi, exps = 1, 0, zero_exps.copy()
-            elif c.bit_length() > MAX_COEFFICIENT_BITS:
-                if not first:
-                    raise _coefficient_budget("a coefficient")
-                acc, c, pi, exps = {(pi, tuple(exps)): c}, 1, 0, zero_exps.copy()
+            elif not first and c.bit_length() > MAX_COEFFICIENT_BITS:
+                raise _coefficient_budget("a coefficient")
             first = False
         if acc is None:
             if c:

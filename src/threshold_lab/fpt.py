@@ -4,8 +4,11 @@ For f in the maximal ideal of F_p[[x_1..x_n]] and e >= 1, let
 
     nu_e(f) = max { nu >= 0 : f^nu not in (x_1^{p^e}, ..., x_n^{p^e}) }.
 
-Then nu_e / p^e <= fpt(f) <= (nu_e + 1) / p^e, and fpt(f) is the supremum of
-the lower ends.  :func:`frobenius_nu` computes nu_e level by level: by
+Then nu_e = ceil(p^e fpt(f)) - 1 (Blickle-Mustata-Smith, Michigan Math. J.
+57, 2008), so nu_e / p^e < fpt(f) <= (nu_e + 1) / p^e, and fpt(f) is the
+supremum of the lower ends.  The rules of :mod:`.certify` still read the
+lower end as a non-strict bound (ROADMAP.md, "Read the oracle exactly",
+makes it strict).  :func:`frobenius_nu` computes nu_e level by level: by
 Mustata-Takagi-Watanabe ("F-thresholds and Bernstein-Sato polynomials",
 2005) nu_{e+1} lies in [p nu_e, p nu_e + p - 1], and the Frobenius power of
 f^{nu_e} mod (x_i^{p^e}) is f^{p nu_e} mod (x_i^{p^{e+1}}), so each level
@@ -124,8 +127,8 @@ def fpt_diagonal(p: int, exponents: tuple[int, ...]) -> Rat:
 def diagonal_digits(p: int, exps: tuple[int, ...]) -> tuple[int | float, Rat, Rat]:
     """(L, fpt, lct) of the diagonal with exponents exps, from one digit walk
     (see the module docstring).  With L infinite, fpt = sum_i 1/s_i, which
-    is then at most 1, so it is the lct.  p is not checked, and the walk
-    takes the exponents as integers >= 2."""
+    is then at most 1, so it is the lct.  p is not checked; the exponents
+    are, on every call, by lct_diagonal after the walk."""
     level = _first_column(p, exps)
     lct = lct_diagonal(exps)
     if level == INFINITE:
@@ -231,7 +234,7 @@ def frobenius_nu(f: SparsePolyFp, e: int) -> int:
 
 
 class FptBracket(NamedTuple):
-    """The two-sided oracle bound nu_e/p^e <= fpt <= (nu_e + 1)/p^e."""
+    """The half-open oracle bound nu_e/p^e < fpt <= (nu_e + 1)/p^e."""
 
     e: int
     nu: int

@@ -33,18 +33,23 @@ from threshold_lab.certify import (
     rule_threshold_cap,
 )
 from threshold_lab.cli import infer_variables, parse_poly
-from threshold_lab.exact import format_rat
 from threshold_lab.fpt import fpt_diagonal
 from threshold_lab.poly import (
-    MembershipResult,
     MixedPoly,
-    in_frobenius_power,
     pow_mixed,
     pth_root_mod_fp,
     reduce_mod_pi,
     weighted_membership,
 )
 from threshold_lab.verify import golden_cases, mixed_diagonal_poly, random_diagonal_instance
+
+from reference import (
+    _list_intersection,
+    all_pairs_alarm,
+    extremal_by_enumeration,
+    lift_by_pow_mixed,
+    sorted_scan,
+)
 
 F = Fraction
 
@@ -206,42 +211,6 @@ def test_extremal_abstains_at_positive_ram_level():
     assert rule_extremal_strict(analyze(f, ctx_of(f))) is None
 
 
-def extremal_by_enumeration(f, ctx):
-    """rule_extremal_strict's match as it was first written: every q = p^e
-    up to f's degree, every pair of variables and both patterns, keeping the
-    least e (then the first pair and pattern); returns (e, i, j, pattern)."""
-    p, n = ctx.p, ctx.n_vars
-    max_deg = max((sum(e) for (_pi, e) in f.terms), default=0)
-    best = None
-    e = 1
-    while p**e + 1 <= max_deg:
-        q = p**e
-        for i in range(n):
-            for j in range(i + 1, n):
-                for pattern in (((q + 1, 0), (0, q + 1)), ((q, 1), (1, q))):
-                    keys = []
-                    for di, dj in pattern:
-                        exp = [0] * n
-                        exp[i], exp[j] = di, dj
-                        keys.append((0, tuple(exp)))
-                    if any(f.terms.get(k) != 1 for k in keys):
-                        continue
-                    ok = True
-                    for key, c in f.terms.items():
-                        if key in keys:
-                            continue
-                        pi, exps = key
-                        others = sum(exps[t] for t in range(n) if t not in (i, j))
-                        order = ctx.pi_order(pi, c)
-                        if (order < 1 and others < 1) or not in_frobenius_power(order, exps, q):
-                            ok = False
-                            break
-                    if ok and (best is None or e < best[0]):
-                        best = (e, i, j, pattern)
-        e += 1
-    return best
-
-
 @st.composite
 def extremal_candidates(draw):
     """Level-0 polynomials in 1-3 variables: pure powers x_i^(q+1) and x_j^(q+1)
@@ -376,64 +345,6 @@ def test_pth_root_cyclotomic():
     # reduced to -3 - 3 varpi, not key by key
     ctx = RingContext(3, ("x", "y"), cyclotomic=True)
     assert certify(parse_poly("x^3 + p^2*y + 3*y", ctx), ctx).upper == F(1, 3)
-
-
-def _cyclo_reduce(coeffs, p):
-    """Reduce an integer polynomial in t modulo Phi_p(t) = 1 + t + ... + t^{p-1}."""
-    out = list(coeffs)
-    for d in range(len(out) - 1, p - 2, -1):
-        c = out[d]
-        if c:
-            out[d] = 0
-            for k in range(d - (p - 1), d):
-                out[k] -= c
-    del out[p - 1:]
-    while len(out) < p - 1:
-        out.append(0)
-    return out
-
-
-def _cyclo_pi_power(k, p):
-    """(t - 1)^k reduced modulo Phi_p(t): varpi^k in the basis 1, ..., t^{p-2}
-    of Z[zeta_p], t = zeta_p."""
-    return _cyclo_reduce([math.comb(k, j) * (-1) ** (k - j) for j in range(k + 1)], p)
-
-
-def _in_varpi_pth(coeffs, p):
-    """Membership in (varpi^p) = (p varpi) inside Z[zeta_p]: p divides every
-    power-basis coordinate of x and x/p maps to 0 in the residue field
-    Z[zeta_p]/(varpi) = F_p (evaluation at zeta_p -> 1)."""
-    if any(c % p for c in coeffs):
-        return False
-    return sum(c // p for c in coeffs) % p == 0
-
-
-def lift_by_pow_mixed(f, ctx):
-    """pth_root_modulo as it was first written: the canonical lift h of the
-    root mod p, and f - pow_mixed(h, p) tested at the ring's modulus, over
-    the cyclotomic base in the zeta-power basis of Z[zeta_p]."""
-    p = ctx.p
-    root_bar = pth_root_mod_fp(reduce_mod_pi(f))
-    if root_bar is None:
-        return None
-    h = MixedPoly(p, 0, ctx.vars, {(0, e): c for e, c in root_bar.terms.items()})
-    hp = pow_mixed(h, p)
-    if not ctx.cyclotomic:
-        for key in set(f.terms) | set(hp.terms):
-            delta = f.terms.get(key, 0) - hp.terms.get(key, 0)
-            if delta and ctx.pi_order(key[0], delta) < 2:
-                return None
-        return h
-    by_monomial = {}
-    for (pi, exps), c in f.terms.items():
-        acc = by_monomial.setdefault(exps, [0] * max(1, p - 1))
-        for k, v in enumerate(_cyclo_pi_power(pi, p)):
-            acc[k] += c * v
-    for (_pi, exps), c in hp.terms.items():
-        by_monomial.setdefault(exps, [0] * max(1, p - 1))[0] -= c
-    if all(_in_varpi_pth(_cyclo_reduce(coeffs, p), p) for coeffs in by_monomial.values()):
-        return h
-    return None
 
 
 @st.composite
@@ -895,15 +806,6 @@ def test_shared_power_alarm_names_the_level_witness(monkeypatch):
     )
 
 
-def sorted_scan(f, ctx, q):
-    """weighted_membership as it was first written: the terms of f in
-    graded-lex order, stopping at the first outside (pi^q, x_i^q)."""
-    for (pi, exps), c in f.sorted_terms():
-        if not in_frobenius_power(ctx.pi_order(pi, c), exps, q):
-            return MembershipResult(False, (pi, exps))
-    return MembershipResult(True, None)
-
-
 # pi-slot diagonals, pi-terms with p-content and a unit other than 1 included
 LEVEL_ZERO_DIAGONALS = (
     ({(1, (0, 0)): 1, (0, (2, 0)): 1, (0, (0, 3)): 1}, (1, 2, 3)),
@@ -1054,24 +956,6 @@ def test_cross_level_bounds_may_touch(monkeypatch):
     ]
 
 
-def all_pairs_alarm(steps):
-    """The cross-level check on every pair of levels, as limit_profile made
-    it before it kept one least upper bound: the first level whose lower
-    bound excludes an earlier level's upper bound, with all the earlier
-    levels it excludes, or None."""
-    for later in steps:
-        excluded = [
-            earlier for earlier in steps[:later.level]
-            if later.lower is not None and earlier.upper is not None
-            and (later.lower > earlier.upper or (
-                later.lower == earlier.upper and (later.lower_strict or earlier.upper_strict)
-            ))
-        ]
-        if excluded:
-            return later.level, excluded
-    return None
-
-
 # One level's bound for _bogus_cap: a lower or an upper bound in [3/4, 1]
 # that f's own non-strict bounds [3/4, 1] at that level do not contradict.
 LEVEL_BOUND = st.none() | st.tuples(
@@ -1107,38 +991,6 @@ def test_cross_level_alarm_matches_all_pairs(levels):
     message = str(info.value)
     assert f"at ram level {later} excludes" in message
     assert message.endswith(f"at ram level {least.level}")
-
-
-def _list_intersection(results):
-    """The list-based intersection certify made before the one-scan
-    _intersect: max and min over (value, strict, rule id) lists."""
-    lowers, uppers = [], []
-    for res in results:
-        if res.lower is not None:
-            lowers.append((res.lower.value, res.lower.strict, res.rule_id))
-        if res.upper is not None:
-            uppers.append((res.upper.value, res.upper.strict, res.rule_id))
-    lower = lower_strict = upper = upper_strict = None
-    if lowers:
-        lower = max(v for (v, _s, _r) in lowers)
-        lower_strict = any(s for (v, s, _r) in lowers if v == lower)
-    if uppers:
-        upper = min(v for (v, _s, _r) in uppers)
-        upper_strict = any(s for (v, s, _r) in uppers if v == upper)
-    if lower is not None and upper is not None:
-        if lower > upper or (lower == upper and (lower_strict or upper_strict)):
-            lo_rules = sorted({r for (v, _s, r) in lowers if v == lower})
-            hi_rules = sorted({r for (v, _s, r) in uppers if v == upper})
-            raise InternalInconsistencyError(
-                f"certified lower {format_rat(lower)}"
-                f"{' (strict)' if lower_strict else ''} from {lo_rules} excludes "
-                f"certified upper {format_rat(upper)}"
-                f"{' (strict)' if upper_strict else ''} from {hi_rules}"
-            )
-    exact = None
-    if lower is not None and lower == upper and not lower_strict and not upper_strict:
-        exact = lower
-    return lower, bool(lower_strict), upper, bool(upper_strict), exact
 
 
 BOUND_VALUES = st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)])

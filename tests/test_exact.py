@@ -18,36 +18,11 @@ from threshold_lab.exact import (
     require_prime,
 )
 
+from reference import expansion_value, truncation
+
 F = Fraction
 
 PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13])
-
-
-def from_digits(digits, p):
-    """The integer whose base-p digits, most significant first, are digits.
-    The two halves are read apart and joined, so the cost is near-linear
-    where one digit-by-digit fold is quadratic."""
-    if len(digits) <= 64:
-        n = 0
-        for d in digits:
-            n = n * p + d
-        return n
-    mid = len(digits) // 2
-    return from_digits(digits[:mid], p) * p ** (len(digits) - mid) + from_digits(digits[mid:], p)
-
-
-def expansion_value(exp):
-    """The rational an expansion stands for: with its k preperiod digits
-    read as the integer A and its m period digits as B, that is
-    (A (p^m - 1) + B) / (p^k (p^m - 1))."""
-    p, k, m = exp.p, len(exp.preperiod), len(exp.period)
-    cycle = p**m - 1
-    return F(from_digits(exp.preperiod, p) * cycle + from_digits(exp.period, p), p**k * cycle)
-
-
-def truncation(exp, L):
-    """The partial sum d_1 p^-1 + ... + d_L p^-L of an expansion."""
-    return F(from_digits([exp.digit_at(e) for e in range(1, L + 1)], exp.p), exp.p**L)
 
 
 @pytest.mark.parametrize("n, expected", [

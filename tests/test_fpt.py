@@ -1,7 +1,6 @@
 """Tests for diagonal threshold formulas and the Frobenius-power search oracle."""
 
 import itertools
-import math
 import sys
 from fractions import Fraction
 
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threshold_lab.exact import expand_base_p, is_prime
+from threshold_lab.exact import is_prime
 from threshold_lab.fpt import (
     INFINITE,
     ResourceGuardError,
@@ -22,6 +21,8 @@ from threshold_lab.fpt import (
     oracle_bracket,
 )
 from threshold_lab.poly import SparsePolyFp
+
+from reference import fermat_reference, nu_reference, reference_fpt, reference_L
 
 F = Fraction
 
@@ -75,44 +76,6 @@ def test_fpt_diagonal_values(p, exps, value):
 
 def test_fpt_diagonal_order_invariant():
     assert fpt_diagonal(3, (2, 5, 4)) == fpt_diagonal(3, (5, 4, 2))
-
-
-def reference_L(p, exps):
-    """L from the expansions themselves: the first digit column of the 1/s_i
-    summing to p or more, scanned over one preperiod-plus-period window."""
-    expansions = [expand_base_p(F(1, s), p) for s in exps]
-    window = max(len(x.preperiod) for x in expansions) + math.lcm(
-        *(len(x.period) for x in expansions)
-    )
-    for j in range(1, window + 1):
-        if sum(x.digit_at(j) for x in expansions) >= p:
-            return j - 1
-    return INFINITE
-
-
-def from_digits(digits, p):
-    """The integer whose base-p digits, most significant first, are digits.
-    The two halves are read apart and joined, so the cost is near-linear
-    where one digit-by-digit fold is quadratic."""
-    if len(digits) <= 64:
-        n = 0
-        for d in digits:
-            n = n * p + d
-        return n
-    mid = len(digits) // 2
-    return from_digits(digits[:mid], p) * p ** (len(digits) - mid) + from_digits(digits[mid:], p)
-
-
-def reference_fpt(p, exps):
-    """Hernandez's formula evaluated on the L-digit truncations of the 1/s_i."""
-    level = reference_L(p, exps)
-    if level == INFINITE:
-        return sum(F(1, s) for s in exps)
-    # p^L times the L-digit truncation of 1/s is its first L digits read as
-    # one base-p integer.
-    expansions = [expand_base_p(F(1, s), p) for s in exps]
-    scaled = sum(from_digits([x.digit_at(e) for e in range(1, level + 1)], p) for x in expansions)
-    return F(scaled + 1, p**level)
 
 
 def assert_matches_reference(p, exps):
@@ -187,17 +150,6 @@ def test_pi_slot_walk_long_periods():
     full_level, full_value, _lct = diagonal_digits(3, (*xs, 2))
     assert (level, full_level) == (26, 18) == (compute_L(3, xs), compute_L(3, (2, *xs)))
     assert (value, full_value) == (fpt_diagonal(3, xs), fpt_diagonal(3, (2, *xs)))
-
-
-def fermat_reference(p, d):
-    """fpt of the d-variable Fermat diagonal in closed form: 1/p^s with
-    p^s <= d < p^(s+1) when d >= p, else 1 - (a - 1)/p with a = p mod d."""
-    if d >= p:
-        s = 0
-        while p ** (s + 1) <= d:
-            s += 1
-        return F(1, p**s)
-    return 1 - F(p % d - 1, p)
 
 
 @pytest.mark.parametrize("p, d, value", [
@@ -325,23 +277,6 @@ def test_resource_guard_env_must_be_a_positive_integer(monkeypatch, value):
     assert frobenius_nu(f, 3) == 3
 
 
-def nu_reference(f, e):
-    """nu_e by brute force: multiply by f, dropping every term with an
-    exponent >= p^e, until the product is zero."""
-    q = f.p**e
-    g, nu = {(0,) * len(f.vars): 1}, -1
-    while g:
-        nu += 1
-        out = {}
-        for e1, c1 in g.items():
-            for e2, c2 in f.terms.items():
-                k = tuple(a + b for a, b in zip(e1, e2))
-                if max(k) < q:
-                    out[k] = out.get(k, 0) + c1 * c2
-        g = {k: r for k, c in out.items() if (r := c % f.p)}
-    return nu
-
-
 @st.composite
 def sparse_polys(draw, max_level=3, max_space=5000):
     """(f, e): 1-4 terms in 1-3 variables over F_p, p^(e*n) <= max_space.
@@ -426,6 +361,25 @@ def test_formula_lies_in_oracle_bracket(p, exps):
         br = oracle_bracket(f, e)
         assert br.lower <= value <= br.upper
         assert br.lower == F(br.nu, p**e)
+
+
+def test_oracle_bracket_is_half_open():
+    """nu_e = ceil(p^e fpt) - 1, that is nu_e/p^e < fpt <= (nu_e + 1)/p^e
+    (Blickle-Mustata-Smith, Michigan Math. J. 57, 2008), on every diagonal
+    of one to three exponents in 2..8 at each level e <= 3 with
+    p^(e n) <= 10^6; the upper end is met too."""
+    met = 0
+    for p in PRIMES:
+        for n in (1, 2, 3):
+            for exps in itertools.combinations_with_replacement(range(2, 9), n):
+                f, value = diagonal_poly(p, exps), fpt_diagonal(p, exps)
+                for e in range(1, 4):
+                    if p ** (e * n) > 10**6:
+                        break
+                    br = oracle_bracket(f, e)
+                    assert br.lower < value <= br.upper, (p, exps, e)
+                    met += value == br.upper
+    assert met
 
 
 @given(p=st.sampled_from(PRIMES), exps=diag_exps)

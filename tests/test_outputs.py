@@ -11,9 +11,9 @@ here.  When such a change is intended, rewrite the file with
     PYTHONPATH=src python tests/test_outputs.py --regenerate
 
 The writers ``BoundCertificate.to_json`` and ``LimitProfile.to_json`` build
-their text directly.  The reference renderer below builds the same document
-as a dict tree and renders it with ``json.dumps(doc, separators=(",", ":"))``;
-the two must agree byte for byte on the pinned inputs, the golden table and
+their text directly.  The reference renderer in ``reference.py`` builds the
+same document as a dict tree and renders it with
+``json.dumps(doc, separators=(",", ":"))``; the two must agree byte for byte on the pinned inputs, the golden table and
 a hypothesis draw of certificates and profiles, both computed ones and ones
 assembled from drawn fields (any text in names, rule texts and notes,
 missing bounds, ``attained`` true, false or null).
@@ -41,9 +41,10 @@ from threshold_lab.certify import (
     limit_profile,
 )
 from threshold_lab.cli import infer_variables, parse_poly
-from threshold_lab.exact import format_rat
 from threshold_lab.poly import MixedPoly
 from threshold_lab.verify import golden_cases
+
+from reference import certificate_doc, profile_doc, reference_json
 
 PINNED = Path(__file__).parent / "data" / "pinned_outputs.jsonl"
 
@@ -124,62 +125,6 @@ def test_output_is_pinned(name):
 
 
 # -- the writers against the reference renderer ----------------------------
-
-
-def _rat_doc(q):
-    return None if q is None else format_rat(q)
-
-
-def certificate_doc(cert: BoundCertificate) -> dict:
-    """The certificate as a dict tree, in the key order of the JSON."""
-    f, ctx = cert.poly, cert.ctx
-
-    def bound_doc(value, strict):
-        return None if value is None else {"value": format_rat(value), "strict": strict}
-
-    return {
-        "input": {
-            "p": f.p,
-            "ram_level": f.ram_level,
-            "vars": list(f.vars),
-            "terms": [
-                {"pi": pi, "exps": list(e), "coeff": str(c)} for (pi, e), c in f.sorted_terms()
-            ],
-            "ctx": {
-                "p": ctx.p,
-                "ram_level": ctx.ram_level,
-                "cyclotomic": ctx.cyclotomic,
-                "vars": list(ctx.vars),
-            },
-        },
-        "lower": bound_doc(cert.lower, cert.lower_strict),
-        "upper": bound_doc(cert.upper, cert.upper_strict),
-        "exact": _rat_doc(cert.exact),
-        "rules": [
-            {"id": r.rule_id, "paper_ref": r.statement, "quote": r.quote,
-             "hypotheses": list(r.hypotheses)}
-            for r in cert.rules
-        ],
-        "notes": list(cert.notes),
-    }
-
-
-def profile_doc(profile: LimitProfile) -> dict:
-    """The limit profile as a dict tree, in the key order of the JSON."""
-    return {
-        "steps": [
-            {"ram_level": s.level, "lower": _rat_doc(s.lower), "upper": _rat_doc(s.upper),
-             "exact": _rat_doc(s.exact)}
-            for s in profile.steps
-        ],
-        "limit": _rat_doc(profile.limit),
-        "attained": profile.attained,
-        "notes": list(profile.notes),
-    }
-
-
-def reference_json(doc: dict) -> str:
-    return json.dumps(doc, separators=(",", ":"))
 
 
 def assert_matches_reference(out) -> None:

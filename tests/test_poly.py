@@ -17,25 +17,11 @@ from threshold_lab.poly import (
     weighted_membership,
 )
 
+from reference import fp_mul, frobenius
+
 
 def sp(p, vars, terms):
     return SparsePolyFp(p, tuple(vars), dict(terms))
-
-
-def fp_mul(f, g):
-    """f * g over F_p, term by term; the constructor reduces mod p."""
-    out = {}
-    for e1, c1 in f.terms.items():
-        for e2, c2 in g.terms.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return SparsePolyFp(f.p, f.vars, out)
-
-
-def frobenius(h):
-    """h^p over F_p: c^p = c and (a + b)^p = a^p + b^p, so the exponents
-    are multiplied by p."""
-    return sp(h.p, h.vars, {tuple(h.p * e for e in exps): c for exps, c in h.terms.items()})
 
 
 # -- SparsePolyFp ----------------------------------------------------------
