@@ -37,7 +37,6 @@ from .fpt import (
     FptBracket,
     ResourceGuardError,
     compute_L,
-    diagonal_poly,
     fpt_diagonal,
     frobenius_nu,
     lct_diagonal,
@@ -53,6 +52,7 @@ from .poly import (
     reduce_mod_pi,
     weighted_membership,
 )
+from .verify import diagonal_poly
 
 __version__ = "0.1.0"
 

@@ -88,7 +88,7 @@ def compute_L(p: int, exponents: tuple[int, ...]) -> int | float:
     """Least L >= 0 with sum_i d_i^(L+1) >= p, or INFINITE if no digit column
     of the expansions of the 1/s_i ever sums to p or more."""
     require_prime(p)
-    return diagonal_digits(p, _check_exponents(exponents))[0]
+    return diagonal_digits(p, exponents)[0]
 
 
 def _first_column(p: int, exps: tuple[int, ...]) -> int | float:
@@ -121,16 +121,17 @@ def _first_column(p: int, exps: tuple[int, ...]) -> int | float:
 def fpt_diagonal(p: int, exponents: tuple[int, ...]) -> Rat:
     """Exact F-pure threshold of x_1^{s_1} + ... + x_n^{s_n} over F_p."""
     require_prime(p)
-    return diagonal_digits(p, _check_exponents(exponents))[1]
+    return diagonal_digits(p, exponents)[1]
 
 
 def diagonal_digits(p: int, exps: tuple[int, ...]) -> tuple[int | float, Rat, Rat]:
     """(L, fpt, lct) of the diagonal with exponents exps, from one digit walk
     (see the module docstring).  With L infinite, fpt = sum_i 1/s_i, which
     is then at most 1, so it is the lct.  p is not checked; the exponents
-    are, on every call, by lct_diagonal after the walk."""
+    are, once per call, before the walk."""
+    exps = _check_exponents(exps)
     level = _first_column(p, exps)
-    lct = lct_diagonal(exps)
+    lct = _lct(exps)
     if level == INFINITE:
         return level, lct, lct
     q = p**level
@@ -139,7 +140,11 @@ def diagonal_digits(p: int, exps: tuple[int, ...]) -> tuple[int | float, Rat, Ra
 
 def lct_diagonal(exponents: tuple[int, ...]) -> Rat:
     """Log canonical threshold of a diagonal: min(1, sum_i 1/s_i)."""
-    exps = _check_exponents(exponents)
+    return _lct(_check_exponents(exponents))
+
+
+def _lct(exps: tuple[int, ...]) -> Rat:
+    """:func:`lct_diagonal` of exponents that are already checked."""
     den = math.lcm(*exps)
     num = sum(den // s for s in exps)
     return Rat(1) if num >= den else Rat(num, den)
@@ -247,16 +252,3 @@ def oracle_bracket(f: SparsePolyFp, e: int) -> FptBracket:
     nu = frobenius_nu(f, e)
     q = f.p**e
     return FptBracket(e=e, nu=nu, lower=Rat(nu, q), upper=Rat(nu + 1, q))
-
-
-def diagonal_poly(p: int, exponents: tuple[int, ...]) -> SparsePolyFp:
-    """The diagonal x_1^{s_1} + ... + x_n^{s_n} as a SparsePolyFp, in the
-    variables x, y, z, or x1..xn past three."""
-    n = len(exponents)
-    vars = tuple(f"x{i}" for i in range(1, n + 1)) if n > 3 else ("x", "y", "z")[:n]
-    terms = {}
-    for i, s in enumerate(exponents):
-        exps = [0] * n
-        exps[i] = s
-        terms[tuple(exps)] = terms.get(tuple(exps), 0) + 1
-    return SparsePolyFp(p, vars, terms)

@@ -1165,10 +1165,20 @@ def test_cli_limit_profile_json(capsys):
     assert [s["upper"] for s in doc["steps"]] == ["3/4", "1/2"]
 
 
-def test_cli_verify_suite(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "combinatorics")
-    assert code == 0
-    assert "checks passed" in out
+def test_cli_verify_suite(capsys, monkeypatch, suite_checks):
+    """verify prints one line per check and the summary, and exits 0; the
+    checks are the session's one run of each suite."""
+    suites = sys.modules["threshold_lab.verify"].SUITES
+    for suite, summary in (
+        ("combinatorics", "5/5 checks passed"),
+        ("oracle", "6/6 checks passed"),
+        ("certify", "11/11 checks passed"),
+    ):
+        results, _ = suite_checks(suite)
+        monkeypatch.setitem(suites, suite, lambda results=results: results)
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite)
+        assert code == 0
+        assert out.splitlines() == [c.line() for c in results] + [summary]
 
 
 def test_cli_verify_takes_no_prime_max(capsys):

@@ -14,13 +14,13 @@ from threshold_lab.fpt import (
     ResourceGuardError,
     compute_L,
     diagonal_digits,
-    diagonal_poly,
     fpt_diagonal,
     frobenius_nu,
     lct_diagonal,
     oracle_bracket,
 )
 from threshold_lab.poly import SparsePolyFp
+from threshold_lab.verify import diagonal_poly
 
 from reference import fermat_reference, nu_reference, reference_fpt, reference_L
 
@@ -187,6 +187,26 @@ def test_diagonal_exponents_checked_alike(exps):
         lct_diagonal(exps)
     with pytest.raises(ValueError):
         fpt_diagonal(3, exps)
+
+
+@pytest.mark.parametrize("exps", [(0, 2), (1, 2)])
+def test_digit_kernel_checks_exponents_before_the_walk(exps):
+    """diagonal_digits refuses an exponent below 2 before its digit walk,
+    which would divide by a zero exponent."""
+    with pytest.raises(ValueError, match="integers >= 2"):
+        diagonal_digits(3, exps)
+
+
+def test_diagonal_functions_check_exponents_once(monkeypatch):
+    """compute_L, fpt_diagonal and diagonal_digits each check their
+    exponents once per call."""
+    mod = sys.modules["threshold_lab.fpt"]
+    check, calls = mod._check_exponents, []
+    monkeypatch.setattr(mod, "_check_exponents", lambda exps: calls.append(exps) or check(exps))
+    for diagonal_function in (compute_L, fpt_diagonal, diagonal_digits):
+        calls.clear()
+        diagonal_function(5, (2, 3))
+        assert calls == [(2, 3)], diagonal_function.__name__
 
 
 # -- Frobenius oracle ------------------------------------------------------
