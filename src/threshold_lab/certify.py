@@ -32,8 +32,8 @@ Each input is read once: :func:`analyze` checks f against its ring and, in
 one scan of its terms in the order the certificate writes them, reads the
 residue f mod pi, the pure-power diagonal and the base ring level into a
 frozen :class:`Facts`.  The diagonal is one :class:`MixedDiagonal` record:
-its pi-order, variable slots and x-exponents, whether it is monic, and the
-full diagonal's digit level, fpt and lct.  The characteristic-p digit
+its pi-order, variable slots and x-exponents, whether it is monic, the
+x-exponents' digit level, and the full diagonal's digit level, fpt and lct.  The characteristic-p digit
 kernel :func:`~.fpt.diagonal_digits` reads the residue's x-exponents for
 its closed-form fpt and, with a pi-slot t, the blown-up diagonal with t as
 one more exponent; the rules read the record's fields.  The residue's
@@ -47,8 +47,9 @@ each call, so a rule replaced on the module is the one that runs;
 and :func:`certify` builds its :class:`BoundCertificate` from that.
 :func:`limit_profile` reads level 0 off the analysis of f, derives every
 later level's :class:`Facts` with :func:`relevel_facts` (the level-0 f, the
-diagonal record with its pi-order scaled and its digits walked again), and
-keeps only each level's intersected bounds, so it renders no rule text.
+diagonal record with its pi-order scaled and its digits from column a on,
+by :func:`level_digits`), and keeps only each level's intersected bounds,
+so it renders no rule text.
 The levels share f, the oracle brackets and the containment powers: each
 f^b is expanded once, at level 0, and :func:`weighted_membership` reads it
 at each level's scale.
@@ -93,6 +94,8 @@ from .fpt import (
     INFINITE,
     FptBracket,
     ResourceGuardError,
+    _first_column,
+    _reading,
     diagonal_digits,
     fpt_diagonal,
     oracle_bracket,
@@ -257,6 +260,7 @@ class MixedDiagonal(NamedTuple):
     ``pi_order`` is the effective pi-order t of the pi-pure term (None when f
     has no such term); ``monic`` says whether every unit u is 1; ``slots``
     are the variable indices j_i and ``xs`` the exponents s_i, in term order;
+    ``x_level`` is the digit level L_x of the xs alone (INFINITE without xs);
     ``digits`` is the digit level L, fpt and lct of the full diagonal, the
     pi-order t read as one more exponent (Hernandez's digit formula), or
     None when some exponent is 1.
@@ -266,6 +270,7 @@ class MixedDiagonal(NamedTuple):
     monic: bool
     slots: tuple[int, ...]
     xs: tuple[int, ...]
+    x_level: int | float
     digits: tuple[int | float, Rat, Rat] | None
 
     def exponents(self) -> tuple[int, ...]:
@@ -390,17 +395,17 @@ def analyze(f: MixedPoly, ctx: RingContext) -> Facts:
     a = ctx.ram_level
     base_level = a - min(a, _valuation(pis, p)) if pis and a else 0
     diag = digits = residue_fpt = None
-    xs = tuple(found.values())
+    xs, x_level = tuple(found.values()), INFINITE
     if shaped and split:
         if 1 in xs:
             residue_fpt = Rat(1)
         else:
             if xs:
                 digits = diagonal_digits(p, xs)
-                residue_fpt = digits[1]
+                x_level, residue_fpt, _lct = digits
             if pi_order is not None:
                 digits = diagonal_digits(p, (*xs, pi_order)) if pi_order > 1 else None
-        diag = MixedDiagonal(pi_order, monic, tuple(found), xs, digits)
+        diag = MixedDiagonal(pi_order, monic, tuple(found), xs, x_level, digits)
     elif len(residue) == 1:
         residue_fpt = Rat(1, max(next(iter(residue))))
     elif split and residue:
@@ -422,19 +427,17 @@ def relevel_facts(facts: Facts, a: int) -> Facts:
     the x-exponents and the monic flag are the same), and every positive
     pi-exponent of relevel(f, a) is divisible by p^a, so the base ring level
     is 0.  The level's :class:`MixedDiagonal` is the level-0 record with the
-    scaled pi-order t p^a and the digits of the diagonal (*xs, t p^a); the
-    residue's walk is not repeated.  f and the residue being the same, the
-    derived facts share the oracle brackets and the powers of f with
-    ``facts``, so each f^b is expanded once across the levels.
+    scaled pi-order t p^a and the :func:`level_digits` of (*xs, t p^a).  The
+    derived facts share f, the residue, the oracle brackets and the powers
+    of f with ``facts``, so each f^b is expanded once across the levels.
     """
     ctx = facts.ctx
     if ctx.ram_level != 0 or ctx.cyclotomic:
         raise ValueError("relevel_facts expects the analysis of a level-0 polynomial")
     diag = facts.diag
     if a and diag is not None and diag.pi_order is not None:
-        t = diag.pi_order * ctx.p**a
-        digits = None if 1 in diag.xs else diagonal_digits(ctx.p, (*diag.xs, t))
-        diag = diag._replace(pi_order=t, digits=digits)
+        digits = None if 1 in diag.xs else level_digits(diag, ctx.p, a)
+        diag = diag._replace(pi_order=diag.pi_order * ctx.p**a, digits=digits)
     return Facts(
         f=facts.f,
         ctx=ctx._replace(ram_level=a),
@@ -446,6 +449,17 @@ def relevel_facts(facts: Facts, a: int) -> Facts:
         powers=facts.powers,
         terms=facts.terms,
     )
+
+
+def level_digits(diag: MixedDiagonal, p: int, a: int) -> tuple[int | float, Rat, Rat]:
+    """``diagonal_digits(p, (*xs, t p^a))`` of a level-0 record, at a >= 1.
+    1/(t p^a) has the digit 0 in columns 1..a, then those of 1/t, so with
+    L_x < a the reading is (L_x, the residue's fpt, the lct); otherwise the
+    walk resumes at column a from the remainders (p^a - 1) mod s_i and 0."""
+    xs, t, level = diag.xs, diag.pi_order, diag.x_level
+    if level >= a:
+        level = a + _first_column(p, (*xs, t), (*((pow(p, a, s) - 1) % s for s in xs), 0))
+    return _reading(p, (*xs, t * p**a), level)
 
 
 # --------------------------------------------------------------------------

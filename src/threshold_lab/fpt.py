@@ -12,9 +12,9 @@ makes it strict).  :func:`frobenius_nu` computes nu_e level by level: by
 Mustata-Takagi-Watanabe ("F-thresholds and Bernstein-Sato polynomials",
 2005) nu_{e+1} lies in [p nu_e, p nu_e + p - 1], and the Frobenius power of
 f^{nu_e} mod (x_i^{p^e}) is f^{p nu_e} mod (x_i^{p^{e+1}}), so each level
-takes at most p truncated products by f: p - 1 that stay nonzero, then the
-one that vanishes.  :func:`oracle_bracket` wraps nu_e into the two-sided
-bound.
+takes at most p truncated products by f, each iterating the level's state
+f^{nu_e} as a list of terms: p - 1 that stay nonzero, then the one that
+vanishes.  :func:`oracle_bracket` wraps nu_e into the two-sided bound.
 
 For a diagonal f = x_1^{s_1} + ... + x_n^{s_n} the threshold has a closed
 form (Hernandez, "F-invariants of diagonal hypersurfaces", Proc. AMS 143,
@@ -43,10 +43,10 @@ and lam are the preperiod and period of the tuple, with no multiplicative
 order computed up front.
 
 Everything here is in characteristic p.  :mod:`.certify` reads a diagonal
-pi^t + x_1^{s_1} + ... in mixed characteristic through
-:func:`diagonal_digits` twice: f mod pi is the diagonal of the s_i, and
-the blown-up diagonal, pi replaced by a fresh variable, is the diagonal
-with t as one more exponent.
+pi^t + x_1^{s_1} + ... in mixed characteristic through :func:`diagonal_digits`
+twice: f mod pi is the diagonal of the s_i, and the blown-up diagonal, pi
+replaced by a fresh variable, is the diagonal with t as one more exponent
+(t p^a at ramification level a, read by :func:`.certify.level_digits`).
 """
 
 from __future__ import annotations
@@ -91,14 +91,14 @@ def compute_L(p: int, exponents: tuple[int, ...]) -> int | float:
     return diagonal_digits(p, exponents)[0]
 
 
-def _first_column(p: int, exps: tuple[int, ...]) -> int | float:
-    """The first column whose digits sum to p or more, from column 0 with
-    zero remainders, or INFINITE when the remainder tuple repeats first.
-    One exponent never reaches p: its digits are all below p, and its
-    remainder cycle can be as long as s - 1 columns."""
+def _first_column(p: int, exps: tuple[int, ...], rems: tuple[int, ...]) -> int | float:
+    """The first column whose digits sum to p or more, counted from the
+    column whose remainders are rems, or INFINITE when the remainder tuple
+    repeats first.  One exponent never reaches p: its digits are all below
+    p, and its remainder cycle can be as long as s - 1 columns."""
     if len(exps) == 1:
         return INFINITE
-    rems = saved = (0,) * len(exps)
+    saved = rems
     j, power, steps = 0, 1, 0
     while True:
         total = 0
@@ -130,7 +130,11 @@ def diagonal_digits(p: int, exps: tuple[int, ...]) -> tuple[int | float, Rat, Ra
     is then at most 1, so it is the lct.  p is not checked; the exponents
     are, once per call, before the walk."""
     exps = _check_exponents(exps)
-    level = _first_column(p, exps)
+    return _reading(p, exps, _first_column(p, exps, (0,) * len(exps)))
+
+
+def _reading(p: int, exps: tuple[int, ...], level: int | float) -> tuple[int | float, Rat, Rat]:
+    """(L, fpt, lct) of checked exponents whose digit level L is known."""
     lct = _lct(exps)
     if level == INFINITE:
         return level, lct, lct
@@ -184,8 +188,8 @@ def frobenius_nu(f: SparsePolyFp, e: int) -> int:
     a_i + B - p^k in lane i, so adding the exponents of a term of f (all
     below p^e; terms with a larger one never survive) never carries out of a
     lane, and the sum lies in m^[p^k] exactly when some lane reaches its top
-    bit B.  The Frobenius step is then
-    one affine map per key: p*key - (p - 1)*B in every lane.
+    bit B.  The Frobenius step is then one affine map per key, p*key -
+    (p - 1)*B in every lane, and g a list of (key, coefficient) terms.
     """
     if e < 1:
         raise ValueError(f"Frobenius exponent e must be >= 1, got {e}")
@@ -216,22 +220,24 @@ def frobenius_nu(f: SparsePolyFp, e: int) -> int:
         for exps, c in f.terms.items()
         if max(exps) < cap
     ]
-    g = {high - ones: 1}
+    g = [(high - ones, 1)]
+    out: dict[int, int] = {}
+    get = out.get
     nu = 0
     for _level in range(e):
-        g = {p * k - frob: c for k, c in g.items()}
+        g = [(p * k - frob, c) for k, c in g]
         nu *= p
         for _step in range(p):
-            out: dict[int, int] = {}
             for fk, fc in fq:
-                for k, c in g.items():
+                for k, c in g:
                     k += fk
                     if not k & high:
-                        out[k] = out.get(k, 0) + c * fc
-            out = {k: r for k, c in out.items() if (r := c % p)}
-            if not out:
+                        out[k] = get(k, 0) + c * fc
+            product = [(k, r) for k, c in out.items() if (r := c % p)]
+            out.clear()
+            if not product:
                 break
-            g = out
+            g = product
             nu += 1
         else:
             raise AssertionError("step bound exceeded; f cannot lie in the maximal ideal")

@@ -321,6 +321,15 @@ def test_frobenius_nu_matches_reference(case):
     assert frobenius_nu(f, e) == nu_reference(f, e)
 
 
+@given(case=sparse_polys())
+@settings(max_examples=150, deadline=None)
+def test_f_pure_at_level_one_exactly_when_at_every_level(case):
+    """nu_1 = p - 1 exactly when nu_e = p^e - 1 (Fedder's criterion: both say
+    fpt(f) = 1, that is, f is F-pure), so reading level 1 decides every level."""
+    f, e = case
+    assert (frobenius_nu(f, 1) == f.p - 1) == (frobenius_nu(f, e) == f.p**e - 1)
+
+
 @given(case=sparse_polys(max_level=2, max_space=10**5))
 @settings(max_examples=80, deadline=None)
 def test_nu_nesting_sparse(case):

@@ -17,7 +17,7 @@ from threshold_lab.certify import (
     limit_profile,
 )
 from threshold_lab.exact import BasePExpansion
-from threshold_lab.fpt import FptBracket, compute_L, fpt_diagonal
+from threshold_lab.fpt import INFINITE, FptBracket, compute_L, fpt_diagonal
 from threshold_lab.poly import MembershipResult, MixedPoly, RingContext
 from threshold_lab.verify import CheckResult, GoldenCase, golden_cases
 
@@ -25,9 +25,12 @@ from threshold_lab.verify import CheckResult, GoldenCase, golden_cases
 IMMUTABLE = [
     (Bound(F(1, 2)), Bound(value=F(1, 2), strict=False), Bound(F(1, 2), True)),
     (
-        MixedDiagonal(3, True, (0,), (2,), (1, F(4, 5), F(5, 6))),
-        MixedDiagonal(pi_order=3, monic=True, slots=(0,), xs=(2,), digits=(1, F(4, 5), F(5, 6))),
-        MixedDiagonal(3, False, (0,), (2,), (1, F(4, 5), F(5, 6))),
+        MixedDiagonal(3, True, (0,), (2,), INFINITE, (1, F(4, 5), F(5, 6))),
+        MixedDiagonal(
+            pi_order=3, monic=True, slots=(0,), xs=(2,), x_level=INFINITE,
+            digits=(1, F(4, 5), F(5, 6)),
+        ),
+        MixedDiagonal(3, False, (0,), (2,), INFINITE, (1, F(4, 5), F(5, 6))),
     ),
     (
         ProfileStep(0, F(1, 2), True, F(1), False, None),
