@@ -13,7 +13,6 @@ from .certify import (
     certify,
     limit_profile,
     pth_root_modulo,
-    relevel,
 )
 from .digits import (
     binomial_valuation_prime_power,
@@ -92,7 +91,6 @@ __all__ = [
     "pth_root_mod_fp",
     "pth_root_modulo",
     "reduce_mod_pi",
-    "relevel",
     "require_prime",
     "weighted_membership",
 ]

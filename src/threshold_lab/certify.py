@@ -33,10 +33,11 @@ one scan of its terms in the order the certificate writes them, reads the
 residue f mod pi, the pure-power diagonal and the base ring level into a
 frozen :class:`Facts`.  The diagonal is one :class:`MixedDiagonal` record:
 its pi-order, variable slots and x-exponents, whether it is monic, the
-x-exponents' digit level, and the full diagonal's digit level, fpt and lct.  The characteristic-p digit
-kernel :func:`~.fpt.diagonal_digits` reads the residue's x-exponents for
-its closed-form fpt and, with a pi-slot t, the blown-up diagonal with t as
-one more exponent; the rules read the record's fields.  The residue's
+x-exponents' digit level, and the full diagonal's digit level, fpt and lct.
+The characteristic-p digit kernel :func:`~.fpt.diagonal_digits` reads the
+residue's x-exponents for its closed-form fpt and, with a pi-slot t,
+:func:`~.fpt.scaled_digits` reads the blown-up diagonal with t as one more
+exponent; the rules read the record's fields.  The residue's
 oracle brackets and the containment powers f^b are read on demand, once
 each.  Every rule takes that one argument and returns a
 :class:`RuleResult` or None (abstention): its bounds at once, its hypotheses
@@ -47,9 +48,9 @@ each call, so a rule replaced on the module is the one that runs;
 and :func:`certify` builds its :class:`BoundCertificate` from that.
 :func:`limit_profile` reads level 0 off the analysis of f, derives every
 later level's :class:`Facts` with :func:`relevel_facts` (the level-0 f, the
-diagonal record with its pi-order scaled and its digits from column a on,
-by :func:`level_digits`), and keeps only each level's intersected bounds,
-so it renders no rule text.
+diagonal record with its pi-order scaled by p^a and its digits read by
+:func:`~.fpt.scaled_digits` at level a), and keeps only each level's
+intersected bounds, so it renders no rule text.
 The levels share f, the oracle brackets and the containment powers: each
 f^b is expanded once, at level 0, and :func:`weighted_membership` reads it
 at each level's scale.
@@ -94,11 +95,10 @@ from .fpt import (
     INFINITE,
     FptBracket,
     ResourceGuardError,
-    _first_column,
-    _reading,
     diagonal_digits,
     fpt_diagonal,
     oracle_bracket,
+    scaled_digits,
 )
 from .poly import (
     Exps,
@@ -319,8 +319,9 @@ class Facts(namedtuple("Facts", "f ctx residue residue_fpt diag base_level")):
 
     def power(self, b: int) -> MixedPoly:
         """f^b, expanded once per b.  Like f, it is read in ``ctx`` through
-        the canonical inclusion: relevel is a ring map, so
-        relevel(f, a)^b = relevel(f^b, a), coefficients included."""
+        the canonical inclusion: rewriting a level-0 f at level a (every
+        pi-exponent times p^a) is a ring map, so it commutes with powers,
+        coefficients included."""
         fb = self.powers.get(b)
         if fb is None:
             fb = self.powers[b] = pow_mixed(self.f, b)
@@ -404,7 +405,7 @@ def analyze(f: MixedPoly, ctx: RingContext) -> Facts:
                 digits = diagonal_digits(p, xs)
                 x_level, residue_fpt, _lct = digits
             if pi_order is not None:
-                digits = diagonal_digits(p, (*xs, pi_order)) if pi_order > 1 else None
+                digits = scaled_digits(p, xs, x_level, pi_order, 0) if pi_order > 1 else None
         diag = MixedDiagonal(pi_order, monic, tuple(found), xs, x_level, digits)
     elif len(residue) == 1:
         residue_fpt = Rat(1, max(next(iter(residue))))
@@ -416,28 +417,30 @@ def analyze(f: MixedPoly, ctx: RingContext) -> Facts:
 
 def relevel_facts(facts: Facts, a: int) -> Facts:
     """The analysis of f at ramification level a, derived from its level-0
-    analysis; it equals ``analyze(relevel(f, a), ctx_a)`` in every field
-    but f, which stays the level-0 f, read in the level's ring through the
-    canonical inclusion.
+    analysis; it equals the analysis of f rewritten at level a (every
+    pi-exponent times p^a) in every field but f, which stays the level-0 f,
+    read in the level's ring through the canonical inclusion.
 
     Scaling every pi-exponent by p^a leaves all of it unchanged except the
     diagonal's pi-order, which scales with it: the residue keeps the terms of
     pi-exponent 0 (so its closed-form fpt is the same), the diagonal match
     reads each term's shape and the unit part of its pi-term (so the slots,
     the x-exponents and the monic flag are the same), and every positive
-    pi-exponent of relevel(f, a) is divisible by p^a, so the base ring level
+    pi-exponent of the rewritten f is divisible by p^a, so the base ring level
     is 0.  The level's :class:`MixedDiagonal` is the level-0 record with the
-    scaled pi-order t p^a and the :func:`level_digits` of (*xs, t p^a).  The
-    derived facts share f, the residue, the oracle brackets and the powers
-    of f with ``facts``, so each f^b is expanded once across the levels.
+    scaled pi-order t p^a and the :func:`~.fpt.scaled_digits` of
+    (*xs, t p^a).  The derived facts share f, the residue, the oracle
+    brackets and the powers of f with ``facts``, so each f^b is expanded
+    once across the levels.
     """
     ctx = facts.ctx
     if ctx.ram_level != 0 or ctx.cyclotomic:
         raise ValueError("relevel_facts expects the analysis of a level-0 polynomial")
     diag = facts.diag
     if a and diag is not None and diag.pi_order is not None:
-        digits = None if 1 in diag.xs else level_digits(diag, ctx.p, a)
-        diag = diag._replace(pi_order=diag.pi_order * ctx.p**a, digits=digits)
+        xs, t = diag.xs, diag.pi_order
+        digits = None if 1 in xs else scaled_digits(ctx.p, xs, diag.x_level, t, a)
+        diag = diag._replace(pi_order=t * ctx.p**a, digits=digits)
     return Facts(
         f=facts.f,
         ctx=ctx._replace(ram_level=a),
@@ -449,17 +452,6 @@ def relevel_facts(facts: Facts, a: int) -> Facts:
         powers=facts.powers,
         terms=facts.terms,
     )
-
-
-def level_digits(diag: MixedDiagonal, p: int, a: int) -> tuple[int | float, Rat, Rat]:
-    """``diagonal_digits(p, (*xs, t p^a))`` of a level-0 record, at a >= 1.
-    1/(t p^a) has the digit 0 in columns 1..a, then those of 1/t, so with
-    L_x < a the reading is (L_x, the residue's fpt, the lct); otherwise the
-    walk resumes at column a from the remainders (p^a - 1) mod s_i and 0."""
-    xs, t, level = diag.xs, diag.pi_order, diag.x_level
-    if level >= a:
-        level = a + _first_column(p, (*xs, t), (*((pow(p, a, s) - 1) % s for s in xs), 0))
-    return _reading(p, (*xs, t * p**a), level)
 
 
 # --------------------------------------------------------------------------
@@ -595,12 +587,8 @@ def rule_exact_ramified(facts: Facts) -> RuleResult | None:
     ctx, q = facts.ctx, facts.residue_fpt
     if ctx.cyclotomic or q is None:
         return None
-    den = q.denominator
-    e = 0
-    while den % ctx.p == 0:
-        den //= ctx.p
-        e += 1
-    if den != 1:
+    e = _valuation(q.denominator, ctx.p)
+    if ctx.p**e != q.denominator:
         return None
     c = facts.base_level
     descends = e <= ctx.ram_level - c
@@ -610,7 +598,7 @@ def rule_exact_ramified(facts: Facts) -> RuleResult | None:
         diag = facts.diag
         if diag is None or not diag.monic:
             return None
-        b = q.numerator  # q = b/p^e, by the loop above
+        b = q.numerator  # q = b/p^e, by the check above
         if not weighted_membership(facts.power(b), ctx, ctx.p**e):
             return None
 
@@ -733,8 +721,8 @@ def rule_extremal_strict(facts: Facts) -> RuleResult | None:
     candidates = [(q, i, j, 0) for q, vs in pure.items() for i, j in combinations(sorted(vs), 2)]
     candidates += [(q, i, j, 1) for (q, i, j), seen in cross.items() if seen == 2]
     for q, i, j, k in sorted(candidates):  # the least (e, i, j, pattern) that passes
-        e = _valuation(q, p) if q >= p else 0
-        if e == 0 or p**e != q:
+        e = _valuation(q, p)  # q >= p: the scan admits degrees q + 1 > p only
+        if p**e != q:
             continue
         pattern = (((q + 1, 0), (0, q + 1)), ((q, 1), (1, q)))[k]
         keys = []
@@ -1206,22 +1194,6 @@ class LimitProfile(NamedTuple):
             f'{{"steps":[{steps}],"limit":{_rat(self.limit)},'
             f'"attained":{_LITERAL[self.attained]},"notes":{_strings(self.notes)}}}'
         )
-
-
-def relevel(f: MixedPoly, a: int) -> MixedPoly:
-    """Re-express a level-0 polynomial at ramification level a.
-
-    The same element of W(k)[[x]] has pi-exponents p^a times larger when
-    written in units of the level-a uniformizer p^{1/p^a}.
-    """
-    if f.ram_level != 0:
-        raise ValueError("relevel expects a polynomial written at level 0")
-    if a < 0:
-        raise ValueError(f"ram_level must be >= 0, got {a}")
-    scale = f.p**a
-    return MixedPoly._of(
-        f.p, a, f.vars, {(pi * scale, exps): c for (pi, exps), c in f.terms.items()}
-    )
 
 
 def limit_profile(f: MixedPoly, e_max: int) -> LimitProfile:

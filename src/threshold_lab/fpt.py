@@ -43,10 +43,12 @@ and lam are the preperiod and period of the tuple, with no multiplicative
 order computed up front.
 
 Everything here is in characteristic p.  :mod:`.certify` reads a diagonal
-pi^t + x_1^{s_1} + ... in mixed characteristic through :func:`diagonal_digits`
-twice: f mod pi is the diagonal of the s_i, and the blown-up diagonal, pi
-replaced by a fresh variable, is the diagonal with t as one more exponent
-(t p^a at ramification level a, read by :func:`.certify.level_digits`).
+pi^t + x_1^{s_1} + ... in mixed characteristic twice: f mod pi is the
+diagonal of the s_i (:func:`diagonal_digits`), and the blown-up diagonal, pi
+replaced by a fresh variable, is the diagonal with t p^a as one more
+exponent at ramification level a.  :func:`scaled_digits` reads it at every
+level a >= 0 from the s_i's own digit level, and is the one place that
+resumes a walk.
 """
 
 from __future__ import annotations
@@ -131,6 +133,21 @@ def diagonal_digits(p: int, exps: tuple[int, ...]) -> tuple[int | float, Rat, Ra
     are, once per call, before the walk."""
     exps = _check_exponents(exps)
     return _reading(p, exps, _first_column(p, exps, (0,) * len(exps)))
+
+
+def scaled_digits(
+    p: int, xs: tuple[int, ...], x_level: int | float, t: int, a: int
+) -> tuple[int | float, Rat, Rat]:
+    """``diagonal_digits(p, (*xs, t p^a))`` at any a >= 0, given the digit
+    level x_level of xs alone (INFINITE without xs).  1/(t p^a) has the
+    digit 0 in columns 1..a, then those of 1/t, so with x_level < a the
+    level is x_level; otherwise the walk resumes at column a from the
+    remainders (p^a - 1) mod s_i and 0 (at a = 0, the walk from column 0)."""
+    exps = _check_exponents((*xs, t * p**a))
+    level = x_level
+    if level >= a:
+        level = a + _first_column(p, (*xs, t), (*((pow(p, a, s) - 1) % s for s in xs), 0))
+    return _reading(p, exps, level)
 
 
 def _reading(p: int, exps: tuple[int, ...], level: int | float) -> tuple[int | float, Rat, Rat]:

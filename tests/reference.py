@@ -553,6 +553,24 @@ def lift_by_pow_mixed(f, ctx):
     return None
 
 
+# limit_profile derives each level's analysis from level 0's and never
+# rewrites f; a fresh analysis of f rewritten at the level is the reference.
+def relevel(f: MixedPoly, a: int) -> MixedPoly:
+    """Re-express a level-0 polynomial at ramification level a.
+
+    The same element of W(k)[[x]] has pi-exponents p^a times larger when
+    written in units of the level-a uniformizer p^{1/p^a}.
+    """
+    if f.ram_level != 0:
+        raise ValueError("relevel expects a polynomial written at level 0")
+    if a < 0:
+        raise ValueError(f"ram_level must be >= 0, got {a}")
+    scale = f.p**a
+    return MixedPoly._of(
+        f.p, a, f.vars, {(pi * scale, exps): c for (pi, exps), c in f.terms.items()}
+    )
+
+
 def sorted_scan(f, ctx, q):
     """weighted_membership as it was first written: the terms of f in
     graded-lex order, stopping at the first outside (pi^q, x_i^q)."""

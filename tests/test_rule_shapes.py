@@ -28,7 +28,6 @@ from threshold_lab.certify import (
     analyze,
     certify,
     limit_profile,
-    relevel,
     relevel_facts,
 )
 from threshold_lab.cli import infer_variables, parse_poly
@@ -40,6 +39,8 @@ from threshold_lab.fpt import (
     lct_diagonal,
 )
 from threshold_lab.poly import pow_mixed
+
+from reference import relevel
 
 VARS = ("x", "y", "z")
 
