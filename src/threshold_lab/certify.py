@@ -178,6 +178,7 @@ def _check_bounds(b: BoundCertificate | ProfileStep) -> None:
     if b.lower is not None and b.upper is not None:
         assert _cmp(b.lower, b.upper) <= 0
     if b.exact is not None:
+        assert b.lower is not None and b.upper is not None
         assert _cmp(b.lower, b.exact) == 0 == _cmp(b.upper, b.exact)
         assert not b.lower_strict and not b.upper_strict
 
@@ -481,10 +482,11 @@ def rule_fpt_lower(facts: Facts) -> RuleResult | None:
         return ["f mod pi is nonzero", source], []
 
     return RuleResult(
-        rule_id="fpt_lower",
-        statement="comparison with the residual characteristic-p threshold",
-        quote="ppt(f) >= fpt(f mod pi)",
-        lower=Bound(value, strict=False),
+        "fpt_lower",
+        "comparison with the residual characteristic-p threshold",
+        "ppt(f) >= fpt(f mod pi)",
+        Bound(value, False),
+        None,
         text=text,
     )
 
@@ -519,11 +521,11 @@ def rule_blowup_diagonal(facts: Facts) -> RuleResult | None:
         return hyp, [f"lct = {format_rat(lct)}"]
 
     return RuleResult(
-        rule_id="blowup_diagonal",
-        statement="blow-up comparison for diagonals in the uniformizer",
-        quote="fpt(f_0) <= ppt(f) <= lct(f) for the diagonal with pi replaced by a variable",
-        lower=Bound(lower, strict=False),
-        upper=Bound(lct, strict=False),
+        "blowup_diagonal",
+        "blow-up comparison for diagonals in the uniformizer",
+        "fpt(f_0) <= ppt(f) <= lct(f) for the diagonal with pi replaced by a variable",
+        Bound(lower, False),
+        Bound(lct, False),
         text=text,
     )
 
@@ -564,13 +566,14 @@ def rule_ramified_upper(facts: Facts) -> RuleResult | None:
         ], []
 
     return RuleResult(
-        rule_id="ramified_upper",
-        statement="upper bound after adjoining p-power roots of the uniformizer",
-        quote=(
+        "ramified_upper",
+        "upper bound after adjoining p-power roots of the uniformizer",
+        (
             "ppt(f) <= b/p^e once the base contains a p^e-th root of the "
             "uniformizer of a ring of definition of f and fpt(f mod pi) <= b/p^e"
         ),
-        upper=Bound(value, strict=False),
+        None,
+        Bound(value, False),
         text=text,
     )
 
@@ -627,11 +630,11 @@ def rule_exact_ramified(facts: Facts) -> RuleResult | None:
             "forces ppt(f) <= b/p^e, meeting the residual lower bound"
         )
     return RuleResult(
-        rule_id="exact_ramified",
-        statement="equality at terminating residual thresholds over ramified bases",
-        quote=quote,
-        lower=Bound(q),
-        upper=Bound(q),
+        "exact_ramified",
+        "equality at terminating residual thresholds over ramified bases",
+        quote,
+        Bound(q, False),
+        Bound(q, False),
         text=text,
     )
 
@@ -678,17 +681,17 @@ def rule_diagonal_ramified(facts: Facts) -> RuleResult | None:
         return hyp, []
 
     return RuleResult(
-        rule_id="diagonal_ramified",
-        statement="ramified diagonal comparison at digit level L",
-        quote=(
+        "diagonal_ramified",
+        "ramified diagonal comparison at digit level L",
+        (
             "ppt(pi^{s_1} + x_2^{s_2} + ...) equals the full diagonal fpt "
             "once ram_level >= L, for n = 2 or equal exponents"
             if exact else
             "ppt(pi^{s_1} + x_2^{s_2} + ...) <= fpt of the full diagonal "
             "once ram_level >= L"
         ),
-        lower=Bound(value) if exact else None,
-        upper=Bound(value),
+        Bound(value, False) if exact else None,
+        Bound(value, False),
         text=text,
     )
 
@@ -756,14 +759,15 @@ def rule_extremal_strict(facts: Facts) -> RuleResult | None:
         ], []
 
     return RuleResult(
-        rule_id="extremal_strict",
-        statement="strict lower bound via an extremal-form cofactor certificate",
-        quote=(
+        "extremal_strict",
+        "strict lower bound via an extremal-form cofactor certificate",
+        (
             "ppt(f) > 1/p^e for f = X^a Y^b + X^b Y^a + f' with "
             "{a, b} = {p^e + 1, 0} or {p^e, 1} and f' in the e-th Frobenius "
             "power of (pi, X, Y, rest)"
         ),
-        lower=Bound(value, strict=True),
+        Bound(value, True),
+        None,
         text=text,
     )
 
@@ -787,10 +791,11 @@ def rule_frobenius_diagonal_strict(facts: Facts) -> RuleResult | None:
         return None
     value = Rat(1, q)
     return RuleResult(
-        rule_id="frobenius_diagonal_strict",
-        statement="strict excess over the residual threshold for p-power diagonals",
-        quote="ppt(pi^{p^e} + x_2^{p^e} + ... + x_n^{p^e}) > 1/p^e for p > 2",
-        lower=Bound(value, strict=True),
+        "frobenius_diagonal_strict",
+        "strict excess over the residual threshold for p-power diagonals",
+        "ppt(pi^{p^e} + x_2^{p^e} + ... + x_n^{p^e}) > 1/p^e for p > 2",
+        Bound(value, True),
+        None,
         text=lambda: ([
             f"f = pi^{q} + sum of {len(diag.xs)} distinct x^{q} with unit"
             " coefficients",
@@ -864,13 +869,14 @@ def rule_elliptic(facts: Facts) -> RuleResult | None:
         ], notes
 
     return RuleResult(
-        rule_id="elliptic",
-        statement="cubic cone bound via the second Frobenius level",
-        quote=(
+        "elliptic",
+        "cubic cone bound via the second Frobenius level",
+        (
             "ppt(f) <= 1 - 1/p^2 for the cone over a plane cubic of this shape "
             "when p = 2 (mod 3)"
         ),
-        upper=Bound(value, strict=False),
+        None,
+        Bound(value, False),
         text=text,
     )
 
@@ -963,13 +969,14 @@ def rule_pth_root_upper(facts: Facts) -> RuleResult | None:
         value = 1 - Rat(1, p)
         modulus = "p^2 over the unramified base"
     return RuleResult(
-        rule_id="pth_root_upper",
-        statement="upper bound from a p-th root at the second infinitesimal level",
-        quote=(
+        "pth_root_upper",
+        "upper bound from a p-th root at the second infinitesimal level",
+        (
             "if f = h^p modulo p^2 then ppt(f) <= 1 - 1/p; "
             "if f = h^p modulo varpi^p cyclotomically then ppt(f) <= 1/p"
         ),
-        upper=Bound(value, strict=False),
+        None,
+        Bound(value, False),
         text=lambda: ([f"witness h = {h} with f = h^{p} modulo {modulus}"], []),
     )
 
@@ -982,11 +989,11 @@ def known_values_registry(facts: Facts) -> RuleResult | None:
 
     def result(value: Rat, shape: str, quote: str) -> RuleResult:
         return RuleResult(
-            rule_id="known_values",
-            statement="curated exact value for a registry family",
-            quote=quote,
-            lower=Bound(value),
-            upper=Bound(value),
+            "known_values",
+            "curated exact value for a registry family",
+            quote,
+            Bound(value, False),
+            Bound(value, False),
             text=lambda: ([f"matched registry shape {shape}"], []),
         )
 
@@ -1021,10 +1028,11 @@ def known_values_registry(facts: Facts) -> RuleResult | None:
 
 
 _THRESHOLD_CAP = RuleResult(
-    rule_id="threshold_cap",
-    statement="threshold bounded by one on the maximal ideal",
-    quote="ppt(f) <= 1 for f in (pi, x_1, ..., x_n)",
-    upper=Bound(Rat(1), strict=False),
+    "threshold_cap",
+    "threshold bounded by one on the maximal ideal",
+    "ppt(f) <= 1 for f in (pi, x_1, ..., x_n)",
+    None,
+    Bound(Rat(1), False),
     text=lambda: (["f lies in the maximal ideal"], []),
 )
 
@@ -1040,12 +1048,13 @@ def rule_threshold_cap(facts: Facts) -> RuleResult:
 
 
 def _cmp(a: Rat, b: Rat) -> int:
-    """The sign of a - b, by cross-multiplying numerators and denominators.
-
-    Fraction's own comparisons dispatch through the numeric ABCs and cost
-    several times more; the bound intersections make a dozen per level.
+    """The sign of a - b, by cross-multiplying numerators and denominators,
+    each side's pair read by one ``as_integer_ratio`` call.  Fraction's own
+    comparisons dispatch through the numeric ABCs and cost several times
+    more; the bound intersections make a dozen per level.
     """
-    x, y = a.numerator * b.denominator, b.numerator * a.denominator
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    x, y = an * bd, bn * ad
     return (x > y) - (x < y)
 
 
@@ -1064,17 +1073,17 @@ def certify(f: MixedPoly, ctx: RingContext) -> BoundCertificate:
     """
     facts = analyze(f, ctx)
     results = _run_rules(facts)
-    bounds = _intersect(results)
+    lower, lower_strict, upper, upper_strict, exact = _intersect(results)
     notes = [note for res in results for note in res.notes]
-    if bounds.lower_strict and bounds.upper is not None:
-        m = math.floor(ctx.p * bounds.lower)
-        if m >= 1 and ctx.p * bounds.upper <= m + bounds.lower:
+    if lower_strict and upper is not None:
+        m = math.floor(ctx.p * lower)
+        if m >= 1 and ctx.p * upper <= m + lower:
             notes.append(
                 "p*ppt is not a jumping number: p*ppt lies in "
                 f"({m}, {m} + ppt), an interval free of jumping numbers"
             )
     return BoundCertificate(
-        *bounds, rules=results, notes=notes, poly=f, ctx=ctx, terms=facts.terms
+        lower, lower_strict, upper, upper_strict, exact, results, notes, f, ctx, facts.terms
     )
 
 
@@ -1102,21 +1111,12 @@ def _run_rules(facts: Facts) -> list[RuleResult]:
     return results
 
 
-class Bounds(NamedTuple):
-    """The intersection of the bounds that the rules certified on one input."""
-
-    lower: Rat | None
-    lower_strict: bool
-    upper: Rat | None
-    upper_strict: bool
-    exact: Rat | None
-
-
-def _intersect(results: list[RuleResult]) -> Bounds:
-    """The max lower and the min upper bound of the results, in one scan.
+def _intersect(results: list[RuleResult]) -> tuple:
+    """(lower, lower_strict, upper, upper_strict, exact): the max lower and
+    the min upper bound of the results, in one scan, as a plain tuple.
 
     A side is strict when any bound at its extreme is; bounds compare by
-    integer cross-products, each read once (see :func:`_cmp`).  Raises
+    integer cross-products, each rational read once (see :func:`_cmp`).  Raises
     :class:`InternalInconsistencyError` when the two sides exclude each
     other, naming every rule with a bound at either extreme.
     """
@@ -1125,21 +1125,21 @@ def _intersect(results: list[RuleResult]) -> Bounds:
     ln = ld = un = ud = 0
     for res in results:
         if (bound := res.lower) is not None:
-            n, d = bound.value.numerator, bound.value.denominator
+            n, d = bound.value.as_integer_ratio()
             assert n > 0
             if lower is None or n * ld > ln * d:
                 lower, lower_strict, ln, ld = bound.value, bound.strict, n, d
             elif n * ld == ln * d:
                 lower_strict = lower_strict or bound.strict
         if (bound := res.upper) is not None:
-            n, d = bound.value.numerator, bound.value.denominator
+            n, d = bound.value.as_integer_ratio()
             assert n > 0
             if upper is None or n * ud < un * d:
                 upper, upper_strict, un, ud = bound.value, bound.strict, n, d
             elif n * ud == un * d:
                 upper_strict = upper_strict or bound.strict
     if lower is None or upper is None:
-        return Bounds(lower, lower_strict, upper, upper_strict, None)
+        return lower, lower_strict, upper, upper_strict, None
     c = ln * ud - un * ld
     if c > 0 or (c == 0 and (lower_strict or upper_strict)):
 
@@ -1157,7 +1157,7 @@ def _intersect(results: list[RuleResult]) -> Bounds:
         )
     # Bounds that meet without excluding each other are both non-strict.
     exact = lower if c == 0 else None
-    return Bounds(lower, lower_strict, upper, upper_strict, exact)
+    return lower, lower_strict, upper, upper_strict, exact
 
 
 # --------------------------------------------------------------------------
@@ -1169,8 +1169,8 @@ class ProfileStep(namedtuple("ProfileStep", "level lower lower_strict upper uppe
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        step = super().__new__(cls, *args, **kwargs)
+    def __new__(cls, level, lower, lower_strict, upper, upper_strict, exact):
+        step = tuple.__new__(cls, (level, lower, lower_strict, upper, upper_strict, exact))
         _check_bounds(step)
         return step
 

@@ -78,10 +78,10 @@ def require_prime(p: int) -> int:
 def format_rat(q: Rat) -> str:
     """Render a rational in lowest terms as "num/den", or plain "n" for integers.
 
-    Accepts a Fraction or an int; both carry their lowest-terms numerator
-    and denominator.
+    Accepts a Fraction or an int; ``as_integer_ratio`` gives both their
+    lowest-terms numerator and denominator in one call.
     """
-    num, den = q.numerator, q.denominator
+    num, den = q.as_integer_ratio()
     if den == 1:
         return str(num)
     return f"{num}/{den}"

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshold_lab.certify import (
+    _cmp,
     _intersect,
     Bound,
     Facts,
@@ -1044,6 +1045,16 @@ def test_intersect_matches_the_list_intersection(results):
         assert str(alarm.value) == str(ex)
     else:
         assert tuple(_intersect(results)) == expected
+
+
+RATIONALS = st.integers(-50, 50) | st.fractions(max_denominator=60)
+
+
+@given(RATIONALS, RATIONALS)
+def test_cmp_is_the_sign_of_the_difference(a, b):
+    """_cmp reads each side with as_integer_ratio, which ints have too."""
+    d = a - b
+    assert _cmp(a, b) == (d > 0) - (d < 0) == -_cmp(b, a)
 
 
 def test_intersect_alarm_names_rules_tied_at_the_lower_bound():

@@ -84,6 +84,9 @@ def test_require_prime():
     (F(0), "0"),
     (F(40, 81), "40/81"),
     (F(2, 4), "1/2"),
+    (7, "7"),
+    (-3, "-3"),
+    (F(-1, 2), "-1/2"),
 ])
 def test_format_rat(q, text):
     assert format_rat(q) == text

@@ -148,6 +148,17 @@ def test_facts_equality_ignores_the_memos():
         facts.residue_fpt = None
 
 
+# (level, lower, lower_strict, upper, upper_strict, exact) that the record
+# check refuses: lower above upper, an exact value with a strict side, and an
+# exact value with a missing side.
+INCONSISTENT_STEPS = [
+    (0, F(1), False, F(1, 2), False, None),
+    (0, F(1, 2), True, F(1, 2), False, F(1, 2)),
+    (0, None, False, None, False, F(1, 2)),
+    (0, F(1, 2), False, None, False, F(1, 2)),
+]
+
+
 def test_mutable_records():
     f = MixedPoly(2, 0, ("x",), {(0, (2,)): 1, (2, (0,)): 1})
     ctx = RingContext(2, ("x",))
@@ -159,6 +170,13 @@ def test_mutable_records():
     assert cert.notes == ["kept"]
     with pytest.raises(AssertionError):
         BoundCertificate(F(1), False, F(1, 2), False, None, [], [], f, ctx, f.sorted_terms())
+    with pytest.raises(AssertionError):
+        BoundCertificate(None, False, F(1, 2), False, F(1, 2), [], [], f, ctx, f.sorted_terms())
+    for fields in INCONSISTENT_STEPS:
+        with pytest.raises(AssertionError):
+            ProfileStep(*fields)
+        with pytest.raises(AssertionError):
+            ProfileStep(**dict(zip(ProfileStep._fields, fields)))
     profile = limit_profile(f, 2)
     assert profile == limit_profile(f, 2)
     assert profile == LimitProfile(
